@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -39,11 +38,6 @@ PROCESS_ALIASES = {
 }
 
 
-def _max_order_cap() -> int:
-    env = os.environ.get("UMBRA_MAX_ORDER")
-    return int(env) if env else mi.MAX_TOTAL_ORDER
-
-
 def _process_spec(args) -> ProcessSpec:
     name = args.process
     if name.startswith("custom:"):
@@ -53,12 +47,26 @@ def _process_spec(args) -> ProcessSpec:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
     params = json.loads(args.params) if getattr(args, "params", None) else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
     for key in ("rate", "shape", "scale", "a", "b"):
         if key in params:
-            params[key] = Fraction(str(params[key]))
+            params[key] = _rational(key, params[key])
     if "C" in params:
-        params["C"] = [[Fraction(str(x)) for x in row] for row in params["C"]]
+        params["C"] = [[_rational("C", x) for x in row] for row in params["C"]]
     return ProcessSpec(PROCESS_ALIASES[name], args.d, args.order, params)
+
+
+def _rational(key: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"parameter {key}: {value!r} is not a rational number") from None
+
+
+def _check_max_order(args) -> None:
+    if args.max_order > args.order:
+        raise ValueError(f"--max-order {args.max_order} exceeds --order {args.order}")
 
 
 def _emit(payload: dict, args) -> None:
@@ -74,7 +82,7 @@ def _emit(payload: dict, args) -> None:
 def cmd_partitions(args) -> int:
     v = mi.parse_index(args.v)
     items = []
-    for lam in mi.partitions(v, max_order=_max_order_cap()):
+    for lam in mi.partitions(v):
         items.append({
             "columns": [mi.format_index(c) for c in lam.columns],
             "multiplicities": list(lam.multiplicities),
@@ -110,7 +118,7 @@ def cmd_gen_tsh(args) -> int:
 
 def cmd_gen_family(args) -> int:
     v = mi.parse_index(args.v)
-    t = Fraction(args.t) if args.t is not None else "t"
+    t = _rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
         C = json.loads(args.C) if args.C else None
         if C is None:
@@ -134,10 +142,13 @@ def cmd_gen_family(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.family:
+        mi.check_order(args.max_order)
         ok = {"bernoulli": bernoulli_tsh_check,
               "euler": euler_tsh_check}[args.family](args.max_order, args.d)
         print(f"family {args.family}: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    if not args.tsh:
+        _check_max_order(args)
     proc = build(_process_spec(args))
     if args.tsh:
         with open(args.tsh) as fh:
@@ -165,7 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ig_check(args) -> int:
-    ok = ig_gf_check(Fraction(args.a), Fraction(args.b), args.order)
+    mi.check_order(args.order)
+    ok = ig_gf_check(_rational("a", args.a), _rational("b", args.b), args.order)
     print(f"inverse-Gaussian gf check (a={args.a}, b={args.b}, N={args.order}): "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -190,13 +202,14 @@ def cmd_decompose(args) -> int:
 def cmd_mc_verify(args) -> int:
     from .harmonic import tsh_polynomial as gen
     from .montecarlo import SimConfig, simulate_and_test
+    _check_max_order(args)
     spec = _process_spec(args)
     proc = build(spec)
     s_str, t_str = args.times.split(",")
     polys = [gen(proc.one_step, v)
              for v in mi.iter_indices(args.d, args.max_order) if any(v)]
-    cfg = SimConfig(spec, args.paths, Fraction(s_str), Fraction(t_str),
-                    args.seed, tuple(q.index for q in polys))
+    cfg = SimConfig(spec, args.paths, _rational("times", s_str),
+                    _rational("times", t_str), args.seed, tuple(q.index for q in polys))
     report = simulate_and_test(cfg, polys)
     if args.json:
         _emit(report.to_json(), args)

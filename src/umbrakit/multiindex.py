@@ -9,6 +9,7 @@ increasing lexicographic order together with their multiplicities.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,24 @@ MAX_DIMENSION = 8
 
 class OrderOverflowError(ValueError):
     """Requested order or dimension exceeds the configured cap."""
+
+
+def order_cap() -> int:
+    """The working order cap: $UMBRA_MAX_ORDER if set, else MAX_TOTAL_ORDER."""
+    env = os.environ.get("UMBRA_MAX_ORDER")
+    if not env:
+        return MAX_TOTAL_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"UMBRA_MAX_ORDER={env!r} is not an integer") from None
+
+
+def check_order(n: int) -> None:
+    """Raise OrderOverflowError when a truncation order exceeds the cap."""
+    cap = order_cap()
+    if n > cap:
+        raise OrderOverflowError(f"order {n} exceeds the cap {cap} (UMBRA_MAX_ORDER)")
 
 
 def check_index(v: tuple[int, ...], max_order: int = MAX_TOTAL_ORDER,
@@ -124,13 +143,14 @@ class MultiIndexPartition:
         return out
 
 
-def partitions(v: tuple[int, ...], max_order: int = MAX_TOTAL_ORDER) -> Iterator[MultiIndexPartition]:
+def partitions(v: tuple[int, ...]) -> Iterator[MultiIndexPartition]:
     """Stream every partition of v exactly once, deterministically.
 
-    Recursive descent over candidate columns in decreasing lexicographic
-    order; remaining budget prunes the search so no dedup pass is needed.
+    |v| is capped by the working cap order_cap().  Recursive descent over
+    candidate columns in decreasing lexicographic order; remaining budget
+    prunes the search so no dedup pass is needed.
     """
-    check_index(v, max_order=max_order)
+    check_index(v, max_order=order_cap())
     d = len(v)
     if all(e == 0 for e in v):
         yield MultiIndexPartition((), ())
@@ -176,11 +196,16 @@ def partition_weight(lam: MultiIndexPartition, v: tuple[int, ...]) -> Fraction:
 
 
 def parse_index(text: str) -> tuple[int, ...]:
-    """Parse the text form "(v1,...,vd)" (parentheses optional)."""
+    """Parse the text form "(v1,...,vd)" (parentheses optional).
+
+    The index must pass check_index under the working cap order_cap().
+    """
     body = text.strip().strip("()")
     if not body:
         raise ValueError(f"empty multi-index: {text!r}")
-    return tuple(int(part) for part in body.split(","))
+    v = tuple(int(part) for part in body.split(","))
+    check_index(v, max_order=order_cap())
+    return v
 
 
 def format_index(v: tuple[int, ...]) -> str:

@@ -30,7 +30,8 @@ class Poly:
     def __init__(self, vars: Iterable[str] = (),
                  terms: Mapping[tuple[int, ...], Scalar] | None = None):
         vs = tuple(vars)
-        assert vs == tuple(sorted(vs)), "variables must be sorted"
+        if any(a >= b for a, b in zip(vs, vs[1:])):
+            raise ValueError(f"variables must be sorted and distinct: {vs}")
         tm = {}
         for exp, c in (terms or {}).items():
             c = _as_fraction(c)
@@ -168,6 +169,9 @@ class Poly:
         return a == b
 
     def __hash__(self):
+        if self.is_constant():
+            # equal to its scalar value, so it must hash like it
+            return hash(self.constant_value())
         # canonical form with variables of zero degree dropped
         used = [i for i in range(len(self.vars))
                 if any(e[i] for e in self.terms)]

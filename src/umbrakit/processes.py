@@ -45,6 +45,7 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if self.dim < 1 or self.order < 0:
             raise ValueError("bad dimension or order")
+        mi.check_order(self.order)
 
 
 @dataclass(frozen=True)

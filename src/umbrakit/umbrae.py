@@ -19,23 +19,10 @@ from .series import (OrderMismatchError, TruncatedSeries, reciprocal,
                      series_subst, vector_reversion)
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(v: tuple[int, ...]) -> tuple[mi.MultiIndexPartition, ...]:
-    return tuple(mi.partitions(v))
-
-
-def falling_factorial(p: Coefficient, length: int) -> Coefficient:
-    """(p)_l = p (p - 1) ... (p - l + 1), with (p)_0 = 1."""
-    out: Coefficient = Fraction(1)
-    for i in range(length):
-        out = out * (p - i)
-    return out
-
-
 class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
-    __slots__ = ("dim", "order", "moments")
+    __slots__ = ("dim", "order", "moments", "_tables", "_dots")
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
@@ -55,6 +42,8 @@ class UmbraTuple:
         self.dim = dim
         self.order = order
         self.moments = ms
+        self._tables = {}   # kind -> series table, see _series_table
+        self._dots = {}     # (kind, p) -> dot-product tuple, see _dot
 
     # -- evaluation ---------------------------------------------------
 
@@ -125,8 +114,8 @@ class UmbraTuple:
         for v in self.indices():
             acc: Coefficient = Fraction(0)
             for k in _sub_indices(v):
-                acc = acc + mi.multi_binomial(v, k) * _mul(
-                    self.eval_power(k), other.eval_power(mi.sub(v, k)))
+                acc = acc + mi.multi_binomial(v, k) * (
+                    self.eval_power(k) * other.eval_power(mi.sub(v, k)))
             out[v] = acc
         return UmbraTuple(self.dim, self.order, out)
 
@@ -163,38 +152,55 @@ class UmbraTuple:
             inners.append(TruncatedSeries(d, self.order, coeffs))
         return UmbraTuple.from_series(series_subst(self.to_series(), inners))
 
-    def _dot_moments(self, factor_of_length) -> dict:
-        out = {}
-        for v in self.indices():
-            acc: Coefficient = Fraction(1) if not any(v) else Fraction(0)
-            if any(v):
-                for lam in _partitions_of(v):
-                    w = mi.partition_weight(lam, v)
-                    prod: Coefficient = w * factor_of_length(lam.length())
-                    for col, r in zip(lam.columns, lam.multiplicities):
-                        prod = _mul(prod, self.eval_power(col) ** r)
-                    acc = acc + prod
-            out[v] = acc
+    def _series_table(self, kind: str) -> list[dict]:
+        """Exponential coefficients of h^k / k!, k = 0..N, where h = log f
+        for kind "log" and h = f - 1 for kind "beta"; built once per tuple."""
+        table = self._tables.get(kind)
+        if table is None:
+            one = TruncatedSeries.one(self.dim, self.order)
+            f = self.to_series()
+            h = series_log(f) if kind == "log" else f - one
+            term, table = one, [one.coeffs]
+            for k in range(1, self.order + 1):
+                term = (term * h).scale(Fraction(1, k))
+                table.append(term.coeffs)
+            self._tables[kind] = table
+        return table
+
+    def _dot(self, kind: str, p: Coefficient) -> "UmbraTuple":
+        """The tuple with gf exp(p h): g_v = sum_k p^k [h^k / k!]_v.
+
+        Memoised per (kind, p) on this tuple, so the few time arguments a
+        process uses (t, -t, t - s) are each expanded once.  Callers share
+        the returned tuple and must not mutate it.
+        """
+        key = (kind, p)
+        out = self._dots.get(key)
+        if out is None:
+            moments: dict = {}
+            p_k: Coefficient = Fraction(1)
+            for k, term in enumerate(self._series_table(kind)):
+                if k:
+                    p_k = p_k * p
+                for v, c in term.items():
+                    moments[v] = moments.get(v, Fraction(0)) + c * p_k
+            out = self._dots[key] = UmbraTuple(self.dim, self.order, moments)
         return out
 
     def dot_n(self, n: int) -> "UmbraTuple":
         """n-fold sum of uncorrelated copies; gf f^n."""
         if n < 0:
             raise ValueError("dot_n needs n >= 0; use inverse_umbra for -1")
-        return UmbraTuple(self.dim, self.order,
-                          self._dot_moments(lambda l: falling_factorial(n, l)))
+        return self._dot("log", Fraction(n))
 
     def dot_t(self, t: Coefficient | str) -> "UmbraTuple":
-        """Dot-product with a parameter: moments are polynomials in t."""
-        p = Poly.var(t) if isinstance(t, str) else as_coefficient(t)
-        return UmbraTuple(self.dim, self.order,
-                          self._dot_moments(lambda l: falling_factorial(p, l)))
+        """Dot-product with a parameter: gf f^t = exp(t log f), so the
+        moments are polynomials in t."""
+        return self._dot("log", Poly.var(t) if isinstance(t, str) else as_coefficient(t))
 
     def dot_t_beta(self, t: Coefficient | str) -> "UmbraTuple":
-        """Composition-style dot-product: t^{l(lambda)} replaces (t)_{l(lambda)}."""
-        p = Poly.var(t) if isinstance(t, str) else as_coefficient(t)
-        return UmbraTuple(self.dim, self.order,
-                          self._dot_moments(lambda l: p ** l))
+        """Composition-style dot-product: gf exp(t (f - 1))."""
+        return self._dot("beta", Poly.var(t) if isinstance(t, str) else as_coefficient(t))
 
     def inverse_umbra(self) -> "UmbraTuple":
         """The -1 dot-product: gf is the reciprocal series."""
@@ -210,10 +216,6 @@ class UmbraTuple:
         """Inverse of cumulant_tuple: gf exp(f_c - 1)."""
         one = TruncatedSeries.one(c.dim, c.order)
         return cls.from_series(series_exp(c.to_series() - one))
-
-
-def _mul(a: Coefficient, b: Coefficient) -> Coefficient:
-    return a * b
 
 
 @lru_cache(maxsize=None)

@@ -131,3 +131,31 @@ def test_max_order_env(capsys, monkeypatch):
     code, _, err = run(capsys, "partitions", "--v", "(4)")
     assert code == 3
     assert "exceeds" in err
+
+
+def test_order_above_cap_exits_3(capsys):
+    code, out, err = run(capsys, "moments", "--process", "poisson",
+                         "--order", "21")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "exceeds" in err
+
+
+def test_max_order_env_caps_gen_tsh(capsys, monkeypatch):
+    monkeypatch.setenv("UMBRA_MAX_ORDER", "3")
+    code, out, err = run(capsys, "gen-tsh", "--process", "gamma", "--v", "(6)")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "exceeds" in err
+
+
+def test_zero_denominator_parameter_exits_3(capsys):
+    code, out, err = run(capsys, "moments", "--process", "poisson",
+                         "--params", '{"rate": "1/0"}')
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "rate" in err
+
+
+def test_verify_max_order_above_order_names_both_flags(capsys):
+    code, out, err = run(capsys, "verify", "--process", "gamma",
+                         "--max-order", "8", "--order", "4")
+    assert code == 3 and out == ""
+    assert "--max-order 8" in err and "--order 4" in err

@@ -72,6 +72,25 @@ def test_order_caps():
         mi.check_index((-1, 2))
 
 
+def test_order_cap_from_environment(monkeypatch):
+    with pytest.raises(mi.OrderOverflowError):
+        mi.parse_index("(21)")
+    with pytest.raises(ValueError):
+        mi.parse_index("(-1,2)")
+    monkeypatch.setenv("UMBRA_MAX_ORDER", "3")
+    assert mi.order_cap() == 3
+    assert mi.parse_index("(1,2)") == (1, 2)
+    with pytest.raises(mi.OrderOverflowError):
+        mi.parse_index("(2,2)")
+    with pytest.raises(mi.OrderOverflowError):
+        list(mi.partitions((4,)))
+    with pytest.raises(mi.OrderOverflowError):
+        mi.check_order(4)
+    monkeypatch.setenv("UMBRA_MAX_ORDER", "many")
+    with pytest.raises(ValueError, match="UMBRA_MAX_ORDER"):
+        mi.order_cap()
+
+
 def test_parse_format_roundtrip():
     for v in [(1,), (0, 3), (2, 0, 1)]:
         assert mi.parse_index(mi.format_index(v)) == v

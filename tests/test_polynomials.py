@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import umbrakit
 from umbrakit.polynomials import Poly, as_coefficient, parse_poly
 
 x, y, t = Poly.var("x"), Poly.var("y"), Poly.var("t")
@@ -77,6 +81,31 @@ def test_eq_with_scalars_and_hash():
     assert Poly.const(2) == 2
     assert x + 1 - x == 1
     assert hash(x * y * 0 + t) == hash(t)
+
+
+def test_constant_hashes_like_its_scalar():
+    assert len({Poly.const(3), 3}) == 1
+    assert hash(Poly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(x - x) == hash(0)
+    assert {Poly.const(3): "three"}[Fraction(3)] == "three"
+
+
+def test_unsorted_variables_are_rejected():
+    with pytest.raises(ValueError):
+        Poly(("t", "s"), {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(("t", "t"), {(1, 1): 1})
+
+
+def test_variable_check_survives_optimised_mode():
+    code = ("from umbrakit.polynomials import Poly\n"
+            "try:\n    Poly(('t', 's'), {})\n"
+            "except ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = Path(umbrakit.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(polys(), polys(), polys())

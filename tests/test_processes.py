@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from umbrakit.multiindex import OrderOverflowError
 from umbrakit.polynomials import Poly
 from umbrakit.processes import (ProcessSpec, UnsupportedProcessError,
                                 bernoulli_neg_one_step, brownian_one_step,
@@ -25,6 +26,15 @@ def test_spec_validation():
         ProcessSpec("weird", 1, 4, {})
     with pytest.raises(ValueError):
         ProcessSpec("brownian", 0, 4, {})
+
+
+def test_spec_order_cap(monkeypatch):
+    with pytest.raises(OrderOverflowError):
+        ProcessSpec("poisson", 1, 21, {})
+    monkeypatch.setenv("UMBRA_MAX_ORDER", "3")
+    ProcessSpec("poisson", 1, 3, {})
+    with pytest.raises(OrderOverflowError):
+        ProcessSpec("poisson", 1, 4, {})
 
 
 def test_brownian_time_moments():

@@ -10,10 +10,9 @@ from umbrakit.series import TruncatedSeries, series_compose
 from umbrakit.umbrae import (UmbraTuple, augmentation, bell, bernoulli_umbra,
                              comonotone_tuple, compositional_inverse,
                              dot_beta_tuple, dot_umbra, euler_umbra,
-                             falling_factorial, gaussian_delta,
-                             gaussian_delta_tuple, invert_component_series,
-                             multivariate_comp_inverse, singleton,
-                             singleton_component, unity)
+                             gaussian_delta, gaussian_delta_tuple,
+                             invert_component_series, multivariate_comp_inverse,
+                             singleton, singleton_component, unity)
 
 from oracles import binomial_series, dot_moments_by_set_partitions
 
@@ -144,13 +143,6 @@ def test_dot_t_beta_examples():
         assert tb.eval_power((k,)) == t ** k
     tbu = unity(4).dot_t_beta("t")
     assert tbu.eval_power((2,)) == t ** 2 + t
-
-
-def test_falling_factorial():
-    t = Poly.var("t")
-    assert falling_factorial(t, 0) == 1
-    assert falling_factorial(t, 2) == t * t - t
-    assert falling_factorial(Fraction(4), 3) == 24
 
 
 def test_dot_umbra_composition():
