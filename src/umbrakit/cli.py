@@ -53,7 +53,7 @@ def _process_spec(args) -> ProcessSpec:
         if key in params:
             params[key] = _rational(key, params[key])
     if "C" in params:
-        params["C"] = [[_rational("C", x) for x in row] for row in params["C"]]
+        params["C"] = _matrix("C", params["C"])
     return ProcessSpec(PROCESS_ALIASES[name], args.d, args.order, params)
 
 
@@ -62,6 +62,12 @@ def _rational(key: str, value) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"parameter {key}: {value!r} is not a rational number") from None
+
+
+def _matrix(key: str, value) -> list[list[Fraction]]:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"parameter {key}: {value!r} is not a list of rows")
+    return [[_rational(key, x) for x in row] for row in value]
 
 
 def _check_max_order(args) -> None:
@@ -120,8 +126,9 @@ def cmd_gen_family(args) -> int:
     v = mi.parse_index(args.v)
     t = _rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
-        C = json.loads(args.C) if args.C else None
-        if C is None:
+        if args.C:
+            C = _matrix("--C", json.loads(args.C))
+        else:
             C = [[1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
         p = hermite(v, C, t)
     elif args.family == "bernoulli":

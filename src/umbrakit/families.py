@@ -13,12 +13,12 @@ from typing import Sequence
 from . import multiindex as mi
 from .harmonic import verify_harmonicity
 from .polynomials import Coefficient, Poly, as_coefficient
-from .processes import (bernoulli_neg_one_step, brownian_one_step,
+from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
-from .series import TruncatedSeries, series_exp, series_pow, series_subst
+from .series import (TruncatedSeries, series_exp, series_pow, series_subst,
+                     vector_reversion)
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
-                     compose_component, euler_umbra, gaussian_delta_tuple,
-                     invert_component_series, unity)
+                     euler_umbra, gaussian_delta_tuple, unity)
 
 
 def _x_names(d: int) -> tuple[str, ...]:
@@ -58,6 +58,7 @@ def hermite(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
             t: Coefficient | str = "t") -> Poly:
     """Generalized Hermite polynomial for covariance CC^T, as a Poly."""
     v = tuple(v)
+    check_square(C, len(v), f"hermite C for v = {v}")
     C = [[Fraction(x) for x in row] for row in C]
     one_step = brownian_one_step(C, mi.total(v))
     # E[(x - t.mu)^v]: shift by the process with t negated
@@ -68,6 +69,7 @@ def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
                       t: Coefficient | str = "t") -> Poly:
     """Coefficient of z^v/v! in exp{x z^T - (t/2) z Sigma z^T}."""
     v = tuple(v)
+    check_square(C, len(v), f"hermite C for v = {v}")
     d = len(C)
     order = mi.total(v)
     sigma = covariance_from_factor(C)
@@ -236,9 +238,9 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     x1 + x2, so their expectations cannot both vanish.
     """
     if mu.dim == 1:
-        comps = [nu.component_series(i) for i in range(nu.dim)]
-        inv = invert_component_series(comps)
-        pi = UmbraTuple.from_series(compose_component(mu.to_series(), inv))
+        inv = vector_reversion([nu.component_series(i) for i in range(nu.dim)])
+        one = TruncatedSeries.one(nu.dim, nu.order)
+        pi = UmbraTuple.from_series(series_subst(mu.to_series(), [g - one for g in inv]))
         return pi.inverse_umbra()
     m = _collapse_exchangeable(mu)
     n = _collapse_exchangeable(nu)

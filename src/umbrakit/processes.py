@@ -68,6 +68,13 @@ def _lift(univariate: UmbraTuple, dim: int) -> UmbraTuple:
     return comonotone_tuple(univariate, dim)
 
 
+def check_square(C: Sequence[Sequence], d: int, what: str) -> None:
+    """Raise ValueError unless the matrix C is d x d."""
+    if len(C) != d or any(len(row) != d for row in C):
+        cols = "/".join(str(n) for n in sorted({len(row) for row in C})) or "0"
+        raise ValueError(f"{what} has shape {len(C)}x{cols}, need {d}x{d}")
+
+
 def brownian_one_step(C: Sequence[Sequence[Fraction]], order: int) -> UmbraTuple:
     """Unit-time nonstandard Brownian marginal: gf exp(z Sigma z^T / 2)."""
     d = len(C)
@@ -206,6 +213,7 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
         C = p.get("C")
         if C is None:
             C = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        check_square(C, d, f"brownian C for --d {d}")
         C = [[Fraction(x) for x in row] for row in C]
         one_step = brownian_one_step(C, order)
     elif spec.kind == "poisson":

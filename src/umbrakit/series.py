@@ -5,15 +5,22 @@ series).  A series stores the exponential coefficients g_v, i.e. it
 denotes  sum_v g_v z^v / v!  cut at total degree N.  The arithmetic
 kernel works on ordinary coefficients a_v = g_v / v! and converts back,
 which turns the binomial convolution into a plain Cauchy product.
+
+The kernel groups the ordinary coefficients into homogeneous parts by
+total degree.  The Euler operator E = sum_i z_i d/dz_i multiplies the
+degree-n part by n, so exp, log, reciprocal and pow follow from
+recurrences on the parts (Knuth, TAOCP vol. 2, 4.7) and each costs about
+one truncated product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence
 
-from .multiindex import add, iter_indices, mi_factorial, total
-from .polynomials import Coefficient, Poly, as_coefficient, coeff_is_zero
+from .multiindex import iter_indices_of_total, mi_factorial, total
+from .polynomials import Coefficient, as_coefficient, coeff_is_zero
 
 
 class OrderMismatchError(ValueError):
@@ -119,16 +126,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        a, b = self.ordinary(), other.ordinary()
-        out: dict[tuple[int, ...], Coefficient] = {}
-        for v1, c1 in a.items():
-            n1 = total(v1)
-            for v2, c2 in b.items():
-                if n1 + total(v2) > self.order:
-                    continue
-                v = add(v1, v2)
-                out[v] = out.get(v, Fraction(0)) + c1 * c2
-        return TruncatedSeries.from_ordinary(self.dim, self.order, out)
+        return _ungraded(self.dim, self.order,
+                         _mul_parts(_graded(self), _graded(other), self.order))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -144,46 +143,53 @@ class TruncatedSeries:
 
 
 def series_exp(f: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term (pass f - 1 for a gf)."""
+    """exp of a series with zero constant term (pass f - 1 for a gf).
+
+    g = exp(h) solves E g = (E h) g: n g_n = sum_{k=1..n} k h_k g_{n-k}.
+    """
     if not coeff_is_zero(f.constant_term()):
         raise ValueError("series_exp needs zero constant term")
-    out = TruncatedSeries.one(f.dim, f.order)
-    term = TruncatedSeries.one(f.dim, f.order)
-    for k in range(1, f.order + 1):
-        term = (term * f).scale(Fraction(1, k))
-        out = out + term
-    return out
+    return _recurrence(f, lambda n, k: k)
 
 
 def series_log(f: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1; result has zero constant term."""
+    """log of a series with constant term 1; result has zero constant term.
+
+    h = log f solves E f = (E h) f: n h_n = n f_n - sum_{k=1..n-1} k h_k f_{n-k}.
+    """
     if f.constant_term() != 1:
         raise ValueError("series_log needs constant term 1")
-    g = f - TruncatedSeries.one(f.dim, f.order)
-    out = TruncatedSeries.zero(f.dim, f.order)
-    power = TruncatedSeries.one(f.dim, f.order)
-    for k in range(1, f.order + 1):
-        power = power * g
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    fp = _graded(f)
+    h: list[dict] = [{}]
+    for n in range(1, f.order + 1):
+        acc = {v: n * c for v, c in fp[n].items()}
+        for k in range(1, n):
+            _addmul(acc, -k, h[k], fp[n - k])
+        inv = Fraction(1, n)
+        h.append({v: c * inv for v, c in acc.items()})
+    return _ungraded(f.dim, f.order, h)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a series with constant term 1."""
+    """Multiplicative inverse of a series with constant term 1.
+
+    This is f**-1, for which the weight of series_pow is -n.
+    """
     if f.constant_term() != 1:
         raise ValueError("reciprocal needs constant term 1")
-    g = f - TruncatedSeries.one(f.dim, f.order)
-    out = TruncatedSeries.one(f.dim, f.order)
-    power = TruncatedSeries.one(f.dim, f.order)
-    for k in range(1, f.order + 1):
-        power = power * g
-        out = out + power.scale(Fraction((-1) ** k))
-    return out
+    return _recurrence(f, lambda n, k: -n)
 
 
 def series_pow(f: TruncatedSeries, e: Coefficient) -> TruncatedSeries:
-    """f**e for a series with constant term 1 and any rational or Poly e."""
-    return series_exp(series_log(f).scale(e))
+    """f**e for a series with constant term 1 and any rational or Poly e.
+
+    J.C.P. Miller's recurrence: g = f**e solves f E g = e (E f) g, so
+    n g_n = sum_{k=1..n} (e k - (n - k)) f_k g_{n-k}.
+    """
+    if f.constant_term() != 1:
+        raise ValueError("series_pow needs constant term 1")
+    e = as_coefficient(e)
+    return _recurrence(f, lambda n, k: e * k - (n - k))
 
 
 def series_subst(f: TruncatedSeries,
@@ -191,6 +197,9 @@ def series_subst(f: TruncatedSeries,
     """Substitute z_i -> inners[i] into f; every inner must vanish at 0.
 
     The inners share one target ring, which becomes the result's ring.
+    A monomial z^v maps into degrees >= |v|, so those with |v| above the
+    target order are skipped, and each inner is raised only to the
+    largest exponent that f uses in its variable.
     """
     if len(inners) != f.dim:
         raise ValueError(f"need {f.dim} inner series, got {len(inners)}")
@@ -199,21 +208,25 @@ def series_subst(f: TruncatedSeries,
         tgt._check_ring(h)
         if not coeff_is_zero(h.constant_term()):
             raise ValueError("inner series must have zero constant term")
-    out = TruncatedSeries.zero(tgt.dim, tgt.order)
-    # cache powers of each inner
-    pows: list[list[TruncatedSeries]] = []
-    for h in inners:
-        ps = [TruncatedSeries.one(tgt.dim, tgt.order)]
-        for _ in range(f.order):
-            ps.append(ps[-1] * h)
+    order = tgt.order
+    terms = [(v, c) for v, c in f.ordinary().items() if total(v) <= order]
+    one = [{(0,) * tgt.dim: Fraction(1)}]
+    pows = []
+    for i, h in enumerate(inners):
+        hp = _graded(h)
+        ps = [one, hp]
+        for _ in range(2, max((v[i] for v, _ in terms), default=0) + 1):
+            ps.append(_mul_parts(ps[-1], hp, order))
         pows.append(ps)
-    for v, c in f.ordinary().items():
-        term = TruncatedSeries.one(tgt.dim, tgt.order).scale(c)
+    out: list[dict] = [{} for _ in range(order + 1)]
+    for v, c in terms:
+        term = one
         for i, k in enumerate(v):
             if k:
-                term = term * pows[i][k]
-        out = out + term
-    return out
+                term = pows[i][k] if term is one else _mul_parts(term, pows[i][k], order)
+        for n, part in enumerate(term):
+            _add_scaled(out[n], c, part)
+    return _ungraded(tgt.dim, order, out)
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -248,8 +261,11 @@ def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
 
     For univariate f = 1 + a1 z + ... with a1 != 0, returns the series
     g = 1 + G(z) with (f - 1)(G(z)) = z, so that f(g - 1) = 1 + z.
-    Newton iteration on the series equation; quadratic convergence in
-    the number of correct orders.
+    Newton iteration with precision doubling (Brent & Kung 1978): when G
+    is right through degree m, the step G <- G - (F(G) - z) G' is right
+    through degree 2m, so it runs in the ring truncated at min(2m, N).
+    G' stands in for 1 / F'(G): their product is 1 through degree m - 1,
+    and F(G) - z vanishes through degree m.
     """
     if f.dim != 1:
         raise ValueError("reversion implemented for univariate series")
@@ -258,14 +274,15 @@ def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
     a1 = F.get((1,))
     if coeff_is_zero(a1):
         raise ValueError("no compositional inverse: first-order coefficient is zero")
-    z = TruncatedSeries.variable(1, f.order, 0)
-    dF = derivative(F)
-    g = z.scale(Fraction(1) / a1)
-    steps = max(1, f.order.bit_length() + 1)
-    for _ in range(steps):
-        res = series_subst(F, [g]) - z
-        g = g - divide(res, series_subst(dF, [g]))
-    return one + g
+    g = {(1,): Fraction(1) / a1}
+    m = 1
+    while m < f.order:
+        m = min(2 * m, f.order)
+        G = TruncatedSeries(1, m, g)
+        res = series_subst(TruncatedSeries(1, m, F.coeffs), [G]) \
+            - TruncatedSeries.variable(1, m, 0)
+        g = (G - res * derivative(G)).coeffs
+    return one + TruncatedSeries(1, f.order, g)
 
 
 def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -273,7 +290,12 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
 
     Each f_i is a d-variate series with constant term 1; the Jacobian of
     the map at 0 must be invertible.  Returns series g_i = 1 + G_i with
-    (f_i - 1)(G_1, ..., G_d) = z_i, solved order by order.
+    (f_i - 1)(G_1, ..., G_d) = z_i, solved order by order.  With G right
+    through degree n - 1, the degree-n part of every monomial G^v with
+    |v| >= 2 is final, and the degree-n error of (f_i - 1)(G) fixes the
+    degree-n part of G through the inverse Jacobian.  Each G^v is built
+    as G^(v - e_j) G_j, one degree per round, and shared by the d
+    components.
     """
     d = len(fs)
     order = fs[0].order
@@ -283,32 +305,95 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
             raise ValueError("component series dimension must match tuple size")
         if f.constant_term() != 1:
             raise ValueError("component series must have constant term 1")
-    unit = lambda i: tuple(1 if j == i else 0 for j in range(d))
-    jac = [[fs[i].ordinary().get(unit(j), Fraction(0)) for j in range(d)]
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    jac = [[fs[i].coeffs.get(unit[j], Fraction(0)) for j in range(d)]
            for i in range(d)]
     jinv = _invert_matrix(jac)
 
-    # G_i as ordinary-coefficient dicts, built degree by degree
-    G = [{unit(j): jinv[i][j] for j in range(d)} for i in range(d)]
-    Fs = [f - TruncatedSeries.one(d, order) for f in fs]
+    Fs = [_graded(f) for f in fs]
+    # homogeneous parts of G_i, one appended per degree
+    G = [[{}, {unit[j]: jinv[i][j] for j in range(d)}] for i in range(d)]
+    mono = {unit[j]: G[j] for j in range(d)}   # v -> homogeneous parts of G^v
     for deg in range(2, order + 1):
-        gs = [TruncatedSeries.from_ordinary(d, order, g) for g in G]
-        for i in range(d):
-            res = series_subst(Fs[i], gs)  # should equal z_i through deg-1
-            err = res.ordinary()
-            for v in iter_indices(d, order):
-                if total(v) != deg:
-                    continue
-                e = err.get(v, Fraction(0))
-                if coeff_is_zero(e):
-                    continue
-                # correction term propagates through the Jacobian inverse
-                for j in range(d):
-                    c = jinv[j][i] * e
-                    if not coeff_is_zero(c):
-                        G[j][v] = G[j].get(v, Fraction(0)) - c
+        err: list[dict] = [{} for _ in range(d)]
+        for n in range(2, deg + 1):
+            for v in iter_indices_of_total(d, n):
+                j = next(i for i, k in enumerate(v) if k)
+                base = mono[tuple(k - (i == j) for i, k in enumerate(v))]
+                part: dict = {}
+                for k in range(n - 1, deg):
+                    _addmul(part, 1, base[k], G[j][deg - k])
+                mono.setdefault(v, [{} for _ in range(n)]).append(part)
+                for i in range(d):
+                    a = Fs[i][n].get(v)
+                    if a is not None:
+                        _add_scaled(err[i], a, part)
+        for j in range(d):
+            part = {}
+            for i in range(d):
+                if jinv[j][i]:
+                    _add_scaled(part, -jinv[j][i], err[i])
+            G[j].append(part)
     one = TruncatedSeries.one(d, order)
-    return [one + TruncatedSeries.from_ordinary(d, order, g) for g in G]
+    return [one + _ungraded(d, order, g) for g in G]
+
+
+# -- homogeneous parts ------------------------------------------------
+
+def _graded(f: TruncatedSeries) -> list[dict]:
+    """Ordinary coefficients of f split by total degree: parts[n] holds |v| = n."""
+    parts: list[dict] = [{} for _ in range(f.order + 1)]
+    for v, c in f.coeffs.items():
+        parts[total(v)][v] = c * Fraction(1, mi_factorial(v))
+    return parts
+
+
+def _ungraded(dim: int, order: int, parts: Sequence[dict]) -> TruncatedSeries:
+    """The series whose ordinary coefficients are grouped in parts."""
+    return TruncatedSeries(dim, order, {v: c * mi_factorial(v)
+                                        for part in parts for v, c in part.items()})
+
+
+def _addmul(out: dict, w: Coefficient, p: dict, q: dict) -> None:
+    """out += w p q for two homogeneous parts p and q."""
+    for v1, c1 in p.items():
+        c1 = w * c1
+        for v2, c2 in q.items():
+            v = tuple(map(add, v1, v2))
+            x = c1 * c2
+            out[v] = out[v] + x if v in out else x
+
+
+def _add_scaled(out: dict, c: Coefficient, part: dict) -> None:
+    """out += c part for one homogeneous part."""
+    for v, x in part.items():
+        x = c * x
+        out[v] = out[v] + x if v in out else x
+
+
+def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
+    """The series g with g_0 = 1 and
+    n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts."""
+    fp = _graded(f)
+    g = [{(0,) * f.dim: Fraction(1)}]
+    for n in range(1, f.order + 1):
+        acc: dict = {}
+        for k in range(1, n + 1):
+            _addmul(acc, weight(n, k), fp[k], g[n - k])
+        inv = Fraction(1, n)
+        g.append({v: c * inv for v, c in acc.items()})
+    return _ungraded(f.dim, f.order, g)
+
+
+def _mul_parts(p: Sequence[dict], q: Sequence[dict], order: int) -> list[dict]:
+    """Homogeneous parts of the product p q, truncated at order."""
+    out: list[dict] = [{} for _ in range(order + 1)]
+    for i, pi in enumerate(p[:order + 1]):
+        if pi:
+            for j, qj in enumerate(q[:order + 1 - i]):
+                if qj:
+                    _addmul(out[i + j], 1, pi, qj)
+    return out
 
 
 def _invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:

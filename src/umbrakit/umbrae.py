@@ -264,26 +264,10 @@ def multivariate_comp_inverse(nu: UmbraTuple) -> UmbraTuple:
     inverse components then decouple and the returned joint tuple takes
     independent components (joint gf = product of component gfs).
     """
-    comps = [nu.component_series(i) for i in range(nu.dim)]
-    inv = invert_component_series(comps)
-    joint = TruncatedSeries.one(nu.dim, nu.order)
-    for g in inv:
+    joint, *rest = vector_reversion([nu.component_series(i) for i in range(nu.dim)])
+    for g in rest:
         joint = joint * g
-    if nu.dim == 1:
-        joint = inv[0]
     return UmbraTuple.from_series(joint)
-
-
-def invert_component_series(comps: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
-    """Vector compositional inverse of component generating functions."""
-    return vector_reversion(comps)
-
-
-def compose_component(outer: TruncatedSeries,
-                      comps: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Substitute z_i -> comps[i] - 1 into the d-variate outer series."""
-    one = TruncatedSeries.one(comps[0].dim, comps[0].order)
-    return series_subst(outer, [c - one for c in comps])
 
 
 # -- special umbrae ---------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,37 @@ def test_verify_max_order_above_order_names_both_flags(capsys):
                          "--max-order", "8", "--order", "4")
     assert code == 3 and out == ""
     assert "--max-order 8" in err and "--order 4" in err
+
+
+def test_brownian_factor_shape_must_match_d(capsys):
+    code, out, err = run(capsys, "moments", "--process", "brownian", "--d", "2",
+                         "--order", "2", "--params", '{"C": [[1]]}')
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "--d 2" in err and "1x1" in err
+
+
+def test_hermite_factor_shape_must_match_v(capsys):
+    code, out, err = run(capsys, "gen-family", "--family", "hermite",
+                         "--v", "(2,1)", "--C", "[[1]]")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "1x1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--process", "brownian", "--params", '{"C": 5}'),
+    ("gen-family", "--family", "hermite", "--v", "(1)", "--C", "[1]"),
+])
+def test_matrix_that_is_not_a_list_of_rows_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "list of rows" in err
+
+
+def test_python_m_umbrakit_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "umbrakit", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: umbrakit" in proc.stdout

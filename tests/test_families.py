@@ -46,6 +46,14 @@ def test_hermite_matches_gf_oracle(v, C):
     assert hermite(v, C) == hermite_gf_oracle(v, C)
 
 
+@pytest.mark.parametrize("fn", [hermite, hermite_gf_oracle])
+def test_hermite_factor_shape_must_match_v(fn):
+    for v, C in [((2, 1), I1), ((2,), I2), ((1, 1), [[1, 0]]),
+                 ((1, 1), [[1, 0], [1]])]:
+        with pytest.raises(ValueError, match="hermite C"):
+            fn(v, C)
+
+
 @pytest.mark.parametrize("v,C", [((2,), I1), ((0,), I1), ((2, 0), I2),
                                  ((1, 1), [[Fraction(1), Fraction(1)],
                                            [Fraction(0), Fraction(2)]])])

@@ -147,3 +147,9 @@ def test_build_defaults():
     assert proc.one_step.eval_power((2, 0)) == 1
     assert proc.one_step.eval_power((1, 1)) == 0
     assert proc.time_parameter == "t"
+
+
+def test_brownian_factor_shape_must_match_dim():
+    for C in ([[1]], [[1, 0]], [[1, 0], [0]], []):
+        with pytest.raises(ValueError, match=r"brownian C for --d 2 has shape"):
+            build(ProcessSpec("brownian", 2, 2, {"C": C}))
