@@ -25,7 +25,7 @@ from .harmonic import (Decomposition, RecursionReport, TshPolynomial,
                        coefficient_recursion_check, conditional_eval,
                        decompose, expected_value_zero, tsh_from_json,
                        tsh_polynomial, tsh_to_json, tsh_to_latex,
-                       verify_harmonicity, verify_tsh_polynomial)
+                       verify_harmonicity)
 from .families import (bernoulli, bernoulli_gf_oracle, euler, euler_gf_oracle,
                        hermite, hermite_gf_oracle, levy_sheffer,
                        levy_sheffer_gf_oracle, levy_sheffer_tsh_check)
@@ -49,7 +49,7 @@ __all__ = [
     "Decomposition", "RecursionReport", "TshPolynomial",
     "coefficient_recursion_check", "conditional_eval", "decompose",
     "expected_value_zero", "tsh_from_json", "tsh_polynomial", "tsh_to_json",
-    "tsh_to_latex", "verify_harmonicity", "verify_tsh_polynomial",
+    "tsh_to_latex", "verify_harmonicity",
     "bernoulli", "bernoulli_gf_oracle", "euler", "euler_gf_oracle",
     "hermite", "hermite_gf_oracle", "levy_sheffer", "levy_sheffer_gf_oracle",
     "levy_sheffer_tsh_check",

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from . import multiindex as mi
 from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
-                       hermite, poly_to_coeff_map)
-from .harmonic import (decompose, expected_value_zero, tsh_from_json,
-                       tsh_polynomial, tsh_to_json, tsh_to_latex,
-                       verify_harmonicity)
-from .polynomials import parse_poly
+                       hermite)
+from .harmonic import (TshPolynomial, decompose, expected_value_zero,
+                       poly_to_coeff_map, tsh_from_json, tsh_polynomial,
+                       tsh_to_json, tsh_to_latex, verify_harmonicity)
+from .polynomials import parse_coeff_map
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
 
 SCHEMA_VERSION = "1"
@@ -138,7 +138,6 @@ def cmd_gen_family(args) -> int:
     else:
         raise ValueError(f"unknown family {args.family!r}")
     if args.latex:
-        from .harmonic import TshPolynomial
         coeffs = poly_to_coeff_map(p, len(v))
         print(tsh_to_latex(TshPolynomial(len(v), v, coeffs)))
     else:
@@ -149,6 +148,7 @@ def cmd_gen_family(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.family:
+        mi.check_dimension(args.d)
         mi.check_order(args.max_order)
         ok = {"bernoulli": bernoulli_tsh_check,
               "euler": euler_tsh_check}[args.family](args.max_order, args.d)
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     if args.tsh:
         with open(args.tsh) as fh:
             data = json.load(fh)
-        q = tsh_from_json(data["tsh"] if "tsh" in data else data)
+        q = tsh_from_json(data.get("tsh", data) if isinstance(data, dict) else data)
         ok, cert = verify_harmonicity(proc.one_step, q.coeffs)
         print(f"{mi.format_index(q.index)}: {'PASS' if ok else 'FAIL'}")
         if not ok:
@@ -194,8 +194,7 @@ def cmd_decompose(args) -> int:
     proc = build(_process_spec(args))
     with open(args.poly) as fh:
         data = json.load(fh)
-    coeffs = {mi.parse_index(k): parse_poly(c) for k, c in data["coeffs"].items()}
-    result = decompose(coeffs, proc.one_step)
+    result = decompose(parse_coeff_map(data, "coeffs"), proc.one_step)
     _emit({
         "exact": result.exact,
         "coefficients": {mi.format_index(k): str(c)
@@ -207,16 +206,17 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mc_verify(args) -> int:
-    from .harmonic import tsh_polynomial as gen
     from .montecarlo import SimConfig, simulate_and_test
     _check_max_order(args)
+    times = args.times.split(",")
+    if len(times) != 2:
+        raise ValueError(f"--times {args.times!r} must have the form s,t")
+    s, t = (_rational("times", x) for x in times)
     spec = _process_spec(args)
     proc = build(spec)
-    s_str, t_str = args.times.split(",")
-    polys = [gen(proc.one_step, v)
+    polys = [tsh_polynomial(proc.one_step, v)
              for v in mi.iter_indices(args.d, args.max_order) if any(v)]
-    cfg = SimConfig(spec, args.paths, _rational("times", s_str),
-                    _rational("times", t_str), args.seed, tuple(q.index for q in polys))
+    cfg = SimConfig(spec, args.paths, s, t, args.seed, tuple(q.index for q in polys))
     report = simulate_and_test(cfg, polys)
     if args.json:
         _emit(report.to_json(), args)

@@ -8,21 +8,18 @@ expansion oracle and a harmonicity check against its driving process.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import multiindex as mi
-from .harmonic import verify_harmonicity
-from .polynomials import Coefficient, Poly, as_coefficient
+from .harmonic import (expectation, poly_to_coeff_map, shift_coeffs, to_poly,
+                       verify_harmonicity, x_names)
+from .polynomials import Coefficient, Poly, as_coefficient, as_poly
 from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
 from .series import (TruncatedSeries, series_exp, series_pow, series_subst,
                      vector_reversion)
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
-                     euler_umbra, gaussian_delta_tuple, unity)
-
-
-def _x_names(d: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(d))
+                     euler_umbra, unity)
 
 
 def _time(t: Coefficient | str) -> Poly | Fraction:
@@ -34,18 +31,18 @@ def _time(t: Coefficient | str) -> Poly | Fraction:
 def _shift_family(one_step: UmbraTuple, v: tuple[int, ...],
                   t: Coefficient | str) -> Poly:
     """E[(x + t . mu)^v] expanded into a Poly in x1..xd (and t)."""
-    v = tuple(v)
-    shifted = one_step.dot_t(_time(t))
-    names = _x_names(one_step.dim)
-    out = Poly.const(0)
-    for k in mi.iter_indices(one_step.dim, mi.total(v)):
-        if not mi.leq(k, v):
-            continue
-        mono = Poly.const(mi.multi_binomial(v, k))
-        for name, e in zip(names, k):
-            mono = mono * Poly.var(name) ** e
-        out = out + mono * shifted.eval_power(mi.sub(v, k))
-    return out
+    return to_poly(shift_coeffs(one_step.dot_t(t), v))
+
+
+def _x_sum(d: int) -> Poly:
+    """x1 + ... + xd."""
+    return sum(map(Poly.var, x_names(d)), Poly.const(0))
+
+
+def _x_dot_z(d: int) -> dict[tuple[int, ...], Poly]:
+    """x1 z1 + ... + xd zd as exponential series coefficients."""
+    return {tuple(int(j == i) for j in range(d)): Poly.var(name)
+            for i, name in enumerate(x_names(d))}
 
 
 def covariance_from_factor(C: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -74,10 +71,7 @@ def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
     order = mi.total(v)
     sigma = covariance_from_factor(C)
     tt = _time(t)
-    arg = {}
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        arg[e] = Poly.var(f"x{i + 1}")
+    arg = _x_dot_z(d)
     for i in range(d):
         for j in range(d):
             if sigma[i][j]:
@@ -85,9 +79,7 @@ def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
                           (1 if k in (i, j) else 0) for k in range(d))
                 arg[e] = arg.get(e, Poly.const(0)) \
                     - tt * sigma[i][j] * Fraction(mi.mi_factorial(e), 2)
-    f = series_exp(TruncatedSeries(d, order, arg))
-    c = f.get(v)
-    return c if isinstance(c, Poly) else Poly.const(c)
+    return as_poly(series_exp(TruncatedSeries(d, order, arg)).get(v))
 
 
 def hermite_scaling_identity(v: tuple[int, ...],
@@ -97,30 +89,23 @@ def hermite_scaling_identity(v: tuple[int, ...],
     sqrt(t) is a declared symbol r with the rewrite r^2 -> t.
     """
     v = tuple(v)
-    d = len(C)
-    order = max(mi.total(v), 1)
     direct = hermite(v, C, "t")
-
     r = Poly.var("r")
     Cr = [[r * Fraction(x) for x in row] for row in C]
-    delta = gaussian_delta_tuple(order, d).linear_map(Cr)
-    one = TruncatedSeries.one(d, order)
-    one_step = UmbraTuple.from_series(series_exp(delta.to_series() - one))
-    scaled = _shift_family(one_step, v, -1)
-    scaled = scaled.reduce_power("r", 2, Poly.var("t"))
-    return direct == scaled
+    scaled = _shift_family(brownian_one_step(Cr, max(mi.total(v), 1)), v, -1)
+    return direct == scaled.reduce_power("r", 2, Poly.var("t"))
 
 
 def bernoulli_tuple(order: int, d: int) -> UmbraTuple:
     """The d-tuple of identical Bernoulli-number umbrae."""
-    return comonotone_tuple(bernoulli_umbra(order), d) if d > 1 else bernoulli_umbra(order)
+    return comonotone_tuple(bernoulli_umbra(order), d)
 
 
 def euler_difference_tuple(order: int, d: int) -> UmbraTuple:
     """The tuple (1/2)(eta - u) driving the Euler family shift."""
     eta = euler_umbra(order)
     diff = eta.tuple_sum(unity(order).inverse_umbra()).scale(Fraction(1, 2))
-    return comonotone_tuple(diff, d) if d > 1 else diff
+    return comonotone_tuple(diff, d)
 
 
 def bernoulli(v: tuple[int, ...], t: Coefficient | str = "t", d: int | None = None) -> Poly:
@@ -140,15 +125,9 @@ def euler(v: tuple[int, ...], t: Coefficient | str = "t", d: int | None = None) 
 def _classical_gf_oracle(base: TruncatedSeries, v: tuple[int, ...],
                          t: Coefficient | str) -> Poly:
     """Coefficient of z^v/v! in f(base, z)^t exp(x1 z1 + ... + xd zd)."""
-    d, order = base.dim, base.order
-    tt = _time(t)
-    shift = {}
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        shift[e] = Poly.var(f"x{i + 1}")
-    f = series_pow(base, tt) * series_exp(TruncatedSeries(d, order, shift))
-    c = f.get(tuple(v))
-    return c if isinstance(c, Poly) else Poly.const(c)
+    x_dot_z = TruncatedSeries(base.dim, base.order, _x_dot_z(base.dim))
+    f = series_pow(base, _time(t)) * series_exp(x_dot_z)
+    return as_poly(f.get(tuple(v)))
 
 
 def bernoulli_gf_oracle(v: tuple[int, ...], t: Coefficient | str = "t",
@@ -174,38 +153,17 @@ def levy_sheffer(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
     The x-sum enters as one auxiliary scalar parameter through the
     composition dot-product and is re-expanded afterwards.
     """
-    k = tuple(k)
     mu._check(nu)
-    a = mu.dot_t(_time(t))
-    b = nu.dot_t_beta(Poly.var("_xsum"))
-    acc = Poly.const(0)
-    for j in mi.iter_indices(mu.dim, mi.total(k)):
-        if not mi.leq(j, k):
-            continue
-        term = mi.multi_binomial(k, j) * as_coefficient(a.eval_power(j)) \
-            * as_coefficient(b.eval_power(mi.sub(k, j)))
-        acc = acc + term
-    xsum = Poly.const(0)
-    for name in _x_names(mu.dim):
-        xsum = xsum + Poly.var(name)
-    if not isinstance(acc, Poly):
-        acc = Poly.const(acc)
-    return acc.subs({"_xsum": xsum})
+    b = nu.dot_t_beta("_xsum")
+    return expectation(shift_coeffs(mu.dot_t(t), k), b).subs({"_xsum": _x_sum(mu.dim)})
 
 
 def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
                            t: Coefficient | str = "t") -> Poly:
     """Coefficient of z^k/k! in [g(z)]^t exp{(x1+...+xd)[h(z) - 1]}."""
-    k = tuple(k)
-    d, order = mu.dim, mu.order
-    xsum = Poly.const(0)
-    for name in _x_names(d):
-        xsum = xsum + Poly.var(name)
     g_t = series_pow(mu.to_series(), _time(t))
-    h1 = nu.to_series() - TruncatedSeries.one(d, order)
-    f = g_t * series_exp(h1.scale(xsum))
-    c = f.get(k)
-    return c if isinstance(c, Poly) else Poly.const(c)
+    h1 = nu.to_series() - TruncatedSeries.one(mu.dim, mu.order)
+    return as_poly((g_t * series_exp(h1.scale(_x_sum(mu.dim)))).get(tuple(k)))
 
 
 def _collapse_exchangeable(tup: UmbraTuple) -> UmbraTuple | None:
@@ -253,71 +211,32 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     return comonotone_tuple(one_d, d).scale(Fraction(1, d))
 
 
-def poly_to_coeff_map(p: Poly, d: int) -> dict[tuple[int, ...], Poly]:
-    """Split a Poly in x1..xd (and t) into x-monomial -> Q[t] coefficients."""
-    names = _x_names(d)
-    out: dict[tuple[int, ...], Poly] = {}
-    work = [(p, ())]
-    for name in names:
-        nxt = []
-        for q, prefix in work:
-            for e in range(q.degree(name) + 1):
-                c = q.coefficient(name, e)
-                if not c.is_zero() or e == 0:
-                    nxt.append((c, prefix + (e,)))
-        work = nxt
-    for q, k in work:
-        if not q.is_zero():
-            out[k] = q
-    if not out:
-        out[(0,) * d] = Poly.const(0)
-    return out
-
-
-def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple,
-                           max_order: int) -> bool:
-    """Exact harmonicity of every V_k, |k| <= max_order, for the pair."""
-    one_step = levy_sheffer_process_one_step(mu, nu)
-    for k in mi.iter_indices(mu.dim, max_order):
-        vk = levy_sheffer(mu, nu, k)
-        ok, _ = verify_harmonicity(one_step, poly_to_coeff_map(vk, mu.dim))
-        if not ok:
+def _family_tsh_check(one_step: UmbraTuple, member: Callable[[tuple[int, ...]], Poly],
+                      d: int, max_order: int) -> bool:
+    """Every member(v), |v| <= max_order, is harmonic for one_step and,
+    for v != 0, has zero expectation along it."""
+    forward = one_step.dot_t("t")
+    for v in mi.iter_indices(d, max_order):
+        coeffs = poly_to_coeff_map(member(v), d)
+        ok, _ = verify_harmonicity(one_step, coeffs)
+        if not ok or (any(v) and not expectation(coeffs, forward).is_zero()):
             return False
     return True
+
+
+def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bool:
+    """Harmonicity and zero mean of every V_k, |k| <= max_order, for the pair."""
+    return _family_tsh_check(levy_sheffer_process_one_step(mu, nu),
+                             lambda k: levy_sheffer(mu, nu, k), mu.dim, max_order)
 
 
 def bernoulli_tsh_check(max_order: int, d: int = 1) -> bool:
-    """Harmonicity of B_v^(t) against the negated Bernoulli family, plus
-    the vanishing of E[B_v^(t)] along the process."""
-    one_step = bernoulli_neg_one_step(max_order, d)
-    for v in mi.iter_indices(d, max_order):
-        p = bernoulli(v, "t", d)
-        coeffs = poly_to_coeff_map(p, d)
-        ok, _ = verify_harmonicity(one_step, coeffs)
-        if not ok:
-            return False
-        if any(v) and not _expectation_vanishes(one_step, coeffs):
-            return False
-    return True
+    """Harmonicity and zero mean of B_v^(t) along the negated Bernoulli family."""
+    return _family_tsh_check(bernoulli_neg_one_step(max_order, d),
+                             lambda v: bernoulli(v, "t", d), d, max_order)
 
 
 def euler_tsh_check(max_order: int, d: int = 1) -> bool:
-    one_step = euler_half_one_step(max_order, d)
-    for v in mi.iter_indices(d, max_order):
-        p = euler(v, "t", d)
-        coeffs = poly_to_coeff_map(p, d)
-        ok, _ = verify_harmonicity(one_step, coeffs)
-        if not ok:
-            return False
-        if any(v) and not _expectation_vanishes(one_step, coeffs):
-            return False
-    return True
-
-
-def _expectation_vanishes(one_step: UmbraTuple,
-                          coeffs: dict[tuple[int, ...], Poly]) -> bool:
-    forward = one_step.dot_t(Poly.var("t"))
-    acc = Poly.const(0)
-    for k, p_k in coeffs.items():
-        acc = acc + p_k * as_coefficient(forward.eval_power(k))
-    return acc.is_zero()
+    """Harmonicity and zero mean of the Euler polynomials along their process."""
+    return _family_tsh_check(euler_half_one_step(max_order, d),
+                             lambda v: euler(v, "t", d), d, max_order)

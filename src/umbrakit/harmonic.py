@@ -5,21 +5,82 @@ k -> q_k(t) over x^k with k <= v.  Verification of the martingale-style
 identity is a formal basis computation: powers of the conditioning tuple
 are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
+
+One expansion serves every construction: shift_coeffs gives
+E[(x + tup)^v] = sum_k C(v, k) g_{v-k} x^k.  The basis Q_v is the shift by
+-t.mu and E[(t.mu)^v | s.mu] the shift by (t - s).mu; expectation gives
+sum_k p_k g_k.  to_poly and poly_to_coeff_map convert between a
+coefficient map and a Poly in x1..xd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import Mapping
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_coefficient, coeff_is_zero
-from .series import OrderMismatchError
-from .umbrae import UmbraTuple, _sub_indices
+from .polynomials import Coefficient, Poly, as_poly, parse_coeff_map
+from .umbrae import UmbraTuple
 
 CoeffMap = dict[tuple[int, ...], Poly]
 
+
+@lru_cache(maxsize=None)
+def _sub_indices(v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every k <= v, lexicographically."""
+    return tuple(product(*(range(e + 1) for e in v)))
+
+
+# -- coefficient maps: k -> p_k stands for sum_k p_k x^k ---------------
+
+def x_names(d: int) -> tuple[str, ...]:
+    """The space variables x1..xd."""
+    return tuple(f"x{i + 1}" for i in range(d))
+
+
+def to_poly(coeffs: Mapping[tuple[int, ...], Coefficient]) -> Poly:
+    """sum_k p_k x^k as one Poly in x1..xd and the variables of the p_k."""
+    out = Poly.const(0)
+    for k, c in coeffs.items():
+        term = as_poly(c)
+        for name, e in zip(x_names(len(k)), k):
+            if e:
+                term = term * Poly.var(name) ** e
+        out = out + term
+    return out
+
+
+def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
+    """Split a Poly in x1..xd (and t) into x-monomial -> Q[t] coefficients."""
+    work = [(p, ())]
+    for name in x_names(d):
+        nxt = []
+        for q, prefix in work:
+            for e in range(q.degree(name) + 1):
+                c = q.coefficient(name, e)
+                if not c.is_zero() or e == 0:
+                    nxt.append((c, prefix + (e,)))
+        work = nxt
+    out = {k: q for q, k in work if not q.is_zero()}
+    return out or {(0,) * d: Poly.const(0)}
+
+
+def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> CoeffMap:
+    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v."""
+    v = tuple(v)
+    return {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
+            for k in _sub_indices(v)}
+
+
+def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:
+    """E[P(tup)] = sum_k p_k g_k for P = sum_k p_k x^k."""
+    return sum((as_poly(p) * tup.eval_power(k) for k, p in coeffs.items()), Poly.const(0))
+
+
+# -- the TSH basis and its checks ---------------------------------------
 
 @dataclass(frozen=True)
 class TshPolynomial:
@@ -32,17 +93,9 @@ class TshPolynomial:
     def coefficient(self, k: tuple[int, ...]) -> Poly:
         return self.coeffs.get(tuple(k), Poly.const(0))
 
-    def as_polynomial(self, names: tuple[str, ...] | None = None) -> Poly:
+    def as_polynomial(self) -> Poly:
         """Expand into a single Poly in x1..xd and t."""
-        if names is None:
-            names = tuple(f"x{i + 1}" for i in range(self.dim))
-        out = Poly.const(0)
-        for k, q in self.coeffs.items():
-            term = q
-            for name, e in zip(names, k):
-                term = term * Poly.var(name) ** e
-            out = out + term
-        return out
+        return to_poly(self.coeffs)
 
     def specialize_time(self, t: Fraction | int) -> CoeffMap:
         return {k: q.subs({"t": t}) for k, q in self.coeffs.items()}
@@ -60,52 +113,18 @@ class ConditionalPolynomial:
         return self.terms.get(tuple(j), Poly.const(0))
 
 
-def _as_time_poly(c: Coefficient) -> Poly:
-    c = as_coefficient(c)
-    return c if isinstance(c, Poly) else Poly.const(c)
-
-
 def tsh_polynomial(mu: UmbraTuple, v: tuple[int, ...]) -> TshPolynomial:
-    """The basis polynomial Q_v(x, t) built from the moments of x - t.mu."""
+    """The basis polynomial Q_v(x, t) = E[(x - t.mu)^v]."""
     v = tuple(v)
-    if mi.total(v) > mu.order:
-        raise OrderMismatchError(f"|{v}| exceeds tuple order {mu.order}")
-    neg = mu.dot_t(-Poly.var("t"))
-    coeffs: CoeffMap = {}
-    for k in _sub_indices(v):
-        coeffs[k] = mi.multi_binomial(v, k) * _as_time_poly(neg.eval_power(mi.sub(v, k)))
-    return TshPolynomial(mu.dim, v, coeffs)
+    return TshPolynomial(mu.dim, v, shift_coeffs(mu.dot_t(-Poly.var("t")), v))
 
 
 def conditional_eval(mu: UmbraTuple, v: tuple[int, ...],
                      t: str = "t", s: str = "s") -> ConditionalPolynomial:
     """E[(t.mu)^v | s.mu] expanded over the formal basis (s.mu)^j."""
-    v = tuple(v)
-    if mi.total(v) > mu.order:
-        raise OrderMismatchError(f"|{v}| exceeds tuple order {mu.order}")
     diff = mu.dot_t(Poly.var(t) - Poly.var(s))
-    terms: CoeffMap = {}
-    for k in _sub_indices(v):
-        c = mi.multi_binomial(v, k) * _as_time_poly(diff.eval_power(mi.sub(v, k)))
-        if not c.is_zero():
-            terms[k] = c
-    return ConditionalPolynomial(mu.dim, terms)
-
-
-def _lhs_basis(mu: UmbraTuple, coeffs: Mapping[tuple[int, ...], Poly]) -> CoeffMap:
-    """Basis expansion of E[P(t.mu, t) | s.mu] for P = sum p_k(t) x^k."""
-    diff = mu.dot_t(Poly.var("t") - Poly.var("s"))
-    basis: CoeffMap = {}
-    for k, p_k in coeffs.items():
-        p_k = _as_time_poly(p_k)
-        if p_k.is_zero():
-            continue
-        for j in _sub_indices(k):
-            c = mi.multi_binomial(k, j) * _as_time_poly(diff.eval_power(mi.sub(k, j)))
-            add = p_k * c
-            if not add.is_zero():
-                basis[j] = basis.get(j, Poly.const(0)) + add
-    return basis
+    return ConditionalPolynomial(mu.dim, {k: c for k, c in shift_coeffs(diff, v).items()
+                                          if not c.is_zero()})
 
 
 def verify_harmonicity(mu: UmbraTuple,
@@ -113,12 +132,21 @@ def verify_harmonicity(mu: UmbraTuple,
                        ) -> tuple[bool, dict | None]:
     """Exact check of E(P(t.mu, t) | s.mu) = P(s.mu, s) in Q[t, s].
 
-    P is given by its coefficient map k -> p_k(t).  Returns the verdict
-    and, on failure, a certificate naming the first differing basis index
-    together with both Q[t, s] coefficients.
+    P is given by its coefficient map k -> p_k(t).  The left side is
+    sum_k p_k(t) E[(t.mu)^k | s.mu] over the formal basis (s.mu)^j.
+    Returns the verdict and, on failure, a certificate naming the first
+    differing basis index together with both Q[t, s] coefficients.
     """
-    coeffs = {tuple(k): _as_time_poly(c) for k, c in coeffs.items()}
-    lhs = _lhs_basis(mu, coeffs)
+    coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
+    diff = mu.dot_t(Poly.var("t") - Poly.var("s"))
+    lhs: CoeffMap = {}
+    for k, p_k in coeffs.items():
+        if p_k.is_zero():
+            continue
+        for j, c in shift_coeffs(diff, k).items():
+            add = p_k * c
+            if not add.is_zero():
+                lhs[j] = lhs.get(j, Poly.const(0)) + add
     keys = sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j))
     for j in keys:
         left = lhs.get(j, Poly.const(0))
@@ -129,21 +157,12 @@ def verify_harmonicity(mu: UmbraTuple,
     return True, None
 
 
-def verify_tsh_polynomial(mu: UmbraTuple, q: TshPolynomial) -> tuple[bool, dict | None]:
-    return verify_harmonicity(mu, q.coeffs)
-
-
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
     """Cor.-style check: sum_k q_k(t) E[(t.mu)^k] is the zero polynomial."""
     v = tuple(v)
     if not any(v):
         raise ValueError("v = 0 is excluded: Q_0 = 1 has expectation 1")
-    q = tsh_polynomial(mu, v)
-    forward = mu.dot_t(Poly.var("t"))
-    acc = Poly.const(0)
-    for k, q_k in q.coeffs.items():
-        acc = acc + q_k * _as_time_poly(forward.eval_power(k))
-    return acc.is_zero()
+    return expectation(tsh_polynomial(mu, v).coeffs, mu.dot_t(Poly.var("t"))).is_zero()
 
 
 @dataclass(frozen=True)
@@ -165,19 +184,21 @@ def coefficient_recursion_check(mu: UmbraTuple, v: tuple[int, ...]) -> Recursion
     v = tuple(v)
     q = tsh_polynomial(mu, v)
     shift = {"t": Poly.var("t") - 1}
+    # the derivation form is the coefficient map of E[Q_v(x + mu, t)]
+    proof: CoeffMap = {}
+    for i, q_i in q.coeffs.items():
+        for k, c in shift_coeffs(mu, i).items():
+            proof[k] = proof.get(k, Poly.const(0)) + c * q_i
     proof_ok, printed_ok = True, True
     mismatch = None
     for k in _sub_indices(v):
         target = q.coefficient(k).subs(shift)
-        proof_sum = Poly.const(0)
         printed_sum = Poly.const(0)
         for i in _sub_indices(v):
-            if not mi.leq(k, i):
-                continue
-            b = mi.multi_binomial(i, k)
-            proof_sum = proof_sum + b * _as_time_poly(mu.eval_power(mi.sub(i, k))) * q.coefficient(i)
-            printed_sum = printed_sum + b * _as_time_poly(mu.eval_power(i)) * q.coefficient(i)
-        if target != proof_sum:
+            if mi.leq(k, i):
+                printed_sum = printed_sum + mi.multi_binomial(i, k) \
+                    * as_poly(mu.eval_power(i)) * q.coefficient(i)
+        if target != proof[k]:
             proof_ok = False
             if mismatch is None:
                 mismatch = k
@@ -205,7 +226,7 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
     leading coefficient, so c_k is read off the residual directly.  A
     nonzero final residual certifies that P is not time-space harmonic.
     """
-    residual: CoeffMap = {tuple(k): _as_time_poly(c)
+    residual: CoeffMap = {tuple(k): as_poly(c)
                           for k, c in coeffs.items()}
     closure = set()
     for k in residual:
@@ -238,10 +259,8 @@ def tsh_to_json(q: TshPolynomial) -> dict:
 
 
 def tsh_from_json(data: Mapping) -> TshPolynomial:
-    from .polynomials import parse_poly
+    coeffs = {k: as_poly(c) for k, c in parse_coeff_map(data, "coeffs").items()}
     v = mi.parse_index(data["v"])
-    coeffs = {mi.parse_index(k): parse_poly(c)
-              for k, c in data["coeffs"].items()}
     return TshPolynomial(int(data.get("d", len(v))), v, coeffs)
 
 
@@ -261,4 +280,4 @@ def tsh_to_latex(q: TshPolynomial) -> str:
         else:
             parts.append(c_str)
     body = " + ".join(parts) if parts else "0"
-    return body.replace("+ -", "- ").replace("^", "^")
+    return body.replace("+ -", "- ")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import multiindex as mi
-from .harmonic import TshPolynomial
+from .harmonic import TshPolynomial, to_poly, x_names
 from .polynomials import Poly
 from .processes import ProcessSpec
 
@@ -85,20 +85,15 @@ def sample_marginals(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _poly_evaluator(p: Poly, d: int):
     """Compile a Poly in x1..xd into a vectorized evaluator."""
-    names = tuple(f"x{i + 1}" for i in range(d))
-    slots = []
-    for name in names:
-        slots.append(p.vars.index(name) if name in p.vars else None)
+    names = x_names(d)
+    slots = [p.vars.index(name) if name in p.vars else None for name in names]
 
-    terms = []
-    for e, c in p.terms.items():
-        exps = tuple(e[i] if i is not None else 0 for i in slots)
-        terms.append((float(c), exps))
+    terms = [(float(c), tuple(e[i] if i is not None else 0 for i in slots))
+             for e, c in p.terms.items()]
     # any non-x variable left in p is a bug in the caller
-    for e in p.terms:
-        for i, name in enumerate(p.vars):
-            if name not in names and e[i]:
-                raise SamplerError(f"polynomial still contains parameter {name!r}")
+    for name in p.vars:
+        if name not in names and p.degree(name):
+            raise SamplerError(f"polynomial still contains parameter {name!r}")
 
     def ev(x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0])
@@ -175,8 +170,8 @@ def simulate_and_test(cfg: SimConfig, polys: list[TshPolynomial]) -> SimReport:
     rows: list[TestRow] = []
     test_indices = [w for w in mi.iter_indices(d, 2)]
     for q in polys:
-        at_t = _dict_to_poly(q.specialize_time(cfg.t), d)
-        at_s = _dict_to_poly(q.specialize_time(cfg.s), d)
+        at_t = to_poly(q.specialize_time(cfg.t))
+        at_s = to_poly(q.specialize_time(cfg.s))
         yt = _poly_evaluator(at_t, d)(xt)
         ys = _poly_evaluator(at_s, d)(xs)
 
@@ -194,13 +189,3 @@ def simulate_and_test(cfg: SimConfig, polys: list[TshPolynomial]) -> SimReport:
                                 mean, se, z))
     return SimReport(cfg, tuple(rows))
 
-
-def _dict_to_poly(coeffs, d: int) -> Poly:
-    out = Poly.const(0)
-    for k, c in coeffs.items():
-        term = c if isinstance(c, Poly) else Poly.const(c)
-        for i, e in enumerate(k):
-            if e:
-                term = term * Poly.var(f"x{i + 1}") ** e
-        out = out + term
-    return out

@@ -42,10 +42,14 @@ def check_order(n: int) -> None:
         raise OrderOverflowError(f"order {n} exceeds the cap {cap} (UMBRA_MAX_ORDER)")
 
 
-def check_index(v: tuple[int, ...], max_order: int = MAX_TOTAL_ORDER,
-                max_dim: int = MAX_DIMENSION) -> None:
-    if len(v) < 1 or len(v) > max_dim:
-        raise OrderOverflowError(f"dimension {len(v)} outside [1, {max_dim}]")
+def check_dimension(d: int) -> None:
+    """Raise OrderOverflowError unless 1 <= d <= MAX_DIMENSION."""
+    if d < 1 or d > MAX_DIMENSION:
+        raise OrderOverflowError(f"dimension {d} outside [1, {MAX_DIMENSION}]")
+
+
+def check_index(v: tuple[int, ...], max_order: int = MAX_TOTAL_ORDER) -> None:
+    check_dimension(len(v))
     if any(e < 0 for e in v):
         raise ValueError(f"negative entry in multi-index {v}")
     if sum(v) > max_order:

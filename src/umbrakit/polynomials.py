@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .multiindex import parse_index
+
 Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "Poly"]
 
@@ -104,16 +106,10 @@ class Poly:
 
         return vs, remap(self), remap(other)
 
-    @staticmethod
-    def _coerce(value: Coefficient) -> "Poly":
-        if isinstance(value, Poly):
-            return value
-        return Poly.const(value)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Coefficient) -> "Poly":
-        other = self._coerce(other)
+        other = as_poly(other)
         vs, a, b = self._aligned(other)
         for e, c in b.items():
             a[e] = a.get(e, Fraction(0)) + c
@@ -125,16 +121,16 @@ class Poly:
         return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Coefficient) -> "Poly":
-        return self + (-self._coerce(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other: Coefficient) -> "Poly":
-        return self._coerce(other) + (-self)
+        return as_poly(other) + (-self)
 
     def __mul__(self, other: Coefficient) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c0 = _as_fraction(other)
             return Poly(self.vars, {e: c * c0 for e, c in self.terms.items()})
-        other = self._coerce(other)
+        other = as_poly(other)
         vs, a, b = self._aligned(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in a.items():
@@ -191,7 +187,7 @@ class Poly:
                 if not k:
                     continue
                 if name in mapping:
-                    term = term * self._coerce(mapping[name]) ** k
+                    term = term * as_poly(mapping[name]) ** k
                 else:
                     term = term * Poly.var(name) ** k
             out = out + term
@@ -205,7 +201,7 @@ class Poly:
         """
         if name not in self.vars:
             return self
-        rep = self._coerce(replacement)
+        rep = as_poly(replacement)
         out = Poly.const(0)
         i = self.vars.index(name)
         for e, c in self.terms.items():
@@ -275,6 +271,32 @@ def parse_poly(text: str) -> Poly:
                     term = term * Poly.var(factor)
         out = out + sign * term
     return out
+
+
+def parse_coeff_map(data, key: str) -> dict[tuple[int, ...], Fraction | Poly]:
+    """Read data[key], a JSON object from index strings to coefficient strings.
+
+    A constant gives a Fraction and any other value a Poly.  A malformed
+    input raises a one-line ValueError.
+    """
+    entries = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(entries, dict):
+        raise ValueError(f"expected a JSON object whose {key!r} maps indices to strings")
+    out = {}
+    for k, c in entries.items():
+        if not isinstance(c, str):
+            raise ValueError(f"{key} entry {k}: {c!r} is not a string")
+        try:
+            p = parse_poly(c)
+        except ZeroDivisionError:
+            raise ValueError(f"{key} entry {k}: {c!r} has a zero denominator") from None
+        out[parse_index(k)] = p.constant_value() if p.is_constant() else p
+    return out
+
+
+def as_poly(value: Coefficient) -> Poly:
+    """Promote an int or Fraction to a constant Poly; pass a Poly through."""
+    return value if isinstance(value, Poly) else Poly.const(value)
 
 
 def as_coefficient(value: Coefficient) -> Fraction | Poly:

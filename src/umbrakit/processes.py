@@ -8,14 +8,13 @@ polynomials in t.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Poly
+from .polynomials import Poly, parse_coeff_map
 from .series import TruncatedSeries, series_exp, series_pow, series_reversion
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
                      euler_umbra, gaussian_delta, gaussian_delta_tuple,
@@ -43,8 +42,9 @@ class ProcessSpec:
                 "functions; no moment-level construction exists")
         if self.kind not in KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.dim < 1 or self.order < 0:
-            raise ValueError("bad dimension or order")
+        mi.check_dimension(self.dim)
+        if self.order < 0:
+            raise ValueError(f"order {self.order} is negative")
         mi.check_order(self.order)
 
 
@@ -60,12 +60,6 @@ class SymbolicProcess:
 
     def at_time(self, t: Fraction | int) -> UmbraTuple:
         return self.time_tuple.specialize({"t": t})
-
-
-def _lift(univariate: UmbraTuple, dim: int) -> UmbraTuple:
-    if dim == 1:
-        return univariate
-    return comonotone_tuple(univariate, dim)
 
 
 def check_square(C: Sequence[Sequence], d: int, what: str) -> None:
@@ -161,7 +155,7 @@ def bernoulli_neg_one_step(order: int, dim: int) -> UmbraTuple:
 
     Univariate moments are 1/(k+1), the moments of a uniform(0,1) r.v.
     """
-    return _lift(bernoulli_umbra(order).inverse_umbra(), dim)
+    return comonotone_tuple(bernoulli_umbra(order).inverse_umbra(), dim)
 
 
 def euler_half_one_step(order: int, dim: int) -> UmbraTuple:
@@ -171,7 +165,7 @@ def euler_half_one_step(order: int, dim: int) -> UmbraTuple:
     """
     eta = euler_umbra(order)
     one_step = unity(order).tuple_sum(eta.inverse_umbra()).scale(Fraction(1, 2))
-    return _lift(one_step, dim)
+    return comonotone_tuple(one_step, dim)
 
 
 def load_custom_moments(path: str | Path) -> UmbraTuple:
@@ -181,19 +175,8 @@ def load_custom_moments(path: str | Path) -> UmbraTuple:
 
 
 def moments_from_json(data: Mapping) -> UmbraTuple:
-    from .polynomials import parse_poly
-    d, order = int(data["d"]), int(data["order"])
-    moments = {}
-    for key, val in data["moments"].items():
-        v = mi.parse_index(key)
-        if "/" in val or val.lstrip("-").isdigit():
-            try:
-                moments[v] = Fraction(val)
-                continue
-            except ValueError:
-                pass
-        moments[v] = parse_poly(val)
-    return UmbraTuple(d, order, moments)
+    moments = parse_coeff_map(data, "moments")
+    return UmbraTuple(int(data["d"]), int(data["order"]), moments)
 
 
 def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:
@@ -217,12 +200,13 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
         C = [[Fraction(x) for x in row] for row in C]
         one_step = brownian_one_step(C, order)
     elif spec.kind == "poisson":
-        one_step = _lift(poisson_one_step(Fraction(p.get("rate", 1)), order), d)
+        one_step = comonotone_tuple(
+            poisson_one_step(Fraction(p.get("rate", 1)), order), d)
     elif spec.kind == "gamma":
-        one_step = _lift(gamma_one_step(Fraction(p.get("shape", 1)),
-                                        Fraction(p.get("scale", 1)), order), d)
+        one_step = comonotone_tuple(gamma_one_step(
+            Fraction(p.get("shape", 1)), Fraction(p.get("scale", 1)), order), d)
     elif spec.kind == "inverse_gaussian":
-        one_step = _lift(inverse_gaussian_one_step(
+        one_step = comonotone_tuple(inverse_gaussian_one_step(
             Fraction(p.get("a", 1)), Fraction(p.get("b", 1)), order), d)
     elif spec.kind == "bernoulli_neg":
         one_step = bernoulli_neg_one_step(order, d)

@@ -9,11 +9,10 @@ Moments may be exact rationals or Poly values in declared parameters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_coefficient, coeff_is_zero
+from .polynomials import Coefficient, Poly, as_coefficient
 from .series import (OrderMismatchError, TruncatedSeries, reciprocal,
                      series_compose, series_exp, series_log, series_reversion,
                      series_subst, vector_reversion)
@@ -22,26 +21,18 @@ from .series import (OrderMismatchError, TruncatedSeries, reciprocal,
 class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
-    __slots__ = ("dim", "order", "moments", "_tables", "_dots")
+    __slots__ = ("dim", "order", "moments", "_series", "_tables", "_dots")
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
-        zero = (0,) * dim
-        ms = {}
-        for v, c in moments.items():
-            v = tuple(v)
-            if len(v) != dim:
-                raise ValueError(f"moment index {v} has wrong dimension")
-            if mi.total(v) > order:
-                continue
-            c = as_coefficient(c)
-            if not coeff_is_zero(c):
-                ms[v] = c
-        if ms.get(zero, Fraction(0)) != 1:
+        self._adopt(TruncatedSeries(dim, order, moments))
+
+    def _adopt(self, f: TruncatedSeries) -> None:
+        """Take the gf f as the moment array; its coefficient dict is the moments."""
+        if f.constant_term() != 1:
             raise ValueError("moment array must be unital: g_0 = 1")
-        self.dim = dim
-        self.order = order
-        self.moments = ms
+        self.dim, self.order, self.moments = f.dim, f.order, f.coeffs
+        self._series = f
         self._tables = {}   # kind -> series table, see _series_table
         self._dots = {}     # (kind, p) -> dot-product tuple, see _dot
 
@@ -61,14 +52,12 @@ class UmbraTuple:
         return mi.iter_indices(self.dim, self.order)
 
     def _check(self, other: "UmbraTuple") -> None:
-        if self.dim != other.dim or self.order != other.order:
-            raise OrderMismatchError("tuples live in different rings")
+        self._series._check_ring(other._series)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UmbraTuple):
             return NotImplemented
-        return (self.dim, self.order) == (other.dim, other.order) and \
-            all(self.eval_power(v) == other.eval_power(v) for v in self.indices())
+        return self._series == other._series
 
     def __repr__(self) -> str:
         shown = {v: c for v, c in sorted(self.moments.items(),
@@ -78,13 +67,14 @@ class UmbraTuple:
     # -- series bridge ------------------------------------------------
 
     def to_series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.dim, self.order, self.moments)
+        """The gf sum_v g_v z^v / v!; shared, not copied."""
+        return self._series
 
     @classmethod
     def from_series(cls, f: TruncatedSeries) -> "UmbraTuple":
-        if f.constant_term() != 1:
-            raise ValueError("generating function must have constant term 1")
-        return cls(f.dim, f.order, f.coeffs)
+        tup = cls.__new__(cls)
+        tup._adopt(f)
+        return tup
 
     def component_series(self, i: int) -> TruncatedSeries:
         """Marginal gf of the i-th monomial, living in its own slot z_i."""
@@ -108,29 +98,15 @@ class UmbraTuple:
     # -- auxiliary-umbra constructions --------------------------------
 
     def tuple_sum(self, other: "UmbraTuple") -> "UmbraTuple":
-        """Sum of uncorrelated tuples: binomial convolution of moments."""
-        self._check(other)
-        out = {}
-        for v in self.indices():
-            acc: Coefficient = Fraction(0)
-            for k in _sub_indices(v):
-                acc = acc + mi.multi_binomial(v, k) * (
-                    self.eval_power(k) * other.eval_power(mi.sub(v, k)))
-            out[v] = acc
-        return UmbraTuple(self.dim, self.order, out)
+        """Sum of uncorrelated tuples: gf f g."""
+        return UmbraTuple.from_series(self._series * other._series)
 
-    def __add__(self, other: "UmbraTuple") -> "UmbraTuple":
-        return self.tuple_sum(other)
+    __add__ = tuple_sum
 
     def disjoint_sum(self, other: "UmbraTuple") -> "UmbraTuple":
-        """Moments add for v != 0; gf is f + g - 1."""
-        self._check(other)
-        out = dict(self.moments)
-        zero = (0,) * self.dim
-        for v, c in other.moments.items():
-            if v != zero:
-                out[v] = out.get(v, Fraction(0)) + c
-        return UmbraTuple(self.dim, self.order, out)
+        """Moments add for v != 0: gf f + g - 1."""
+        one = TruncatedSeries.one(self.dim, self.order)
+        return UmbraTuple.from_series(self._series + other._series - one)
 
     def scale(self, c: Coefficient) -> "UmbraTuple":
         """Scalar rescaling: g_v -> c^{|v|} g_v."""
@@ -143,13 +119,9 @@ class UmbraTuple:
         d = self.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d}")
-        inners = []
-        for j in range(d):
-            coeffs = {}
-            for i in range(d):
-                e = tuple(1 if r == i else 0 for r in range(d))
-                coeffs[e] = coeffs.get(e, 0) + as_coefficient(matrix[i][j])
-            inners.append(TruncatedSeries(d, self.order, coeffs))
+        units = [tuple(int(r == i) for r in range(d)) for i in range(d)]
+        inners = [TruncatedSeries(d, self.order, {units[i]: matrix[i][j] for i in range(d)})
+                  for j in range(d)]
         return UmbraTuple.from_series(series_subst(self.to_series(), inners))
 
     def _series_table(self, kind: str) -> list[dict]:
@@ -216,16 +188,6 @@ class UmbraTuple:
         """Inverse of cumulant_tuple: gf exp(f_c - 1)."""
         one = TruncatedSeries.one(c.dim, c.order)
         return cls.from_series(series_exp(c.to_series() - one))
-
-
-@lru_cache(maxsize=None)
-def _sub_indices_cached(v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    from itertools import product
-    return tuple(product(*(range(e + 1) for e in v)))
-
-
-def _sub_indices(v: tuple[int, ...]):
-    return _sub_indices_cached(tuple(v))
 
 
 # -- composition of univariate umbrae --------------------------------
@@ -336,10 +298,13 @@ def comonotone_tuple(univariate: UmbraTuple, dim: int) -> UmbraTuple:
     """Joint tuple (mu, ..., mu) of identical copies of one umbra.
 
     Components share support, so joint moments collapse to single-umbra
-    moments of the total degree: g_v = m_{|v|}.
+    moments of the total degree: g_v = m_{|v|}.  For dim 1 this is the
+    umbra itself.
     """
     if univariate.dim != 1:
         raise ValueError("need a univariate umbra")
+    if dim == 1:
+        return univariate
     order = univariate.order
     return UmbraTuple(dim, order,
                       {v: univariate.eval_power((mi.total(v),))

@@ -197,3 +197,51 @@ def test_python_m_umbrakit_help():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: umbrakit" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--process", "brownian", "--d", "9", "--order", "1"),
+    ("verify", "--family", "bernoulli", "--d", "9", "--max-order", "1"),
+    ("mc-verify", "--process", "gamma", "--d", "9", "--order", "1",
+     "--max-order", "1", "--paths", "10000"),
+    ("verify", "--family", "euler", "--d", "0", "--max-order", "2"),
+])
+def test_dimension_outside_the_cap_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "dimension" in err and "[1, 8]" in err
+
+
+@pytest.mark.parametrize("times", ["1", "1,2,3"])
+def test_times_needs_two_values(capsys, times):
+    code, out, err = run(capsys, "mc-verify", "--process", "gamma",
+                         "--paths", "10000", "--times", times)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "--times" in err and "s,t" in err
+
+
+BAD_MAPS = {
+    "file is a list": ([1, 2], [1, 2]),
+    "map is a list": ({"v": "(1)", "d": 1, "coeffs": ["1"]},
+                      {"d": 1, "order": 2, "moments": ["1"]}),
+    "value is not a string": ({"v": "(1)", "d": 1, "coeffs": {"(1)": 1}},
+                              {"d": 1, "order": 2, "moments": {"(0)": 1}}),
+    "zero denominator": ({"v": "(1)", "d": 1, "coeffs": {"(1)": "1/0"}},
+                         {"d": 1, "order": 2, "moments": {"(0)": "1", "(1)": "1/0"}}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_MAPS))
+@pytest.mark.parametrize("command", ["decompose", "verify --tsh", "custom process"])
+def test_malformed_coefficient_map_exits_3(capsys, tmp_path, command, shape):
+    coeffs, moments = BAD_MAPS[shape]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(moments if command == "custom process" else coeffs))
+    argv = {
+        "decompose": ("decompose", "--process", "brownian", "--poly", str(path)),
+        "verify --tsh": ("verify", "--process", "brownian", "--tsh", str(path)),
+        "custom process": ("moments", "--process", f"custom:{path}", "--order", "2"),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,7 +9,8 @@ from umbrakit.families import (bernoulli, bernoulli_gf_oracle,
                                hermite_gf_oracle, hermite_scaling_identity,
                                levy_sheffer, levy_sheffer_gf_oracle,
                                levy_sheffer_process_one_step,
-                               levy_sheffer_tsh_check, poly_to_coeff_map)
+                               levy_sheffer_tsh_check)
+from umbrakit.harmonic import poly_to_coeff_map
 from umbrakit.polynomials import Poly
 from umbrakit.processes import build, ProcessSpec
 from umbrakit.umbrae import (UmbraTuple, augmentation, comonotone_tuple,

@@ -28,6 +28,12 @@ def test_spec_validation():
         ProcessSpec("brownian", 0, 4, {})
 
 
+def test_spec_dimension_cap():
+    with pytest.raises(OrderOverflowError, match=r"dimension 9 outside \[1, 8\]"):
+        ProcessSpec("brownian", 9, 2, {})
+    assert ProcessSpec("brownian", 8, 2, {}).dim == 8
+
+
 def test_spec_order_cap(monkeypatch):
     with pytest.raises(OrderOverflowError):
         ProcessSpec("poisson", 1, 21, {})
