@@ -37,6 +37,15 @@ PROCESS_ALIASES = {
     "euler": "euler_half",
 }
 
+PROCESS_PARAMS = {
+    "brownian": ("C",),
+    "poisson": ("rate",),
+    "gamma": ("shape", "scale"),
+    "inverse_gaussian": ("a", "b"),
+    "bernoulli_neg": (),
+    "euler_half": (),
+}
+
 
 def _process_spec(args) -> ProcessSpec:
     name = args.process
@@ -46,15 +55,16 @@ def _process_spec(args) -> ProcessSpec:
     if name not in PROCESS_ALIASES:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
+    kind = PROCESS_ALIASES[name]
     params = json.loads(args.params) if getattr(args, "params", None) else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
-    for key in ("rate", "shape", "scale", "a", "b"):
-        if key in params:
-            params[key] = _rational(key, params[key])
-    if "C" in params:
-        params["C"] = _matrix("C", params["C"])
-    return ProcessSpec(PROCESS_ALIASES[name], args.d, args.order, params)
+    for key, value in params.items():
+        if key not in PROCESS_PARAMS[kind]:
+            raise ValueError(f"parameter {key!r} does not apply to {kind} "
+                             f"(takes: {', '.join(PROCESS_PARAMS[kind]) or 'none'})")
+        params[key] = _matrix(key, value) if key == "C" else _rational(key, value)
+    return ProcessSpec(kind, args.d, args.order, params)
 
 
 def _rational(key: str, value) -> Fraction:
@@ -115,6 +125,8 @@ def cmd_cumulants(args) -> int:
 
 def cmd_gen_tsh(args) -> int:
     v = mi.parse_index(args.v)
+    if args.order < 0:
+        raise ValueError(f"--order {args.order} is negative")
     args.order = max(args.order, mi.total(v))
     proc = build(_process_spec(args))
     q = tsh_polynomial(proc.one_step, v)
@@ -226,8 +238,15 @@ def cmd_mc_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="umbrakit",
         description="Exact time-space harmonic polynomials for symbolic "
                     "Levy processes")

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Mapping
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_poly, parse_coeff_map
+from .polynomials import Coefficient, Poly, as_poly, json_int, parse_coeff_map
 from .umbrae import UmbraTuple
 
 CoeffMap = dict[tuple[int, ...], Poly]
@@ -261,7 +261,10 @@ def tsh_to_json(q: TshPolynomial) -> dict:
 def tsh_from_json(data: Mapping) -> TshPolynomial:
     coeffs = {k: as_poly(c) for k, c in parse_coeff_map(data, "coeffs").items()}
     v = mi.parse_index(data["v"])
-    return TshPolynomial(int(data.get("d", len(v))), v, coeffs)
+    d = json_int(data, "d", len(v))
+    if d != len(v):
+        raise ValueError(f"'d' is {d} but v = {mi.format_index(v)} has {len(v)} entries")
+    return TshPolynomial(d, v, coeffs)
 
 
 def tsh_to_latex(q: TshPolynomial) -> str:

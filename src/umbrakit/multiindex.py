@@ -204,10 +204,16 @@ def parse_index(text: str) -> tuple[int, ...]:
 
     The index must pass check_index under the working cap order_cap().
     """
-    body = text.strip().strip("()")
-    if not body:
+    body = text.strip()
+    if body[:1] == "(" and body[-1:] == ")":
+        body = body[1:-1]
+    if not body.strip():
         raise ValueError(f"empty multi-index: {text!r}")
-    v = tuple(int(part) for part in body.split(","))
+    parts = [part.strip() for part in body.split(",")]
+    if not all(part.isdigit() and part.isascii() for part in parts):
+        raise ValueError(f"malformed multi-index {text!r}: need (v1,...,vd) "
+                         "with nonnegative integers")
+    v = tuple(int(part) for part in parts)
     check_index(v, max_order=order_cap())
     return v
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Poly, parse_coeff_map
+from .polynomials import Poly, json_int, parse_coeff_map
 from .series import TruncatedSeries, series_exp, series_pow, series_reversion
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
                      euler_umbra, gaussian_delta, gaussian_delta_tuple,
@@ -176,7 +176,7 @@ def load_custom_moments(path: str | Path) -> UmbraTuple:
 
 def moments_from_json(data: Mapping) -> UmbraTuple:
     moments = parse_coeff_map(data, "moments")
-    return UmbraTuple(int(data["d"]), int(data["order"]), moments)
+    return UmbraTuple(json_int(data, "d"), json_int(data, "order"), moments)
 
 
 def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:

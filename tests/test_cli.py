@@ -245,3 +245,101 @@ def test_malformed_coefficient_map_exits_3(capsys, tmp_path, command, shape):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tsh_factor_that_is_not_a_name_exits_3(capsys, tmp_path):
+    # "-t/2" once read as a variable named "t/2", and x - t/2 passed
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"v": "(1)", "coeffs": {"(1)": "1", "(0)": "-t/2"}}))
+    code, out, err = run(capsys, "verify", "--process", "brownian", "--d", "1",
+                         "--tsh", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "malformed factor 't/2'" in err
+
+
+def test_tsh_dimension_must_match_its_index(capsys, tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"v": "(1)", "d": 3, "coeffs": {"(1)": "1"}}))
+    code, out, err = run(capsys, "verify", "--process", "brownian", "--d", "1",
+                         "--tsh", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "'d' is 3" in err
+
+
+def test_decompose_double_star_exits_3(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": {"(0)": "x1**2"}}))
+    code, out, err = run(capsys, "decompose", "--process", "brownian",
+                         "--d", "1", "--poly", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "malformed factor ''" in err
+
+
+@pytest.mark.parametrize("value", [[1], 1.5, True], ids=["list", "float", "bool"])
+@pytest.mark.parametrize("command,key", [("custom process", "d"),
+                                         ("custom process", "order"),
+                                         ("verify --tsh", "d")])
+def test_dimension_and_order_must_be_json_integers(capsys, tmp_path, command, key, value):
+    path = tmp_path / "in.json"
+    if command == "custom process":
+        data = {"d": 1, "order": 2, "moments": {"(0)": "1", "(1)": "1", "(2)": "2"}}
+        argv = ("moments", "--process", f"custom:{path}", "--order", "2")
+    else:
+        data = {"v": "(1)", "d": 1, "coeffs": {"(1)": "1", "(0)": "0"}}
+        argv = ("verify", "--process", "brownian", "--tsh", str(path))
+    data[key] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and f"'{key}' must be a JSON integer" in err
+
+
+# Every subcommand with a malformed --v, --d, --order or --params: the
+# documented exit code (2 usage, 3 spec), one line on stderr, nothing on
+# stdout and no traceback.
+MALFORMED = {
+    "--v": [("a", 3), ("(1,,2)", 3), ("(-1)", 3), ("()", 3), ("(1.5)", 3),
+            ("((1)", 3), ("(1)(2)", 3), ("(1,1,1,1,1,1,1,1,1)", 3), ("(21)", 3)],
+    "--d": [("x", 2), ("1.5", 2), ("0", 3), ("-1", 3), ("9", 3)],
+    "--order": [("x", 2), ("1.5", 2), ("-1", 3), ("21", 3)],
+    "--params": [("{", 3), ("[1]", 3), ('{"rate": "x"}', 3), ('{"rate": [1]}', 3),
+                 ('{"rate": "1/0"}', 3), ('{"rate": null}', 3), ('{"Rate": 2}', 3),
+                 ('{"C": [[1]]}', 3)],
+}
+SUBCOMMANDS = {
+    "partitions": ((), ("--v",)),
+    "moments": (("--process", "poisson"), ("--d", "--order", "--params")),
+    "cumulants": (("--process", "poisson"), ("--d", "--order", "--params")),
+    "gen-tsh": (("--process", "poisson", "--v", "(1)"),
+                ("--v", "--d", "--order", "--params")),
+    "gen-family": (("--family", "hermite"), ("--v",)),
+    "verify": (("--process", "poisson", "--max-order", "1"),
+               ("--d", "--order", "--params")),
+    "ig-check": ((), ("--order",)),
+    "decompose": (("--process", "poisson", "--poly", "{poly}"),
+                  ("--d", "--order", "--params")),
+    "mc-verify": (("--process", "poisson", "--max-order", "1", "--paths", "10000"),
+                  ("--d", "--order", "--params")),
+}
+SWEEP = [(cmd, flag, value, code)
+         for cmd, (_, flags) in SUBCOMMANDS.items()
+         for flag in flags for value, code in MALFORMED[flag]]
+
+
+@pytest.mark.parametrize("cmd,flag,value,want", SWEEP)
+def test_malformed_arguments_exit_with_one_line(capsys, tmp_path, cmd, flag, value, want):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"coeffs": {"(1)": "1"}}))
+    base = [a.format(poly=poly) for a in SUBCOMMANDS[cmd][0]]
+    if flag in base:
+        i = base.index(flag)
+        del base[i:i + 2]
+    argv = [cmd, *base, flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == want, out.err
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "error" in out.err

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from umbrakit.cli import main
 from umbrakit.harmonic import tsh_polynomial
 from umbrakit.montecarlo import (MIN_PATHS, SamplerError, SimConfig,
                                  _poly_evaluator, sample_increment,
@@ -92,3 +94,32 @@ def test_report_json_and_table():
     assert all("z" in row for row in data["tests"])
     table = report.table()
     assert "zero_mean" in table and ("PASS" in table or "FAIL" in table)
+
+
+# sha256 of `mc-verify --process gamma --d 2 --max-order 3 --order 3
+# --paths 10000 --seed 34 --json`, recorded with the Fraction-dict Poly.
+# The evaluator sums float terms in Poly term order.  At this seed,
+# summing them in reverse order moves a statistic in its 12th digit, so
+# the digest sees a change of term order as well as of any coefficient.
+GAMMA_D2_DIGEST = "cb636a911306e94e435a2831a56f12238420fc403b25181af2983ec8612152d3"
+
+
+def canonical_digest(text: str) -> str:
+    """sha256 of a JSON report with floats cut to 12 significant digits."""
+    def fix(x):
+        if isinstance(x, float):
+            return float(f"{x:.12g}")
+        if isinstance(x, dict):
+            return {k: fix(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [fix(v) for v in x]
+        return x
+    body = json.dumps(fix(json.loads(text)), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_mc_verify_report_is_pinned(capsys):
+    code = main(["mc-verify", "--process", "gamma", "--d", "2", "--max-order", "3",
+                 "--order", "3", "--paths", "10000", "--seed", "34", "--json"])
+    assert code == 0
+    assert canonical_digest(capsys.readouterr().out) == GAMMA_D2_DIGEST

@@ -77,6 +77,25 @@ def test_str_and_parse_examples():
         parse_poly("")
 
 
+@pytest.mark.parametrize("text", [
+    "-t/2", "x1**2", "t^2/3", "1.5", "x^-1", "t^", "2x", "x y", "*x", "x*",
+    "x - - y", "x +", "-", "t^ 2", "(t)",
+])
+def test_parse_poly_rejects_malformed_input(text):
+    with pytest.raises(ValueError, match="malformed factor|empty term") as exc:
+        parse_poly(text)
+    assert "\n" not in str(exc.value)
+
+
+def test_parse_poly_reads_what_str_writes():
+    assert parse_poly("-1/2*t^2*x1 + 3*s - 7/3") == \
+        -Fraction(1, 2) * t ** 2 * Poly.var("x1") + 3 * Poly.var("s") - Fraction(7, 3)
+    assert parse_poly("+x - y") == x - y
+    assert parse_poly("x^0") == 1
+    with pytest.raises(ZeroDivisionError):
+        parse_poly("1/0*t")
+
+
 def test_eq_with_scalars_and_hash():
     assert Poly.const(2) == 2
     assert x + 1 - x == 1
