@@ -7,20 +7,32 @@ kernel works on ordinary coefficients a_v = g_v / v! and converts back,
 which turns the binomial convolution into a plain Cauchy product.
 
 The kernel groups the ordinary coefficients into homogeneous parts by
-total degree.  The Euler operator E = sum_i z_i d/dz_i multiplies the
-degree-n part by n, so exp, log, reciprocal and pow follow from
-recurrences on the parts (Knuth, TAOCP vol. 2, 4.7) and each costs about
-one truncated product.
+total degree, and each part is one Poly in the coefficient parameters
+(t, s, ...) followed by reserved variables ~z1, ..., ~zd for z.  These
+names sort after every identifier and parse_poly never produces them.
+A part product is then a Poly product, a part sum a Poly sum and a
+weight a scaling, all on integer numerators over one denominator, and
+truncation comes from the grading.  Each part lists its z-monomials in
+the order they are first reached, with the parameter terms of each in
+the order the coefficient itself would list them, so a coefficient
+read back keeps the term order of coefficient-wise arithmetic.
+
+The Euler operator E = sum_i z_i d/dz_i multiplies the degree-n part by
+n, so exp, log, reciprocal and pow follow from recurrences on the parts
+(Knuth, TAOCP vol. 2, 4.7) and each costs about one truncated product.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import iter_indices_of_total, mi_factorial, total
-from .polynomials import Coefficient, as_coefficient, coeff_is_zero
+from .polynomials import (Coefficient, Poly, _alignment, _make, _product,
+                          _reduced, _scalar_parts, _scale, _sum, as_coefficient,
+                          coeff_is_zero)
 
 
 class OrderMismatchError(ValueError):
@@ -41,6 +53,8 @@ class TruncatedSeries:
             v = tuple(v)
             if len(v) != dim:
                 raise ValueError(f"index {v} has wrong dimension (d={dim})")
+            if min(v) < 0:
+                raise ValueError(f"index {v} has a negative entry")
             if total(v) > order:
                 continue
             c = as_coefficient(c)
@@ -67,9 +81,12 @@ class TruncatedSeries:
         return cls(dim, order, {e: 1})
 
     def get(self, v: tuple[int, ...]) -> Coefficient:
+        v = tuple(v)
+        if len(v) != self.dim:
+            raise ValueError(f"index {v} has wrong dimension (d={self.dim})")
         if total(v) > self.order:
             raise OrderMismatchError(f"|{v}| exceeds truncation order {self.order}")
-        return self.coeffs.get(tuple(v), Fraction(0))
+        return self.coeffs.get(v, Fraction(0))
 
     def constant_term(self) -> Coefficient:
         return self.coeffs.get((0,) * self.dim, Fraction(0))
@@ -127,7 +144,7 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
         return _ungraded(self.dim, self.order,
-                         _mul_parts(_graded(self), _graded(other), self.order))
+                         _mul_parts(_graded(self), _graded(other), self.dim, self.order))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -160,13 +177,12 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
     if f.constant_term() != 1:
         raise ValueError("series_log needs constant term 1")
     fp = _graded(f)
-    h: list[dict] = [{}]
+    h = [_empty(f.dim)]
     for n in range(1, f.order + 1):
-        acc = {v: n * c for v, c in fp[n].items()}
+        acc = _scale(fp[n], n, 1)
         for k in range(1, n):
-            _addmul(acc, -k, h[k], fp[n - k])
-        inv = Fraction(1, n)
-        h.append({v: c * inv for v, c in acc.items()})
+            acc = _add_product(acc, _scale(h[k], -k, 1), fp[n - k], f.dim)
+        h.append(_scale(acc, 1, n))
     return _ungraded(f.dim, f.order, h)
 
 
@@ -208,25 +224,25 @@ def series_subst(f: TruncatedSeries,
         tgt._check_ring(h)
         if not coeff_is_zero(h.constant_term()):
             raise ValueError("inner series must have zero constant term")
-    order = tgt.order
+    order, dim = tgt.order, tgt.dim
     terms = [(v, c) for v, c in f.ordinary().items() if total(v) <= order]
-    one = [{(0,) * tgt.dim: Fraction(1)}]
+    one = [_unit(dim)]
     pows = []
     for i, h in enumerate(inners):
         hp = _graded(h)
         ps = [one, hp]
         for _ in range(2, max((v[i] for v, _ in terms), default=0) + 1):
-            ps.append(_mul_parts(ps[-1], hp, order))
+            ps.append(_mul_parts(ps[-1], hp, dim, order))
         pows.append(ps)
-    out: list[dict] = [{} for _ in range(order + 1)]
+    out = [_empty(dim)] * (order + 1)
     for v, c in terms:
         term = one
         for i, k in enumerate(v):
             if k:
-                term = pows[i][k] if term is one else _mul_parts(term, pows[i][k], order)
+                term = pows[i][k] if term is one else _mul_parts(term, pows[i][k], dim, order)
         for n, part in enumerate(term):
-            _add_scaled(out[n], c, part)
-    return _ungraded(tgt.dim, order, out)
+            out[n] = _add(out[n], _times(c, part))
+    return _ungraded(dim, order, out)
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -260,7 +276,8 @@ def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse relative to 1 + z.
 
     For univariate f = 1 + a1 z + ... with a1 != 0, returns the series
-    g = 1 + G(z) with (f - 1)(G(z)) = z, so that f(g - 1) = 1 + z.
+    g = 1 + G(z) with (f - 1)(G(z)) = z, so that f(g - 1) = 1 + z.  At
+    N = 0 both sides are 1, and the inverse is the unit series.
     Newton iteration with precision doubling (Brent & Kung 1978): when G
     is right through degree m, the step G <- G - (F(G) - z) G' is right
     through degree 2m, so it runs in the ring truncated at min(2m, N).
@@ -270,6 +287,8 @@ def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
     if f.dim != 1:
         raise ValueError("reversion implemented for univariate series")
     one = TruncatedSeries.one(1, f.order)
+    if f.order == 0:
+        return one
     F = f - one
     a1 = F.get((1,))
     if coeff_is_zero(a1):
@@ -290,13 +309,15 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
 
     Each f_i is a d-variate series with constant term 1; the Jacobian of
     the map at 0 must be invertible.  Returns series g_i = 1 + G_i with
-    (f_i - 1)(G_1, ..., G_d) = z_i, solved order by order.  With G right
-    through degree n - 1, the degree-n part of every monomial G^v with
-    |v| >= 2 is final, and the degree-n error of (f_i - 1)(G) fixes the
-    degree-n part of G through the inverse Jacobian.  Each G^v is built
-    as G^(v - e_j) G_j, one degree per round, and shared by the d
-    components.
+    (f_i - 1)(G_1, ..., G_d) = z_i, solved order by order (the unit
+    series at N = 0).  With G right through degree n - 1, the degree-n
+    part of every monomial G^v with |v| >= 2 is final, and the degree-n
+    error of (f_i - 1)(G) fixes the degree-n part of G through the
+    inverse Jacobian.  Each G^v is built as G^(v - e_j) G_j, one degree
+    per round, and shared by the d components.
     """
+    if not fs:
+        raise ValueError("vector_reversion needs at least one component series")
     d = len(fs)
     order = fs[0].order
     for f in fs:
@@ -305,94 +326,190 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
             raise ValueError("component series dimension must match tuple size")
         if f.constant_term() != 1:
             raise ValueError("component series must have constant term 1")
+    one = TruncatedSeries.one(d, order)
+    if order == 0:
+        return [one] * d
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     jac = [[fs[i].coeffs.get(unit[j], Fraction(0)) for j in range(d)]
            for i in range(d)]
     jinv = _invert_matrix(jac)
 
-    Fs = [_graded(f) for f in fs]
+    # ordinary coefficients of degree >= 2, the only ones the error reads
+    Fs = [{v: c for v, c in f.ordinary().items() if total(v) >= 2} for f in fs]
     # homogeneous parts of G_i, one appended per degree
-    G = [[{}, {unit[j]: jinv[i][j] for j in range(d)}] for i in range(d)]
+    G = [_graded(TruncatedSeries(d, order, {unit[j]: jinv[i][j] for j in range(d)}))[:2]
+         for i in range(d)]
     mono = {unit[j]: G[j] for j in range(d)}   # v -> homogeneous parts of G^v
     for deg in range(2, order + 1):
-        err: list[dict] = [{} for _ in range(d)]
+        err = [_empty(d)] * d
         for n in range(2, deg + 1):
             for v in iter_indices_of_total(d, n):
                 j = next(i for i, k in enumerate(v) if k)
                 base = mono[tuple(k - (i == j) for i, k in enumerate(v))]
-                part: dict = {}
+                part = _empty(d)
                 for k in range(n - 1, deg):
-                    _addmul(part, 1, base[k], G[j][deg - k])
-                mono.setdefault(v, [{} for _ in range(n)]).append(part)
+                    part = _add_product(part, base[k], G[j][deg - k], d)
+                mono.setdefault(v, [_empty(d)] * n).append(part)
                 for i in range(d):
-                    a = Fs[i][n].get(v)
+                    a = Fs[i].get(v)
                     if a is not None:
-                        _add_scaled(err[i], a, part)
+                        err[i] = _add(err[i], _times(a, part))
         for j in range(d):
-            part = {}
+            part = _empty(d)
             for i in range(d):
                 if jinv[j][i]:
-                    _add_scaled(part, -jinv[j][i], err[i])
+                    part = _add(part, _times(-jinv[j][i], err[i]))
             G[j].append(part)
-    one = TruncatedSeries.one(d, order)
     return [one + _ungraded(d, order, g) for g in G]
 
 
 # -- homogeneous parts ------------------------------------------------
+#
+# A part is a Poly whose variables are coefficient parameters followed
+# by the reserved _z_vars(d); an exponent tuple is the parameter
+# exponents followed by the multi-index v of z^v.
 
-def _graded(f: TruncatedSeries) -> list[dict]:
+@lru_cache(maxsize=None)
+def _z_vars(dim: int) -> tuple[str, ...]:
+    """The reserved names of z_1..z_d, zero-padded so they sort in order."""
+    width = len(str(dim))
+    return tuple(f"~z{i:0{width}d}" for i in range(1, dim + 1))
+
+
+@lru_cache(maxsize=None)
+def _empty(dim: int) -> Poly:
+    return _make(_z_vars(dim), {}, 1)
+
+
+@lru_cache(maxsize=None)
+def _unit(dim: int) -> Poly:
+    return _make(_z_vars(dim), {(0,) * dim: 1}, 1)
+
+
+def _graded(f: TruncatedSeries) -> list[Poly]:
     """Ordinary coefficients of f split by total degree: parts[n] holds |v| = n."""
-    parts: list[dict] = [{} for _ in range(f.order + 1)]
+    zs = _z_vars(f.dim)
+    params = tuple(sorted({x for c in f.coeffs.values() if type(c) is Poly
+                           for x in c.vars}))
+    if params and params[-1] >= zs[0]:
+        raise ValueError(f"variable {params[-1]!r} does not sort before the "
+                         f"reserved series variables")
+    pad = (0,) * len(params)
+    by_degree: list[list] = [[] for _ in range(f.order + 1)]
     for v, c in f.coeffs.items():
-        parts[total(v)][v] = c * Fraction(1, mi_factorial(v))
+        by_degree[total(v)].append((v, c, mi_factorial(v)))
+    parts = []
+    for items in by_degree:
+        if not items:
+            parts.append(_empty(f.dim))
+            continue
+        den = math.lcm(*(fact * (c._den if type(c) is Poly else c.denominator)
+                         for _, c, fact in items))
+        nums = {}
+        for v, c, fact in items:
+            if type(c) is Poly:
+                m = den // (fact * c._den)
+                emb = _alignment(c.vars, params)[1]
+                for e, x in c._nums.items():
+                    nums[(e if emb is None else emb(e)) + v] = x * m
+            else:
+                nums[pad + v] = c.numerator * (den // (fact * c.denominator))
+        parts.append(_reduced(params + zs, nums, den))
     return parts
 
 
-def _ungraded(dim: int, order: int, parts: Sequence[dict]) -> TruncatedSeries:
-    """The series whose ordinary coefficients are grouped in parts."""
-    return TruncatedSeries(dim, order, {v: c * mi_factorial(v)
-                                        for part in parts for v, c in part.items()})
+def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
+    """The series whose ordinary coefficients are grouped in parts.  A
+    coefficient without parameter terms comes back as a Fraction."""
+    coeffs = {}
+    for part in parts:
+        den, np = part._den, len(part.vars) - dim
+        if not np:
+            for v, x in part._nums.items():
+                coeffs[v] = Fraction(x * mi_factorial(v), den)
+            continue
+        params = part.vars[:np]
+        for v, terms in _z_groups(part, np).items():
+            fact = mi_factorial(v)
+            if len(terms) == 1:
+                (e, x), = terms.items()
+                if not any(e[:np]):
+                    coeffs[v] = Fraction(x * fact, den)
+                    continue
+            coeffs[v] = _reduced(params, {e[:np]: x * fact for e, x in terms.items()}, den)
+    out = TruncatedSeries.__new__(TruncatedSeries)
+    out.dim, out.order, out.coeffs = dim, order, coeffs
+    return out
 
 
-def _addmul(out: dict, w: Coefficient, p: dict, q: dict) -> None:
-    """out += w p q for two homogeneous parts p and q."""
-    for v1, c1 in p.items():
-        c1 = w * c1
-        for v2, c2 in q.items():
-            v = tuple(map(add, v1, v2))
-            x = c1 * c2
-            out[v] = out[v] + x if v in out else x
+def _z_groups(part: Poly, np: int) -> dict:
+    """The terms of a part with np parameters grouped by z-monomial, in
+    the order each is first reached: v -> {exponent tuple: numerator}."""
+    groups: dict = {}
+    for e, x in part._nums.items():
+        terms = groups.get(e[np:])
+        if terms is None:
+            groups[e[np:]] = {e: x}
+        else:
+            terms[e] = x
+    return groups
 
 
-def _add_scaled(out: dict, c: Coefficient, part: dict) -> None:
-    """out += c part for one homogeneous part."""
-    for v, x in part.items():
-        x = c * x
-        out[v] = out[v] + x if v in out else x
+def _add(p: Poly, q: Poly) -> Poly:
+    """p + q for two parts."""
+    if not q._nums:
+        return p
+    if not p._nums:
+        return q
+    return _sum(p, q, 1)
+
+
+def _add_product(acc: Poly, p: Poly, q: Poly, dim: int) -> Poly:
+    """acc + p q for three parts.  The terms of p are first grouped by
+    z-monomial, so that each coefficient of p q lists its terms as the
+    product of the coefficients of p and q would."""
+    if not (p._nums and q._nums):
+        return acc
+    np = len(p.vars) - dim
+    if np:
+        groups = _z_groups(p, np)
+        if len(groups) < len(p._nums):
+            nums = {}
+            for terms in groups.values():
+                nums.update(terms)
+            p = _make(p.vars, nums, p._den)
+    return _add(acc, _product(p, q))
+
+
+def _times(c: Coefficient, part: Poly) -> Poly:
+    """c part for a rational or Poly coefficient c."""
+    if type(c) is Poly and c.vars:
+        return _product(c, part)
+    return _scale(part, *_scalar_parts(c))
 
 
 def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
     """The series g with g_0 = 1 and
     n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts."""
     fp = _graded(f)
-    g = [{(0,) * f.dim: Fraction(1)}]
+    g = [_unit(f.dim)]
     for n in range(1, f.order + 1):
-        acc: dict = {}
+        acc = _empty(f.dim)
         for k in range(1, n + 1):
-            _addmul(acc, weight(n, k), fp[k], g[n - k])
-        inv = Fraction(1, n)
-        g.append({v: c * inv for v, c in acc.items()})
+            if fp[k]._nums and g[n - k]._nums:
+                acc = _add_product(acc, _times(weight(n, k), fp[k]), g[n - k], f.dim)
+        g.append(_scale(acc, 1, n))
     return _ungraded(f.dim, f.order, g)
 
 
-def _mul_parts(p: Sequence[dict], q: Sequence[dict], order: int) -> list[dict]:
+def _mul_parts(p: Sequence[Poly], q: Sequence[Poly], dim: int, order: int) -> list[Poly]:
     """Homogeneous parts of the product p q, truncated at order."""
-    out: list[dict] = [{} for _ in range(order + 1)]
+    out = [_empty(dim)] * (order + 1)
     for i, pi in enumerate(p[:order + 1]):
-        if pi:
+        if pi._nums:
             for j, qj in enumerate(q[:order + 1 - i]):
-                if qj:
-                    _addmul(out[i + j], 1, pi, qj)
+                if qj._nums:
+                    out[i + j] = _add_product(out[i + j], pi, qj, dim)
     return out
 
 

@@ -89,6 +89,33 @@ def test_ig_check(capsys):
     assert "PASS" in out
 
 
+def test_inverse_gaussian_at_order_zero(capsys):
+    code, out, err = run(capsys, "moments", "--process", "inverse_gaussian",
+                         "--d", "1", "--order", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["moments"]["moments"] == {"(0)": "1"}
+    code, out, err = run(capsys, "ig-check", "--order", "0")
+    assert (code, err) == (0, "")
+    assert "PASS" in out
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_verify_tsh_passes_iff_decompose_leaves_no_residual(capsys, tmp_path, perturbed):
+    process = ("--process", "gamma", "--d", "2", "--order", "3")
+    code, out, _ = run(capsys, "gen-tsh", *process, "--v", "(2,1)")
+    assert code == 0
+    tsh = json.loads(out)["tsh"]
+    if perturbed:
+        tsh["coeffs"]["(1,0)"] += " + t"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(tsh))
+    verify_code, _, _ = run(capsys, "verify", *process, "--tsh", str(path))
+    decompose_code, out, _ = run(capsys, "decompose", *process, "--poly", str(path))
+    residual = json.loads(out)["residual"]
+    assert (verify_code == 0) == (residual == {})
+    assert verify_code == decompose_code == (1 if perturbed else 0)
+
+
 def test_decompose_command(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"coeffs": {"(2)": "1", "(1)": "3", "(0)": "-t"}}))

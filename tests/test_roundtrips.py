@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
 from umbrakit.harmonic import (decompose, poly_to_coeff_map, to_poly,
-                               tsh_polynomial, x_names)
+                               tsh_polynomial, verify_harmonicity, x_names)
 from umbrakit.polynomials import Poly
 from umbrakit.umbrae import UmbraTuple
 
@@ -58,3 +58,37 @@ def test_decompose_recovers_random_combinations(case):
     result = decompose(combo, mu)
     assert result.coefficients == cs
     assert result.residual == {}
+
+
+@st.composite
+def verdict_cases(draw):
+    """A random array (d <= 2, N <= 4) and P = sum_k c_k Q_k, with one
+    coefficient p_j(t) of P moved by a rational multiple of t^a when drawn."""
+    d = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    ms = {(0,) * d: Fraction(1)}
+    for v in mi.iter_indices(d, order):
+        if any(v):
+            ms[v] = draw(RATIONALS)
+    mu = UmbraTuple(d, order, ms)
+    indices = list(mi.iter_indices(d, order))
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+    nonzero = RATIONALS.filter(lambda c: c != 0)
+    p: dict = {}
+    for v in chosen:
+        c = draw(nonzero)
+        for k, q_k in tsh_polynomial(mu, v).coeffs.items():
+            p[k] = p.get(k, Poly.const(0)) + c * q_k
+    if draw(st.booleans()):
+        j = draw(st.sampled_from(sorted(p)))
+        p[j] = p[j] + draw(nonzero) * Poly.var("t") ** draw(st.integers(0, 2))
+    return mu, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(verdict_cases())
+def test_verify_and_decompose_give_the_same_verdict(case):
+    # decompose proves TSH-ness through the basis: P is TSH iff its
+    # residual is empty; verify_harmonicity checks the definition
+    mu, p = case
+    assert verify_harmonicity(mu, p)[0] == decompose(p, mu).exact

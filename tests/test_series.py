@@ -206,6 +206,30 @@ def test_vector_reversion_random_roundtrip():
             assert res == TruncatedSeries.variable(2, N, i)
 
 
+@pytest.mark.parametrize("dim,coeffs", [(1, {(-1,): 1}), (2, {(2, -1): 1}),
+                                        (1, {(0,): 1, (-1,): 5})])
+def test_negative_index_is_rejected(dim, coeffs):
+    with pytest.raises(ValueError, match="negative entry"):
+        TruncatedSeries(dim, 3, coeffs)
+
+
+def test_get_rejects_an_index_of_the_wrong_length():
+    f = TruncatedSeries(1, 3, {(0,): 1})
+    with pytest.raises(ValueError, match="wrong dimension"):
+        f.get((1, 2))
+
+
+def test_reversions_at_order_zero_give_the_unit_series():
+    assert series_reversion(TruncatedSeries.one(1, 0)) == TruncatedSeries.one(1, 0)
+    one = TruncatedSeries.one(2, 0)
+    assert vector_reversion([one, one]) == [one, one]
+
+
+def test_vector_reversion_needs_a_component():
+    with pytest.raises(ValueError, match="at least one component"):
+        vector_reversion([])
+
+
 def test_ring_mismatch_errors():
     a = TruncatedSeries.one(1, 4)
     b = TruncatedSeries.one(1, 5)

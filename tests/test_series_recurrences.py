@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
-from umbrakit.polynomials import Poly
-from umbrakit.series import (TruncatedSeries, reciprocal, series_exp,
+from umbrakit.polynomials import Poly, parse_poly
+from umbrakit.series import (TruncatedSeries, _z_vars, reciprocal, series_exp,
                              series_log, series_pow, series_reversion,
                              series_subst, vector_reversion)
 
@@ -94,6 +94,99 @@ def test_subst_matches_full_powers(data):
     inners = [data.draw(series(target, constant=0, coefficients=kind))
               for _ in range(d)]
     assert series_subst(f, inners) == sp.subst(f, inners)
+
+
+# Coefficients that mix Fractions with Polys over different variable sets,
+# constant Polys that carry a variable, and names that look like the
+# reserved series variables.
+VARIABLE_SETS = [("t",), ("s", "t"), ("t", "x1"), ("Z1", "_z1", "z1")]
+
+
+@st.composite
+def mixed_coefficients(draw):
+    kind = draw(st.integers(0, len(VARIABLE_SETS) + 1))
+    if kind == len(VARIABLE_SETS):
+        return draw(rationals)
+    if kind > len(VARIABLE_SETS):
+        return Poly(("t",), {(0,): draw(rationals)})
+    names = VARIABLE_SETS[kind]
+    exponents = st.tuples(*[st.integers(0, 2)] * len(names))
+    return Poly(names, draw(st.dictionaries(exponents, rationals, max_size=3)))
+
+
+small_rings = st.sampled_from([(1, 5), (2, 0), (2, 3), (2, 4), (3, 2), (3, 3)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mixed_rings_mul_and_subst(data):
+    ring = data.draw(small_rings)
+    a = data.draw(series(ring, coefficients=mixed_coefficients()))
+    b = data.draw(series(ring, coefficients=mixed_coefficients()))
+    assert a * b == sp.mul(a, b)
+    target = data.draw(small_rings)
+    inners = [data.draw(series(target, constant=0, coefficients=mixed_coefficients()))
+              for _ in range(ring[0])]
+    assert series_subst(a, inners) == sp.subst(a, inners)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mixed_rings_exp_log_reciprocal(data):
+    ring = data.draw(small_rings)
+    f0 = data.draw(series(ring, constant=0, coefficients=mixed_coefficients()))
+    f1 = data.draw(series(ring, constant=1, coefficients=mixed_coefficients()))
+    assert series_exp(f0) == sp.exp(f0)
+    assert series_log(f1) == sp.log(f1)
+    assert reciprocal(f1) == sp.reciprocal(f1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from([Fraction(-5, 2), t, t - s, Poly.var("z1"),
+                                   Poly(("t",), {(0,): Fraction(1, 3)})]))
+def test_mixed_rings_pow(data, e):
+    f = data.draw(series(data.draw(small_rings), constant=1,
+                         coefficients=mixed_coefficients()))
+    assert series_pow(f, e) == sp.pow(f, e)
+
+
+def test_products_keep_the_term_order_of_coefficient_products():
+    # positive coefficients, so no partial sum cancels a term
+    rnd = random.Random(5)
+
+    def dense(constant):
+        # each coefficient lists three terms in its own order
+        grid = [(i, j) for i in range(3) for j in range(3)]
+        return TruncatedSeries(2, 4, {
+            v: Poly(("s", "t"), {e: Fraction(rnd.randint(1, 5), rnd.randint(1, 3))
+                                 for e in rnd.sample(grid, 3)})
+            for v in mi.iter_indices(2, 4) if any(v) or constant})
+
+    def term_orders(f):
+        return [(v, list(c.terms)) for v, c in sorted(f.coeffs.items())]
+
+    a, b = dense(True), dense(True)
+    got, want = a * b, sp.mul(a, b)
+    assert list(got.coeffs) == list(want.coeffs)
+    assert term_orders(got) == term_orders(want)
+    # inside series_subst the left factor of h^3 is the product h^2
+    h = dense(False)
+    cube = series_subst(TruncatedSeries(2, 4, {(3, 0): 6}), [h, h])
+    assert term_orders(cube) == term_orders((h * h) * h)
+
+
+def test_parse_poly_never_makes_a_reserved_series_variable():
+    for name in _z_vars(8) + _z_vars(12):
+        for text in (name, f"2*{name}^2 + t", f"t*{name}"):
+            with pytest.raises(ValueError, match="malformed factor"):
+                parse_poly(text)
+
+
+@pytest.mark.parametrize("name", ["~z1", "~z9", "~zz", "\u00e9"])
+def test_kernel_rejects_a_variable_that_does_not_sort_first(name):
+    f = TruncatedSeries(1, 2, {(0,): 1, (1,): Poly.var(name)})
+    with pytest.raises(ValueError, match="reserved series variables"):
+        f * f
 
 
 def test_bad_constant_terms_keep_their_errors():

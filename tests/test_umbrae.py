@@ -262,6 +262,11 @@ def test_singleton_component():
     assert s.eval_power((1, 0, 0)) == 0
 
 
+def test_negative_moment_index_is_rejected():
+    with pytest.raises(ValueError, match="negative entry"):
+        UmbraTuple(1, 3, {(0,): 1, (-1,): 5})
+
+
 def test_eval_power_guards():
     mu = rand_tuple(random.Random(13), 2, 3)
     with pytest.raises(Exception):
