@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import multiindex as mi
 from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
@@ -17,7 +16,7 @@ from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
 from .harmonic import (TshPolynomial, decompose, expected_value_zero,
                        poly_to_coeff_map, tsh_from_json, tsh_polynomial,
                        tsh_to_json, tsh_to_latex, verify_harmonicity)
-from .polynomials import parse_coeff_map
+from .polynomials import parse_coeff_map, parse_matrix, parse_rational
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
 
 SCHEMA_VERSION = "1"
@@ -37,16 +36,6 @@ PROCESS_ALIASES = {
     "euler": "euler_half",
 }
 
-PROCESS_PARAMS = {
-    "brownian": ("C",),
-    "poisson": ("rate",),
-    "gamma": ("shape", "scale"),
-    "inverse_gaussian": ("a", "b"),
-    "bernoulli_neg": (),
-    "euler_half": (),
-}
-
-
 def _process_spec(args) -> ProcessSpec:
     name = args.process
     if name.startswith("custom:"):
@@ -55,29 +44,10 @@ def _process_spec(args) -> ProcessSpec:
     if name not in PROCESS_ALIASES:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
-    kind = PROCESS_ALIASES[name]
     params = json.loads(args.params) if getattr(args, "params", None) else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
-    for key, value in params.items():
-        if key not in PROCESS_PARAMS[kind]:
-            raise ValueError(f"parameter {key!r} does not apply to {kind} "
-                             f"(takes: {', '.join(PROCESS_PARAMS[kind]) or 'none'})")
-        params[key] = _matrix(key, value) if key == "C" else _rational(key, value)
-    return ProcessSpec(kind, args.d, args.order, params)
-
-
-def _rational(key: str, value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"parameter {key}: {value!r} is not a rational number") from None
-
-
-def _matrix(key: str, value) -> list[list[Fraction]]:
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise ValueError(f"parameter {key}: {value!r} is not a list of rows")
-    return [[_rational(key, x) for x in row] for row in value]
+    return ProcessSpec(PROCESS_ALIASES[name], args.d, args.order, params)
 
 
 def _check_max_order(args) -> None:
@@ -136,10 +106,10 @@ def cmd_gen_tsh(args) -> int:
 
 def cmd_gen_family(args) -> int:
     v = mi.parse_index(args.v)
-    t = _rational("t", args.t) if args.t is not None else "t"
+    t = parse_rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
         if args.C:
-            C = _matrix("--C", json.loads(args.C))
+            C = parse_matrix("--C", json.loads(args.C))
         else:
             C = [[1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
         p = hermite(v, C, t)
@@ -196,7 +166,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ig_check(args) -> int:
     mi.check_order(args.order)
-    ok = ig_gf_check(_rational("a", args.a), _rational("b", args.b), args.order)
+    ok = ig_gf_check(parse_rational("a", args.a), parse_rational("b", args.b), args.order)
     print(f"inverse-Gaussian gf check (a={args.a}, b={args.b}, N={args.order}): "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -223,7 +193,7 @@ def cmd_mc_verify(args) -> int:
     times = args.times.split(",")
     if len(times) != 2:
         raise ValueError(f"--times {args.times!r} must have the form s,t")
-    s, t = (_rational("times", x) for x in times)
+    s, t = (parse_rational("times", x) for x in times)
     spec = _process_spec(args)
     proc = build(spec)
     polys = [tsh_polynomial(proc.one_step, v)

@@ -51,24 +51,17 @@ def sample_increment(spec: ProcessSpec, dt: float, paths: int,
     """I.i.d. increments of length dt, shape (paths, d)."""
     d, p = spec.dim, spec.params
     if spec.kind == "brownian":
-        C = p.get("C")
-        if C is None:
-            C = np.eye(d)
-        C = np.array([[float(x) for x in row] for row in C])
+        C = np.array([[float(x) for x in row] for row in p["C"]])
         z = rng.standard_normal((paths, d))
         return np.sqrt(dt) * z @ C.T
     if spec.kind == "poisson":
-        rate = float(Fraction(p.get("rate", 1)))
-        x = rng.poisson(rate * dt, size=paths).astype(float)
+        x = rng.poisson(float(p["rate"]) * dt, size=paths).astype(float)
         return np.tile(x[:, None], (1, d))
     if spec.kind == "gamma":
-        shape = float(Fraction(p.get("shape", 1)))
-        scale = float(Fraction(p.get("scale", 1)))
-        x = rng.gamma(shape * dt, scale, size=paths)
+        x = rng.gamma(float(p["shape"]) * dt, float(p["scale"]), size=paths)
         return np.tile(x[:, None], (1, d))
     if spec.kind == "inverse_gaussian":
-        a = float(Fraction(p.get("a", 1)))
-        b = float(Fraction(p.get("b", 1)))
+        a, b = float(p["a"]), float(p["b"])
         # X_dt ~ IG(mean a*dt, shape b*dt^2)
         x = rng.wald(a * dt, b * dt * dt, size=paths)
         return np.tile(x[:, None], (1, d))

@@ -31,14 +31,6 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not a rational scalar: {c!r}")
-
-
 def _ratio(c: Scalar) -> tuple[int, int]:
     """Numerator and positive denominator of a rational scalar."""
     if type(c) is int:
@@ -518,6 +510,21 @@ def json_int(data: Mapping, key: str, default: int | None = None) -> int:
     return value
 
 
+def parse_rational(key: str, value) -> Fraction:
+    """value, a number or a string p or p/q, as a Fraction."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"parameter {key}: {value!r} is not a rational number") from None
+
+
+def parse_matrix(key: str, value) -> list[list[Fraction]]:
+    """value, a list of rows of rationals, as lists of Fractions."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"parameter {key}: {value!r} is not a list of rows")
+    return [[parse_rational(key, x) for x in row] for row in value]
+
+
 def as_poly(value: Coefficient) -> Poly:
     """Promote an int or Fraction to a constant Poly; pass a Poly through."""
     return value if isinstance(value, Poly) else Poly.const(value)
@@ -525,9 +532,9 @@ def as_poly(value: Coefficient) -> Poly:
 
 def as_coefficient(value: Coefficient) -> Fraction | Poly:
     """Normalize ints to Fractions, pass Fractions and Polys through."""
-    if isinstance(value, Poly):
+    if isinstance(value, (Poly, Fraction)):
         return value
-    return _as_fraction(value)
+    return Fraction(*_ratio(value))
 
 
 def coeff_is_zero(value: Coefficient) -> bool:

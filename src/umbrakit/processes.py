@@ -14,14 +14,24 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Poly, json_int, parse_coeff_map
+from .polynomials import (Poly, json_int, parse_coeff_map, parse_matrix,
+                          parse_rational)
 from .series import TruncatedSeries, series_exp, series_pow, series_reversion
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
                      euler_umbra, gaussian_delta, gaussian_delta_tuple,
                      singleton, unity)
 
-KINDS = ("brownian", "poisson", "gamma", "inverse_gaussian",
-         "bernoulli_neg", "euler_half", "custom")
+# kind -> {parameter: default}; brownian C defaults to the d x d identity
+# and a custom process has no default path
+PARAMS = {
+    "brownian": {"C": None},
+    "poisson": {"rate": Fraction(1)},
+    "gamma": {"shape": Fraction(1), "scale": Fraction(1)},
+    "inverse_gaussian": {"a": Fraction(1), "b": Fraction(1)},
+    "bernoulli_neg": {},
+    "euler_half": {},
+    "custom": {"path": None},
+}
 
 
 class UnsupportedProcessError(ValueError):
@@ -30,6 +40,13 @@ class UnsupportedProcessError(ValueError):
 
 @dataclass(frozen=True)
 class ProcessSpec:
+    """A process kind, its dimension and order, and its parameters.
+
+    params takes only the names PARAMS lists for the kind, as rationals
+    (a matrix for C, a file path for a custom process); the stored dict
+    is a copy with the defaults filled in.
+    """
+
     kind: str
     dim: int
     order: int
@@ -40,12 +57,29 @@ class ProcessSpec:
             raise UnsupportedProcessError(
                 "m-stable processes have divergent moment generating "
                 "functions; no moment-level construction exists")
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise ValueError(f"unknown process kind {self.kind!r}")
+        takes = PARAMS[self.kind]
+        params = dict(takes)
+        for key, value in self.params.items():
+            if key not in takes:
+                raise ValueError(f"parameter {key!r} does not apply to {self.kind} "
+                                 f"(takes: {', '.join(takes) or 'none'})")
+            params[key] = value if key == "path" else \
+                parse_matrix(key, value) if key == "C" else parse_rational(key, value)
         mi.check_dimension(self.dim)
         if self.order < 0:
             raise ValueError(f"order {self.order} is negative")
         mi.check_order(self.order)
+        if self.kind == "brownian":
+            if params["C"] is None:
+                params["C"] = [[Fraction(int(i == j)) for j in range(self.dim)]
+                               for i in range(self.dim)]
+            check_square(params["C"], self.dim, f"brownian C for --d {self.dim}")
+        if self.kind == "custom" and params["path"] is None:
+            raise ValueError("a custom process needs a 'path'")
+        # a new dict: the caller's may be shared between specs
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -193,21 +227,13 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
     """Construct the symbolic process for a validated spec."""
     d, order, p = spec.dim, spec.order, spec.params
     if spec.kind == "brownian":
-        C = p.get("C")
-        if C is None:
-            C = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        check_square(C, d, f"brownian C for --d {d}")
-        C = [[Fraction(x) for x in row] for row in C]
-        one_step = brownian_one_step(C, order)
+        one_step = brownian_one_step(p["C"], order)
     elif spec.kind == "poisson":
-        one_step = comonotone_tuple(
-            poisson_one_step(Fraction(p.get("rate", 1)), order), d)
+        one_step = comonotone_tuple(poisson_one_step(p["rate"], order), d)
     elif spec.kind == "gamma":
-        one_step = comonotone_tuple(gamma_one_step(
-            Fraction(p.get("shape", 1)), Fraction(p.get("scale", 1)), order), d)
+        one_step = comonotone_tuple(gamma_one_step(p["shape"], p["scale"], order), d)
     elif spec.kind == "inverse_gaussian":
-        one_step = comonotone_tuple(inverse_gaussian_one_step(
-            Fraction(p.get("a", 1)), Fraction(p.get("b", 1)), order), d)
+        one_step = comonotone_tuple(inverse_gaussian_one_step(p["a"], p["b"], order), d)
     elif spec.kind == "bernoulli_neg":
         one_step = bernoulli_neg_one_step(order, d)
     elif spec.kind == "euler_half":

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .multiindex import iter_indices_of_total, mi_factorial, total
+from .multiindex import mi_factorial, total
 from .polynomials import (Coefficient, Poly, _alignment, _make, _product,
                           _reduced, _scalar_parts, _scale, _sum, as_coefficient,
                           coeff_is_zero)
@@ -252,17 +252,6 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return series_subst(outer, [inner])
 
 
-def derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """d/dz of a univariate series (result truncated at the same order)."""
-    if f.dim != 1:
-        raise ValueError("derivative implemented for univariate series")
-    out = {}
-    for (k,), c in f.ordinary().items():
-        if k >= 1:
-            out[(k - 1,)] = c * k
-    return TruncatedSeries.from_ordinary(1, f.order, out)
-
-
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """num / den for univariate den with invertible rational constant term."""
     c0 = den.constant_term()
@@ -273,35 +262,15 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse relative to 1 + z.
+    """Compositional inverse relative to 1 + z: vector_reversion at d = 1.
 
     For univariate f = 1 + a1 z + ... with a1 != 0, returns the series
     g = 1 + G(z) with (f - 1)(G(z)) = z, so that f(g - 1) = 1 + z.  At
     N = 0 both sides are 1, and the inverse is the unit series.
-    Newton iteration with precision doubling (Brent & Kung 1978): when G
-    is right through degree m, the step G <- G - (F(G) - z) G' is right
-    through degree 2m, so it runs in the ring truncated at min(2m, N).
-    G' stands in for 1 / F'(G): their product is 1 through degree m - 1,
-    and F(G) - z vanishes through degree m.
     """
     if f.dim != 1:
         raise ValueError("reversion implemented for univariate series")
-    one = TruncatedSeries.one(1, f.order)
-    if f.order == 0:
-        return one
-    F = f - one
-    a1 = F.get((1,))
-    if coeff_is_zero(a1):
-        raise ValueError("no compositional inverse: first-order coefficient is zero")
-    g = {(1,): Fraction(1) / a1}
-    m = 1
-    while m < f.order:
-        m = min(2 * m, f.order)
-        G = TruncatedSeries(1, m, g)
-        res = series_subst(TruncatedSeries(1, m, F.coeffs), [G]) \
-            - TruncatedSeries.variable(1, m, 0)
-        g = (G - res * derivative(G)).coeffs
-    return one + TruncatedSeries(1, f.order, g)
+    return vector_reversion([f])[0]
 
 
 def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -314,7 +283,9 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
     part of every monomial G^v with |v| >= 2 is final, and the degree-n
     error of (f_i - 1)(G) fixes the degree-n part of G through the
     inverse Jacobian.  Each G^v is built as G^(v - e_j) G_j, one degree
-    per round, and shared by the d components.
+    per round, and shared by the d components; it is built only for the
+    monomials some f_i uses and their chains of such parents, so that a
+    series with few terms, such as a quadratic, needs few powers.
     """
     if not fs:
         raise ValueError("vector_reversion needs at least one component series")
@@ -336,24 +307,33 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
 
     # ordinary coefficients of degree >= 2, the only ones the error reads
     Fs = [{v: c for v, c in f.ordinary().items() if total(v) >= 2} for f in fs]
+    # v -> (j, v - e_j) with j the first nonzero entry, for each G^v built
+    parent = {}
+    for F in Fs:
+        for v in F:
+            while total(v) >= 2 and v not in parent:
+                j = next(i for i, k in enumerate(v) if k)
+                parent[v] = j, v[:j] + (v[j] - 1,) + v[j + 1:]
+                v = parent[v][1]
+    chain = sorted((total(v), v, *jp) for v, jp in parent.items())
     # homogeneous parts of G_i, one appended per degree
     G = [_graded(TruncatedSeries(d, order, {unit[j]: jinv[i][j] for j in range(d)}))[:2]
          for i in range(d)]
     mono = {unit[j]: G[j] for j in range(d)}   # v -> homogeneous parts of G^v
     for deg in range(2, order + 1):
         err = [_empty(d)] * d
-        for n in range(2, deg + 1):
-            for v in iter_indices_of_total(d, n):
-                j = next(i for i, k in enumerate(v) if k)
-                base = mono[tuple(k - (i == j) for i, k in enumerate(v))]
-                part = _empty(d)
-                for k in range(n - 1, deg):
-                    part = _add_product(part, base[k], G[j][deg - k], d)
-                mono.setdefault(v, [_empty(d)] * n).append(part)
-                for i in range(d):
-                    a = Fs[i].get(v)
-                    if a is not None:
-                        err[i] = _add(err[i], _times(a, part))
+        for n, v, j, p in chain:
+            if n > deg:
+                break
+            base = mono[p]
+            part = _empty(d)
+            for k in range(n - 1, deg):
+                part = _add_product(part, base[k], G[j][deg - k], d)
+            mono.setdefault(v, [_empty(d)] * n).append(part)
+            for i in range(d):
+                a = Fs[i].get(v)
+                if a is not None:
+                    err[i] = _add(err[i], _times(a, part))
         for j in range(d):
             part = _empty(d)
             for i in range(d):

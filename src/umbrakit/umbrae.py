@@ -13,9 +13,9 @@ from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import Coefficient, Poly, as_coefficient
-from .series import (OrderMismatchError, TruncatedSeries, reciprocal,
-                     series_compose, series_exp, series_log, series_reversion,
-                     series_subst, vector_reversion)
+from .series import (TruncatedSeries, reciprocal, series_compose, series_exp,
+                     series_log, series_reversion, series_subst,
+                     vector_reversion)
 
 
 class UmbraTuple:
@@ -40,13 +40,7 @@ class UmbraTuple:
 
     def eval_power(self, v: tuple[int, ...]) -> Coefficient:
         """E[mu^v] = g_v; a hard error beyond the truncation order."""
-        v = tuple(v)
-        if len(v) != self.dim:
-            raise ValueError(f"index {v} has wrong dimension (d={self.dim})")
-        if mi.total(v) > self.order:
-            raise OrderMismatchError(
-                f"moment of order {mi.total(v)} exceeds truncation {self.order}")
-        return self.moments.get(v, Fraction(0))
+        return self._series.get(v)
 
     def indices(self):
         return mi.iter_indices(self.dim, self.order)

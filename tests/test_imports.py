@@ -39,3 +39,33 @@ def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def referenced_names(nodes):
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+TREES = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_function_is_referenced_in_the_package(path):
+    """A module-level _name that nothing in the package calls is dead code;
+    a test that still calls it keeps it alive only by mistake."""
+    others = referenced_names(t for p, t in TREES.items() if p != path)
+    body = TREES[path].body
+    dead = [node.name for node in body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and node.name not in others
+            and node.name not in referenced_names(n for n in body if n is not node)]
+    assert not dead, f"{path.name} defines {dead}, which nothing in the package uses"

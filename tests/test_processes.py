@@ -28,6 +28,25 @@ def test_spec_validation():
         ProcessSpec("brownian", 0, 4, {})
 
 
+def test_spec_owns_parameter_names_and_defaults():
+    with pytest.raises(ValueError, match=r"'sclae' does not apply to gamma "
+                                         r"\(takes: shape, scale\)"):
+        ProcessSpec("gamma", 1, 3, {"shape": 2, "sclae": 3})
+    with pytest.raises(ValueError, match=r"\(takes: none\)"):
+        ProcessSpec("euler_half", 1, 3, {"rate": 1})
+    with pytest.raises(ValueError, match="needs a 'path'"):
+        ProcessSpec("custom", 1, 3)
+    given = {"shape": "2"}
+    spec = ProcessSpec("gamma", 1, 3, given)
+    assert spec.params == {"shape": 2, "scale": 1}
+    assert given == {"shape": "2"}
+    assert ProcessSpec("brownian", 2, 2).params == {"C": [[1, 0], [0, 1]]}
+    with pytest.raises(ValueError, match="has shape 1x1, need 2x2"):
+        ProcessSpec("brownian", 2, 2, {"C": [[1]]})
+    assert build(ProcessSpec("inverse_gaussian", 1, 4, {"b": 2})).one_step == \
+        build(ProcessSpec("inverse_gaussian", 1, 4, {"a": 1, "b": 2})).one_step
+
+
 def test_spec_dimension_cap():
     with pytest.raises(OrderOverflowError, match=r"dimension 9 outside \[1, 8\]"):
         ProcessSpec("brownian", 9, 2, {})

@@ -1,8 +1,8 @@
 """The graded series kernel against the product-loop reference.
 
 exp, log, reciprocal and pow run degree recurrences, products and
-substitution work on homogeneous parts, and reversion uses precision
-doubling.  All of it is exact, so it must agree with tests/series_path.py
+substitution work on homogeneous parts, and reversion is solved degree
+by degree.  All of it is exact, so it must agree with tests/series_path.py
 to the last rational.
 """
 
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
 from umbrakit.polynomials import Poly, parse_poly
+from umbrakit.processes import ig_quadratic
 from umbrakit.series import (TruncatedSeries, _z_vars, reciprocal, series_exp,
                              series_log, series_pow, series_reversion,
                              series_subst, vector_reversion)
@@ -210,7 +211,6 @@ def random_univariate(rnd, order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 12, 24])
 def test_reversion_round_trips_at_every_schedule(order):
-    # orders off the powers of two end the doubling on a partial step
     rnd = random.Random(order)
     one = TruncatedSeries.one(1, order)
     z = TruncatedSeries.variable(1, order, 0)
@@ -246,3 +246,61 @@ def test_vector_reversion_round_trip_d3():
         for i in range(d):
             assert sp.subst(fs[i] - one, [g - one for g in gs]) == \
                 TruncatedSeries.variable(d, order, i)
+
+
+def test_series_reversion_needs_constant_term_1():
+    with pytest.raises(ValueError, match="component series must have constant term 1"):
+        series_reversion(TruncatedSeries(1, 4, {(0,): 2, (1,): 1}))
+
+
+def lagrange_series(f):
+    """1 + the Lagrange-inversion oracle's reversion of f - 1, univariate f."""
+    F = [Fraction(0)] + [f.ordinary().get((k,), Fraction(0))
+                         for k in range(1, f.order + 1)]
+    G = lagrange_reversion(F, f.order)
+    return TruncatedSeries.from_ordinary(
+        1, f.order, {(0,): 1, **{(k,): G[k] for k in range(1, f.order + 1)}})
+
+
+# vector_reversion builds G^v only for the monomials of the f_i and their
+# chains of parents; these series leave most monomials out
+SPARSE_UNIVARIATE = {
+    "ig_quadratic": lambda: ig_quadratic(Fraction(1), Fraction(2), 24).to_series(),
+    "z_and_z5": lambda: TruncatedSeries(1, 16, {(0,): 1, (1,): Fraction(-2, 3),
+                                                (5,): 7}),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_UNIVARIATE)
+def test_reversion_of_a_sparse_series_matches_lagrange(name):
+    f = SPARSE_UNIVARIATE[name]()
+    assert series_reversion(f) == lagrange_series(f)
+
+
+def test_vector_reversion_of_marginal_pure_powers_matches_lagrange():
+    # the shape multivariate_comp_inverse passes: f_i lives in z_i alone
+    order = 10
+    marginals = [TruncatedSeries(1, order, {(0,): 1, (1,): 2, (3,): -1, (4,): Fraction(1, 3)}),
+                 TruncatedSeries(1, order, {(0,): 1, (1,): -1, (2,): 5, (7,): 2})]
+    fs = [TruncatedSeries(2, order, {(k, 0): c for (k,), c in marginals[0].coeffs.items()}),
+          TruncatedSeries(2, order, {(0, k): c for (k,), c in marginals[1].coeffs.items()})]
+    gs = vector_reversion(fs)
+    want = [lagrange_series(f) for f in marginals]
+    assert gs[0] == TruncatedSeries(2, order, {(k, 0): c for (k,), c in want[0].coeffs.items()})
+    assert gs[1] == TruncatedSeries(2, order, {(0, k): c for (k,), c in want[1].coeffs.items()})
+
+
+@pytest.mark.parametrize("higher", [
+    [{(3, 0): 1, (0, 2): Fraction(-1, 2)}, {(0, 4): 3, (2, 0): 1}],
+    [{(2, 1): 2}, {(0, 3): Fraction(1, 2)}],
+], ids=["pure_powers", "mixed_2_1"])
+def test_vector_reversion_of_sparse_coupled_series_round_trips(higher):
+    d, order = 2, 7
+    linear = [{(1, 0): 1, (0, 1): 2}, {(1, 0): -1, (0, 1): 1}]
+    fs = [TruncatedSeries(d, order, {(0, 0): 1, **linear[i], **higher[i]})
+          for i in range(d)]
+    gs = vector_reversion(fs)
+    one = TruncatedSeries.one(d, order)
+    for i in range(d):
+        assert sp.subst(fs[i] - one, [g - one for g in gs]) == \
+            TruncatedSeries.variable(d, order, i)
