@@ -8,9 +8,9 @@ decidable exact equality in Q[t, s].
 
 One expansion serves every construction: shift_coeffs gives
 E[(x + tup)^v] = sum_k C(v, k) g_{v-k} x^k.  The basis Q_v is the shift by
--t.mu and E[(t.mu)^v | s.mu] the shift by (t - s).mu; expectation gives
-sum_k p_k g_k.  to_poly and poly_to_coeff_map convert between a
-coefficient map and a Poly in x1..xd.
+-t.mu and E[(t.mu)^v | s.mu] the shift by (t - s).mu, each memoised per
+index on its tuple; expectation gives sum_k p_k g_k.  to_poly and
+poly_to_coeff_map convert between a coefficient map and a Poly in x1..xd.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping
 
 from . import multiindex as mi
@@ -68,11 +69,20 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     return out or {(0,) * d: Poly.const(0)}
 
 
-def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> CoeffMap:
-    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v."""
+def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
+    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v.
+
+    Memoised per v on the tuple, so a sweep that conditions on one tuple
+    expands each index once.  Every caller shares the map, TshPolynomial
+    among them, so it is returned read-only.
+    """
     v = tuple(v)
-    return {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
-            for k in _sub_indices(v)}
+    out = tup._shifts.get(v)
+    if out is None:
+        out = tup._shifts[v] = MappingProxyType(
+            {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
+             for k in _sub_indices(v)})
+    return out
 
 
 def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:

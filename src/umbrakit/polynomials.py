@@ -234,7 +234,22 @@ class Poly:
     # -- substitution -------------------------------------------------
 
     def subs(self, mapping: Mapping[str, Coefficient]) -> "Poly":
-        """Substitute variables by polynomials or scalars."""
+        """Substitute variables by polynomials or scalars.
+
+        Renaming one variable to one the polynomial does not contain
+        permutes the exponents and keeps the term order; every other
+        mapping expands term by term.
+        """
+        if len(mapping) == 1:
+            (name, new), = mapping.items()
+            if (name in self.vars and type(new) is Poly and len(new.vars) == 1
+                    and new.vars[0] not in self.vars and new._den == 1
+                    and new._nums == {(1,): 1}):
+                names = [new.vars[0] if x == name else x for x in self.vars]
+                order = sorted(range(len(names)), key=names.__getitem__)
+                pick = itemgetter(*order) if len(order) > 1 else tuple
+                return _make(tuple(names[i] for i in order),
+                             {pick(e): n for e, n in self._nums.items()}, self._den)
         out = _ZERO
         powers: dict = {}
         for e, n in self._nums.items():

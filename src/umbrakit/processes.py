@@ -81,6 +81,12 @@ class ProcessSpec:
         # a new dict: the caller's may be shared between specs
         object.__setattr__(self, "params", params)
 
+    def __hash__(self) -> int:
+        # params holds a dict and C a list of lists; hash a frozen copy
+        frozen = tuple(sorted((key, tuple(map(tuple, value)) if key == "C" else value)
+                              for key, value in self.params.items()))
+        return hash((self.kind, self.dim, self.order, frozen))
+
 
 @dataclass(frozen=True)
 class SymbolicProcess:

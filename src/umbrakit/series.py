@@ -252,13 +252,48 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return series_subst(outer, [inner])
 
 
-def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """num / den for univariate den with invertible rational constant term."""
-    c0 = den.constant_term()
-    if coeff_is_zero(c0):
-        raise ValueError("division by series with zero constant term")
-    inv0 = Fraction(1) / c0
-    return num * reciprocal(den.scale(inv0)).scale(inv0)
+def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
+    """Homogeneous parts of h^k / k!, k = 0..N, for h with zero constant term.
+
+    h is graded once, and each power is one part product with the last
+    and a scaling by 1/k; the table stays in parts for exp_at.
+    """
+    if not coeff_is_zero(h.constant_term()):
+        raise ValueError("exp_table needs zero constant term")
+    dim, order = h.dim, h.order
+    hp = _graded(h)
+    term = [_unit(dim)] + [_empty(dim)] * order
+    table = [term]
+    for k in range(1, order + 1):
+        term = [_scale(part, 1, k) for part in _mul_parts(term, hp, dim, order)]
+        table.append(term)
+    return table
+
+
+def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
+           dim: int, order: int) -> TruncatedSeries:
+    """exp(p h) = sum_k p^k [h^k / k!] from the exp_table of h, for a
+    rational or Poly p.
+
+    The sum runs on the parts in increasing k, so each coefficient lists
+    its terms in that order, and the result is read back once.
+    """
+    p = as_coefficient(p)
+    symbolic = type(p) is Poly and bool(p.vars)
+    if symbolic and p.vars[-1] >= _z_vars(dim)[0]:
+        raise ValueError(f"variable {p.vars[-1]!r} does not sort before the "
+                         f"reserved series variables")
+    out = list(table[0])
+    p_k = p
+    for k, term in enumerate(table[1:], 1):
+        if k > 1:
+            p_k = p_k * p
+        for deg in range(k, order + 1):
+            part = term[deg]
+            if part._nums:
+                out[deg] = _add(out[deg], _product(part, p_k) if symbolic
+                                else _scale(part, *_scalar_parts(p_k)))
+    return _ungraded(dim, order, out)
 
 
 def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -400,8 +435,11 @@ def _graded(f: TruncatedSeries) -> list[Poly]:
 
 def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
     """The series whose ordinary coefficients are grouped in parts.  A
-    coefficient without parameter terms comes back as a Fraction."""
+    coefficient without parameter terms comes back as a Fraction.  Equal
+    parameter exponents share one tuple object across the coefficients,
+    which keeps the series as small as one built coefficient-wise."""
     coeffs = {}
+    shared: dict = {}
     for part in parts:
         den, np = part._den, len(part.vars) - dim
         if not np:
@@ -416,7 +454,11 @@ def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
                 if not any(e[:np]):
                     coeffs[v] = Fraction(x * fact, den)
                     continue
-            coeffs[v] = _reduced(params, {e[:np]: x * fact for e, x in terms.items()}, den)
+            nums = {}
+            for e, x in terms.items():
+                e = e[:np]
+                nums[shared.setdefault(e, e)] = x * fact
+            coeffs[v] = _reduced(params, nums, den)
     out = TruncatedSeries.__new__(TruncatedSeries)
     out.dim, out.order, out.coeffs = dim, order, coeffs
     return out

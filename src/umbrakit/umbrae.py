@@ -13,15 +13,15 @@ from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import Coefficient, Poly, as_coefficient
-from .series import (TruncatedSeries, reciprocal, series_compose, series_exp,
-                     series_log, series_reversion, series_subst,
-                     vector_reversion)
+from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
+                     series_compose, series_exp, series_log, series_reversion,
+                     series_subst, vector_reversion)
 
 
 class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
-    __slots__ = ("dim", "order", "moments", "_series", "_tables", "_dots")
+    __slots__ = ("dim", "order", "moments", "_series", "_tables", "_dots", "_shifts")
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
@@ -35,6 +35,7 @@ class UmbraTuple:
         self._series = f
         self._tables = {}   # kind -> series table, see _series_table
         self._dots = {}     # (kind, p) -> dot-product tuple, see _dot
+        self._shifts = {}   # v -> read-only map, see harmonic.shift_coeffs
 
     # -- evaluation ---------------------------------------------------
 
@@ -118,23 +119,20 @@ class UmbraTuple:
                   for j in range(d)]
         return UmbraTuple.from_series(series_subst(self.to_series(), inners))
 
-    def _series_table(self, kind: str) -> list[dict]:
-        """Exponential coefficients of h^k / k!, k = 0..N, where h = log f
-        for kind "log" and h = f - 1 for kind "beta"; built once per tuple."""
+    def _series_table(self, kind: str) -> list[list[Poly]]:
+        """The exp_table of h, the homogeneous parts of h^k / k!, k = 0..N,
+        where h = log f for kind "log" and h = f - 1 for kind "beta";
+        built once per tuple."""
         table = self._tables.get(kind)
         if table is None:
-            one = TruncatedSeries.one(self.dim, self.order)
             f = self.to_series()
-            h = series_log(f) if kind == "log" else f - one
-            term, table = one, [one.coeffs]
-            for k in range(1, self.order + 1):
-                term = (term * h).scale(Fraction(1, k))
-                table.append(term.coeffs)
-            self._tables[kind] = table
+            one = TruncatedSeries.one(self.dim, self.order)
+            table = self._tables[kind] = exp_table(series_log(f) if kind == "log" else f - one)
         return table
 
     def _dot(self, kind: str, p: Coefficient) -> "UmbraTuple":
-        """The tuple with gf exp(p h): g_v = sum_k p^k [h^k / k!]_v.
+        """The tuple with gf exp(p h), summed by exp_at on the parts of
+        the _series_table of kind.
 
         Memoised per (kind, p) on this tuple, so the few time arguments a
         process uses (t, -t, t - s) are each expanded once.  Callers share
@@ -143,14 +141,8 @@ class UmbraTuple:
         key = (kind, p)
         out = self._dots.get(key)
         if out is None:
-            moments: dict = {}
-            p_k: Coefficient = Fraction(1)
-            for k, term in enumerate(self._series_table(kind)):
-                if k:
-                    p_k = p_k * p
-                for v, c in term.items():
-                    moments[v] = moments.get(v, Fraction(0)) + c * p_k
-            out = self._dots[key] = UmbraTuple(self.dim, self.order, moments)
+            f = exp_at(self._series_table(kind), p, self.dim, self.order)
+            out = self._dots[key] = UmbraTuple.from_series(f)
         return out
 
     def dot_n(self, n: int) -> "UmbraTuple":

@@ -6,11 +6,14 @@ Both paths are exact, so they must agree to the last rational.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
+from umbrakit.harmonic import tsh_polynomial
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
+from umbrakit.series import TruncatedSeries, series_exp, series_pow
 from umbrakit.umbrae import UmbraTuple
 
 import partition_path as pp
@@ -71,6 +74,18 @@ def test_random_arrays(mu, p, n):
     assert_paths_agree(mu, [p], [n])
 
 
+@settings(max_examples=20, deadline=None)
+@given(arrays(), st.integers(0, 4))
+def test_random_arrays_against_series_recurrences(mu, n):
+    # exp_table/exp_at against Miller's pow and the exp recurrence
+    f = mu.to_series()
+    for p in (t, -t, t - s):
+        assert mu.dot_t(p).to_series() == series_pow(f, p), f"dot_t({p})"
+    assert mu.dot_n(n).to_series() == series_pow(f, n), f"dot_n({n})"
+    h = f - TruncatedSeries.one(mu.dim, mu.order)
+    assert mu.dot_t_beta(t).to_series() == series_exp(h.scale(t))
+
+
 def test_parameterised_moments():
     # moments that are themselves polynomials in a parameter
     r = Poly.var("r")
@@ -100,3 +115,17 @@ def test_arrays_of_one_shape_share_no_table():
     assert a != b
     assert a == pp.dot_t(mu, t) and b == pp.dot_t(nu, t)
     assert nu.dot_t_beta(-t) == pp.dot_t_beta(nu, -t)
+
+
+def test_tsh_coefficients_are_shared_read_only():
+    mu = rand_tuple(random.Random(7), 2, 4)
+    q = tsh_polynomial(mu, (2, 1))
+    with pytest.raises(TypeError):
+        q.coeffs[(0, 0)] = Poly.const(0)
+    again = tsh_polynomial(mu, (2, 1))
+    assert again == q
+    # Q_v = E[(x - t.mu)^v], with the moments of -t.mu from the partition sum
+    neg = pp.dot_t(mu, -t)
+    assert again.coeffs == {(a, b): mi.multi_binomial((2, 1), (a, b))
+                            * neg.eval_power((2 - a, 1 - b))
+                            for a in range(3) for b in range(2)}

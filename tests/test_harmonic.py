@@ -115,6 +115,25 @@ def test_recursion_check_proof_version():
     assert not rep2.printed_version_holds
 
 
+@pytest.mark.parametrize("kind, d, v, params, cert", [
+    ("gamma", 1, (3,), {"shape": Fraction(2), "scale": Fraction(1, 2)},
+     {"index": (0,), "conditional": "-s^4 + 3/2*s^3 - s^2*t + s*t^2 - 1/2*s^2",
+      "expected": "-s^4 + 3/2*s^3 - 1/2*s^2"}),
+    ("poisson", 2, (2, 1), {},
+     {"index": (0, 0), "conditional": "-s^4 + 3*s^3 - s^2*t + s*t^2 - s^2",
+      "expected": "-s^4 + 3*s^3 - s^2"}),
+])
+def test_verify_with_s_in_the_coefficients(kind, d, v, params, cert):
+    # p_k holds both t and s, so t -> s is no rename and Poly.subs expands
+    # term by term; the certificates were recorded before the rename path
+    mu = proc(kind, d=d, order=4, **params)
+    scaled = {k: s * q for k, q in tsh_polynomial(mu, v).coeffs.items()}
+    assert verify_harmonicity(mu, scaled) == (True, None)
+    low = (1,) + (0,) * (d - 1)
+    scaled[low] = scaled[low] + t * s
+    assert verify_harmonicity(mu, scaled) == (False, cert)
+
+
 def test_decompose_basis_element_and_combination():
     mu = proc("brownian")
     q2 = tsh_polynomial(mu, (2,))

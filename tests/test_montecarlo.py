@@ -123,3 +123,21 @@ def test_mc_verify_report_is_pinned(capsys):
                  "--order", "3", "--paths", "10000", "--seed", "34", "--json"])
     assert code == 0
     assert canonical_digest(capsys.readouterr().out) == GAMMA_D2_DIGEST
+
+
+# The other three processes at the default seed, copied from
+# perfbench/mc_digests.json.  The x-term order of each Q_v sets the float
+# evaluation order, so each process pins its own basis and sampler.
+DEFAULT_SEED_DIGESTS = {
+    ("brownian", "2"): "055b7c4b532c532abc391d93fad785a7b4bfebbe66cce3aded17a7156d338d5e",
+    ("poisson", "1"): "bb71f43d814c7cd7c5cfce85e0cfd54a21e85d29b655ed62e825a9044bcf7648",
+    ("ig", "1"): "34d825da1c3331b79c8dad3ccfa8d8c549bff0e3b4b31403f6d27f39ba0bea64",
+}
+
+
+@pytest.mark.parametrize("process, d", DEFAULT_SEED_DIGESTS)
+def test_mc_verify_default_seed_is_pinned(capsys, process, d):
+    code = main(["mc-verify", "--process", process, "--d", d, "--max-order", "3",
+                 "--order", "3", "--paths", "100000", "--json"])
+    assert code == 0
+    assert canonical_digest(capsys.readouterr().out) == DEFAULT_SEED_DIGESTS[process, d]

@@ -59,6 +59,18 @@ def test_subs():
     assert p.subs({"x": y + 1}).subs({"t": 0}) == p.subs({"t": 0}).subs({"x": y + 1})
 
 
+@given(polys(), st.sampled_from(["x", "y", "t"]), st.sampled_from(["a", "s", "z"]))
+def test_rename_matches_the_general_substitution(p, old, new):
+    # a second, unused entry sends the same rename down the general path
+    fast = p.subs({old: Poly.var(new)})
+    slow = p.subs({old: Poly.var(new), "unused": 0})
+
+    def listed(q):
+        return [({n: k for n, k in zip(q.vars, e) if k}, c) for e, c in q.terms.items()]
+    assert fast == slow and listed(fast) == listed(slow)
+    assert list(fast.vars) == sorted(fast.vars)
+
+
 def test_reduce_power():
     s = Poly.var("s")
     p = s ** 2 * x + s ** 3 + s

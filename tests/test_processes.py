@@ -47,6 +47,21 @@ def test_spec_owns_parameter_names_and_defaults():
         build(ProcessSpec("inverse_gaussian", 1, 4, {"a": 1, "b": 2})).one_step
 
 
+def test_equal_specs_hash_equal_and_key_a_dict():
+    pairs = [(ProcessSpec("gamma", 1, 2), ProcessSpec("gamma", 1, 2, {"shape": "1"})),
+             (ProcessSpec("brownian", 2, 3),
+              ProcessSpec("brownian", 2, 3, {"C": [[1, 0], [0, 1]]})),
+             (ProcessSpec("custom", 1, 2, {"path": "m.json"}),
+              ProcessSpec("custom", 1, 2, {"path": "m.json"}))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert {a: "cached"}[b] == "cached"
+    skewed = ProcessSpec("brownian", 2, 3, {"C": [[1, 0], [1, 1]]})
+    assert len({pairs[1][0], pairs[1][1], skewed}) == 2
+    # reads through params still see the parsed values
+    assert pairs[1][1].params["C"][1] == [0, 1]
+
+
 def test_spec_dimension_cap():
     with pytest.raises(OrderOverflowError, match=r"dimension 9 outside \[1, 8\]"):
         ProcessSpec("brownian", 9, 2, {})

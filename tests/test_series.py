@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit.polynomials import Poly
-from umbrakit.series import (OrderMismatchError, TruncatedSeries, divide,
+from umbrakit.series import (OrderMismatchError, TruncatedSeries,
                              reciprocal, series_compose, series_exp,
                              series_log, series_pow, series_reversion,
                              series_subst, vector_reversion)
@@ -56,16 +56,12 @@ def test_compose_examples():
     assert series_compose(chi, h) == TruncatedSeries.one(1, N) + h
 
 
-def test_reciprocal_and_divide():
+def test_reciprocal():
     N = 6
     u = u_series(N)
     inv = reciprocal(u)
     assert all(inv.get((k,)) == (-1) ** k for k in range(N + 1))
     assert u * inv == TruncatedSeries.one(1, N)
-    z = TruncatedSeries.variable(1, N, 0)
-    assert divide(u * z, u) == z
-    with pytest.raises(ValueError):
-        divide(u, z)
 
 
 def test_reversion_examples():
