@@ -77,12 +77,17 @@ def sample_marginals(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poly_evaluator(p: Poly, d: int):
-    """Compile a Poly in x1..xd into a vectorized evaluator."""
+    """Compile a Poly in x1..xd into a vectorized evaluator.
+
+    The float terms are summed in sorted order of their exponent tuples
+    over x1..xd, so equal polynomials give bitwise-equal values whatever
+    order their terms were built in.
+    """
     names = x_names(d)
     slots = [p.vars.index(name) if name in p.vars else None for name in names]
 
-    terms = [(float(c), tuple(e[i] if i is not None else 0 for i in slots))
-             for e, c in p.terms.items()]
+    terms = sorted((tuple(e[i] if i is not None else 0 for i in slots), float(c))
+                   for e, c in p.terms.items())
     # any non-x variable left in p is a bug in the caller
     for name in p.vars:
         if name not in names and p.degree(name):
@@ -90,7 +95,7 @@ def _poly_evaluator(p: Poly, d: int):
 
     def ev(x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0])
-        for c, exps in terms:
+        for exps, c in terms:
             term = np.full(x.shape[0], c)
             for i, k in enumerate(exps):
                 if k:

@@ -48,12 +48,13 @@ def check_dimension(d: int) -> None:
         raise OrderOverflowError(f"dimension {d} outside [1, {MAX_DIMENSION}]")
 
 
-def check_index(v: tuple[int, ...], max_order: int = MAX_TOTAL_ORDER) -> None:
+def check_index(v: tuple[int, ...]) -> None:
+    """Raise unless v has an allowed dimension, no negative entry and
+    |v| within the working cap order_cap()."""
     check_dimension(len(v))
     if any(e < 0 for e in v):
         raise ValueError(f"negative entry in multi-index {v}")
-    if sum(v) > max_order:
-        raise OrderOverflowError(f"|{v}| = {sum(v)} exceeds cap {max_order}")
+    check_order(total(v))
 
 
 def total(v: tuple[int, ...]) -> int:
@@ -154,7 +155,7 @@ def partitions(v: tuple[int, ...]) -> Iterator[MultiIndexPartition]:
     candidate columns in decreasing lexicographic order; remaining budget
     prunes the search so no dedup pass is needed.
     """
-    check_index(v, max_order=order_cap())
+    check_index(v)
     d = len(v)
     if all(e == 0 for e in v):
         yield MultiIndexPartition((), ())
@@ -202,7 +203,7 @@ def partition_weight(lam: MultiIndexPartition, v: tuple[int, ...]) -> Fraction:
 def parse_index(text: str) -> tuple[int, ...]:
     """Parse the text form "(v1,...,vd)" (parentheses optional).
 
-    The index must pass check_index under the working cap order_cap().
+    The index must pass check_index.
     """
     body = text.strip()
     if body[:1] == "(" and body[-1:] == ")":
@@ -214,7 +215,7 @@ def parse_index(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed multi-index {text!r}: need (v1,...,vd) "
                          "with nonnegative integers")
     v = tuple(int(part) for part in parts)
-    check_index(v, max_order=order_cap())
+    check_index(v)
     return v
 
 

@@ -117,8 +117,8 @@ class Poly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Exponent tuple -> Fraction, in term order.  Built on each read,
-        so writing to it leaves the Poly unchanged."""
+        """Exponent tuple -> Fraction.  Built on each read, so writing to
+        it leaves the Poly unchanged."""
         den = self._den
         return {e: Fraction(n, den) for e, n in self._nums.items()}
 
@@ -148,17 +148,13 @@ class Poly:
         return _reduced(self.vars[:i] + self.vars[i + 1:], nums, self._den)
 
     # -- arithmetic ---------------------------------------------------
-    #
-    # Results keep the term order of the plain dict algorithms: a sum
-    # lists the left operand's terms, then the new ones of the right; a
-    # product lists e1 + e2 as the pairs (e1, e2) first reach it.
 
     def __add__(self, other: Coefficient) -> "Poly":
         if type(other) is Poly and other.vars:
             if self.vars:
                 return _sum(self, other, 1)
-            return _shift(other, *_scalar(self), lead=True)
-        return _shift(self, *_scalar_parts(other), lead=False)
+            return _shift(other, *_scalar(self))
+        return _shift(self, *_scalar_parts(other))
 
     __radd__ = __add__
 
@@ -169,12 +165,12 @@ class Poly:
         if type(other) is Poly and other.vars:
             if self.vars:
                 return _sum(self, other, -1)
-            return _shift(-other, *_scalar(self), lead=True)
+            return _shift(-other, *_scalar(self))
         n, d = _scalar_parts(other)
-        return _shift(self, -n, d, lead=False)
+        return _shift(self, -n, d)
 
     def __rsub__(self, other: Coefficient) -> "Poly":
-        return _shift(-self, *_scalar_parts(other), lead=True)
+        return _shift(-self, *_scalar_parts(other))
 
     def __mul__(self, other: Coefficient) -> "Poly":
         if type(other) is Poly and other.vars:
@@ -237,8 +233,7 @@ class Poly:
         """Substitute variables by polynomials or scalars.
 
         Renaming one variable to one the polynomial does not contain
-        permutes the exponents and keeps the term order; every other
-        mapping expands term by term.
+        permutes the exponents; every other mapping expands term by term.
         """
         if len(mapping) == 1:
             (name, new), = mapping.items()
@@ -363,22 +358,19 @@ def _embedded(nums: dict, emb) -> dict:
     return nums if emb is None else {emb(e): n for e, n in nums.items()}
 
 
-def _shift(p: Poly, n: int, d: int, lead: bool) -> Poly:
-    """p + n/d.  With lead the constant term comes first, as in c + p
-    for a constant c."""
+def _shift(p: Poly, n: int, d: int) -> Poly:
+    """p + n/d."""
     if not n:
         return p
     nums, den = p._nums, p._den
     zero = (0,) * len(p.vars)
     if d == den:
-        base, c = nums, n
+        out = dict(nums)
     else:
         g = math.gcd(den, d)
         m = d // g
-        base, c, den = {e: x * m for e, x in nums.items()}, n * (den // g), den * m
-    out = {zero: 0} if lead else {}
-    out.update(base)
-    c += out.get(zero, 0)
+        out, n, den = {e: x * m for e, x in nums.items()}, n * (den // g), den * m
+    c = out.get(zero, 0) + n
     if c:
         out[zero] = c
     else:

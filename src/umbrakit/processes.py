@@ -216,7 +216,9 @@ def load_custom_moments(path: str | Path) -> UmbraTuple:
 
 def moments_from_json(data: Mapping) -> UmbraTuple:
     moments = parse_coeff_map(data, "moments")
-    return UmbraTuple(json_int(data, "d"), json_int(data, "order"), moments)
+    d, order = json_int(data, "d"), json_int(data, "order")
+    mi.check_order(order)
+    return UmbraTuple(d, order, moments)
 
 
 def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:

@@ -12,10 +12,7 @@ total degree, and each part is one Poly in the coefficient parameters
 names sort after every identifier and parse_poly never produces them.
 A part product is then a Poly product, a part sum a Poly sum and a
 weight a scaling, all on integer numerators over one denominator, and
-truncation comes from the grading.  Each part lists its z-monomials in
-the order they are first reached, with the parameter terms of each in
-the order the coefficient itself would list them, so a coefficient
-read back keeps the term order of coefficient-wise arithmetic.
+truncation comes from the grading.
 
 The Euler operator E = sum_i z_i d/dz_i multiplies the degree-n part by
 n, so exp, log, reciprocal and pow follow from recurrences on the parts
@@ -181,7 +178,7 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, f.order + 1):
         acc = _scale(fp[n], n, 1)
         for k in range(1, n):
-            acc = _add_product(acc, _scale(h[k], -k, 1), fp[n - k], f.dim)
+            acc = _add_product(acc, _scale(h[k], -k, 1), fp[n - k])
         h.append(_scale(acc, 1, n))
     return _ungraded(f.dim, f.order, h)
 
@@ -273,10 +270,8 @@ def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
 def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
            dim: int, order: int) -> TruncatedSeries:
     """exp(p h) = sum_k p^k [h^k / k!] from the exp_table of h, for a
-    rational or Poly p.
-
-    The sum runs on the parts in increasing k, so each coefficient lists
-    its terms in that order, and the result is read back once.
+    rational or Poly p.  The sum runs on the parts, and the result is
+    read back once.
     """
     p = as_coefficient(p)
     symbolic = type(p) is Poly and bool(p.vars)
@@ -363,7 +358,7 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
             base = mono[p]
             part = _empty(d)
             for k in range(n - 1, deg):
-                part = _add_product(part, base[k], G[j][deg - k], d)
+                part = _add_product(part, base[k], G[j][deg - k])
             mono.setdefault(v, [_empty(d)] * n).append(part)
             for i in range(d):
                 a = Fs[i].get(v)
@@ -446,35 +441,22 @@ def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
             for v, x in part._nums.items():
                 coeffs[v] = Fraction(x * mi_factorial(v), den)
             continue
-        params = part.vars[:np]
-        for v, terms in _z_groups(part, np).items():
+        groups: dict = {}   # z-monomial v -> {parameter exponents: numerator}
+        for e, x in part._nums.items():
+            pe = e[:np]
+            groups.setdefault(e[np:], {})[shared.setdefault(pe, pe)] = x
+        for v, terms in groups.items():
             fact = mi_factorial(v)
             if len(terms) == 1:
                 (e, x), = terms.items()
-                if not any(e[:np]):
+                if not any(e):
                     coeffs[v] = Fraction(x * fact, den)
                     continue
-            nums = {}
-            for e, x in terms.items():
-                e = e[:np]
-                nums[shared.setdefault(e, e)] = x * fact
-            coeffs[v] = _reduced(params, nums, den)
+            coeffs[v] = _reduced(part.vars[:np],
+                                 {e: x * fact for e, x in terms.items()}, den)
     out = TruncatedSeries.__new__(TruncatedSeries)
     out.dim, out.order, out.coeffs = dim, order, coeffs
     return out
-
-
-def _z_groups(part: Poly, np: int) -> dict:
-    """The terms of a part with np parameters grouped by z-monomial, in
-    the order each is first reached: v -> {exponent tuple: numerator}."""
-    groups: dict = {}
-    for e, x in part._nums.items():
-        terms = groups.get(e[np:])
-        if terms is None:
-            groups[e[np:]] = {e: x}
-        else:
-            terms[e] = x
-    return groups
 
 
 def _add(p: Poly, q: Poly) -> Poly:
@@ -486,20 +468,10 @@ def _add(p: Poly, q: Poly) -> Poly:
     return _sum(p, q, 1)
 
 
-def _add_product(acc: Poly, p: Poly, q: Poly, dim: int) -> Poly:
-    """acc + p q for three parts.  The terms of p are first grouped by
-    z-monomial, so that each coefficient of p q lists its terms as the
-    product of the coefficients of p and q would."""
+def _add_product(acc: Poly, p: Poly, q: Poly) -> Poly:
+    """acc + p q for three parts."""
     if not (p._nums and q._nums):
         return acc
-    np = len(p.vars) - dim
-    if np:
-        groups = _z_groups(p, np)
-        if len(groups) < len(p._nums):
-            nums = {}
-            for terms in groups.values():
-                nums.update(terms)
-            p = _make(p.vars, nums, p._den)
     return _add(acc, _product(p, q))
 
 
@@ -519,7 +491,7 @@ def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
         acc = _empty(f.dim)
         for k in range(1, n + 1):
             if fp[k]._nums and g[n - k]._nums:
-                acc = _add_product(acc, _times(weight(n, k), fp[k]), g[n - k], f.dim)
+                acc = _add_product(acc, _times(weight(n, k), fp[k]), g[n - k])
         g.append(_scale(acc, 1, n))
     return _ungraded(f.dim, f.order, g)
 
@@ -531,7 +503,7 @@ def _mul_parts(p: Sequence[Poly], q: Sequence[Poly], dim: int, order: int) -> li
         if pi._nums:
             for j, qj in enumerate(q[:order + 1 - i]):
                 if qj._nums:
-                    out[i + j] = _add_product(out[i + j], pi, qj, dim)
+                    out[i + j] = _add_product(out[i + j], pi, qj)
     return out
 
 

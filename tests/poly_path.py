@@ -4,7 +4,7 @@ integer-numerator ring in umbrakit.polynomials.
 Every coefficient is a Fraction in a dict keyed by exponent tuples, and
 every binary operation remaps both operands onto the union of their
 variables.  The package's Poly must agree with this one exactly: the
-same variables, the same coefficients and the same term order.
+same variables and the same coefficients.
 """
 
 from __future__ import annotations

@@ -321,6 +321,17 @@ def test_dimension_and_order_must_be_json_integers(capsys, tmp_path, command, ke
     assert err.count("\n") == 1 and f"'{key}' must be a JSON integer" in err
 
 
+@pytest.mark.parametrize("cap, order", [(None, 21), ("5", 10)])
+def test_custom_moment_file_obeys_the_order_cap(capsys, tmp_path, monkeypatch, cap, order):
+    if cap:
+        monkeypatch.setenv("UMBRA_MAX_ORDER", cap)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": order, "moments": {"(0)": "1", "(1)": "1"}}))
+    code, out, err = run(capsys, "moments", "--process", f"custom:{path}", "--order", "2")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and f"order {order} exceeds the cap" in err
+
+
 # Every subcommand with a malformed --v, --d, --order or --params: the
 # documented exit code (2 usage, 3 spec), one line on stderr, nothing on
 # stdout and no traceback.

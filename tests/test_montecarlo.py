@@ -44,6 +44,16 @@ def test_poly_evaluator():
         _poly_evaluator(Poly.var("t"), 1)
 
 
+def test_equal_polys_evaluate_to_equal_floats():
+    # 1 + 1e16 x - 1e16 x^2 at x = 1 is 0.0 or 1.0 by summation order
+    terms = {(0,): 1, (1,): 10 ** 16, (2,): -10 ** 16}
+    p = Poly(("x1",), terms)
+    q = Poly(("x1",), dict(reversed(terms.items())))
+    assert p == q
+    x = np.array([[1.0], [-1.0], [0.5]])
+    assert _poly_evaluator(p, 1)(x).tobytes() == _poly_evaluator(q, 1)(x).tobytes()
+
+
 def test_determinism_same_seed():
     spec, cfg = cfg_for("brownian")
     a, _ = sample_marginals(cfg)
@@ -98,9 +108,10 @@ def test_report_json_and_table():
 
 # sha256 of `mc-verify --process gamma --d 2 --max-order 3 --order 3
 # --paths 10000 --seed 34 --json`, recorded with the Fraction-dict Poly.
-# The evaluator sums float terms in Poly term order.  At this seed,
-# summing them in reverse order moves a statistic in its 12th digit, so
-# the digest sees a change of term order as well as of any coefficient.
+# The evaluator sums float terms in sorted exponent order.  At this
+# seed, summing them in reverse order moves a statistic in its 12th
+# digit, so the digest sees a change of that order as well as of any
+# coefficient.
 GAMMA_D2_DIGEST = "cb636a911306e94e435a2831a56f12238420fc403b25181af2983ec8612152d3"
 
 
@@ -126,8 +137,8 @@ def test_mc_verify_report_is_pinned(capsys):
 
 
 # The other three processes at the default seed, copied from
-# perfbench/mc_digests.json.  The x-term order of each Q_v sets the float
-# evaluation order, so each process pins its own basis and sampler.
+# perfbench/mc_digests.json.  Each process pins its own basis and
+# sampler.
 DEFAULT_SEED_DIGESTS = {
     ("brownian", "2"): "055b7c4b532c532abc391d93fad785a7b4bfebbe66cce3aded17a7156d338d5e",
     ("poisson", "1"): "bb71f43d814c7cd7c5cfce85e0cfd54a21e85d29b655ed62e825a9044bcf7648",

@@ -83,6 +83,8 @@ def test_order_cap_from_environment(monkeypatch):
     with pytest.raises(mi.OrderOverflowError):
         mi.parse_index("(2,2)")
     with pytest.raises(mi.OrderOverflowError):
+        mi.check_index((2, 2))
+    with pytest.raises(mi.OrderOverflowError):
         list(mi.partitions((4,)))
     with pytest.raises(mi.OrderOverflowError):
         mi.check_order(4)

@@ -151,31 +151,6 @@ def test_mixed_rings_pow(data, e):
     assert series_pow(f, e) == sp.pow(f, e)
 
 
-def test_products_keep_the_term_order_of_coefficient_products():
-    # positive coefficients, so no partial sum cancels a term
-    rnd = random.Random(5)
-
-    def dense(constant):
-        # each coefficient lists three terms in its own order
-        grid = [(i, j) for i in range(3) for j in range(3)]
-        return TruncatedSeries(2, 4, {
-            v: Poly(("s", "t"), {e: Fraction(rnd.randint(1, 5), rnd.randint(1, 3))
-                                 for e in rnd.sample(grid, 3)})
-            for v in mi.iter_indices(2, 4) if any(v) or constant})
-
-    def term_orders(f):
-        return [(v, list(c.terms)) for v, c in sorted(f.coeffs.items())]
-
-    a, b = dense(True), dense(True)
-    got, want = a * b, sp.mul(a, b)
-    assert list(got.coeffs) == list(want.coeffs)
-    assert term_orders(got) == term_orders(want)
-    # inside series_subst the left factor of h^3 is the product h^2
-    h = dense(False)
-    cube = series_subst(TruncatedSeries(2, 4, {(3, 0): 6}), [h, h])
-    assert term_orders(cube) == term_orders((h * h) * h)
-
-
 def test_parse_poly_never_makes_a_reserved_series_variable():
     for name in _z_vars(8) + _z_vars(12):
         for text in (name, f"2*{name}^2 + t", f"t*{name}"):
