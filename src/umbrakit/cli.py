@@ -136,9 +136,10 @@ def cmd_verify(args) -> int:
               "euler": euler_tsh_check}[args.family](args.max_order, args.d)
         print(f"family {args.family}: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    spec = _process_spec(args)
     if not args.tsh:
         _check_max_order(args)
-    proc = build(_process_spec(args))
+    proc = build(spec)
     if args.tsh:
         with open(args.tsh) as fh:
             data = json.load(fh)
@@ -189,12 +190,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_mc_verify(args) -> int:
     from .montecarlo import SimConfig, simulate_and_test
+    spec = _process_spec(args)
     _check_max_order(args)
     times = args.times.split(",")
     if len(times) != 2:
         raise ValueError(f"--times {args.times!r} must have the form s,t")
     s, t = (parse_rational("times", x) for x in times)
-    spec = _process_spec(args)
     proc = build(spec)
     polys = [tsh_polynomial(proc.one_step, v)
              for v in mi.iter_indices(args.d, args.max_order) if any(v)]

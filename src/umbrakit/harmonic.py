@@ -10,7 +10,8 @@ One expansion serves every construction: shift_coeffs gives
 E[(x + tup)^v] = sum_k C(v, k) g_{v-k} x^k.  The basis Q_v is the shift by
 -t.mu and E[(t.mu)^v | s.mu] the shift by (t - s).mu, each memoised per
 index on its tuple; expectation gives sum_k p_k g_k.  to_poly and
-poly_to_coeff_map convert between a coefficient map and a Poly in x1..xd.
+poly_to_coeff_map convert between a coefficient map and a Poly in x1..xd
+through polynomials.from_coeff_map and to_coeff_map.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_poly, json_int, parse_coeff_map
+from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
+                          parse_coeff_map, to_coeff_map)
 from .umbrae import UmbraTuple
 
 CoeffMap = dict[tuple[int, ...], Poly]
@@ -44,28 +46,12 @@ def x_names(d: int) -> tuple[str, ...]:
 
 def to_poly(coeffs: Mapping[tuple[int, ...], Coefficient]) -> Poly:
     """sum_k p_k x^k as one Poly in x1..xd and the variables of the p_k."""
-    out = Poly.const(0)
-    for k, c in coeffs.items():
-        term = as_poly(c)
-        for name, e in zip(x_names(len(k)), k):
-            if e:
-                term = term * Poly.var(name) ** e
-        out = out + term
-    return out
+    return from_coeff_map(coeffs, x_names(len(next(iter(coeffs), ()))))
 
 
 def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     """Split a Poly in x1..xd (and t) into x-monomial -> Q[t] coefficients."""
-    work = [(p, ())]
-    for name in x_names(d):
-        nxt = []
-        for q, prefix in work:
-            for e in range(q.degree(name) + 1):
-                c = q.coefficient(name, e)
-                if not c.is_zero() or e == 0:
-                    nxt.append((c, prefix + (e,)))
-        work = nxt
-    out = {k: q for q, k in work if not q.is_zero()}
+    out = {k: as_poly(c) for k, c in to_coeff_map(p, x_names(d)).items()}
     return out or {(0,) * d: Poly.const(0)}
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .harmonic import TshPolynomial, to_poly, x_names
-from .polynomials import Poly
+from .polynomials import Poly, to_coeff_map
 from .processes import ProcessSpec
 
 Z_THRESHOLD = 4.0
@@ -83,15 +83,12 @@ def _poly_evaluator(p: Poly, d: int):
     over x1..xd, so equal polynomials give bitwise-equal values whatever
     order their terms were built in.
     """
-    names = x_names(d)
-    slots = [p.vars.index(name) if name in p.vars else None for name in names]
-
-    terms = sorted((tuple(e[i] if i is not None else 0 for i in slots), float(c))
-                   for e, c in p.terms.items())
-    # any non-x variable left in p is a bug in the caller
-    for name in p.vars:
-        if name not in names and p.degree(name):
-            raise SamplerError(f"polynomial still contains parameter {name!r}")
+    coeffs = to_coeff_map(p, x_names(d))
+    # a coefficient left a Poly has a parameter in it, a bug in the caller
+    left = [x for c in coeffs.values() if type(c) is Poly for x in c.vars if c.degree(x)]
+    if left:
+        raise SamplerError(f"polynomial still contains parameter {min(left)!r}")
+    terms = [(k, float(c)) for k, c in sorted(coeffs.items())]
 
     def ev(x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape[0])

@@ -10,25 +10,24 @@ Every operation ends with a single gcd reduction of the denominator
 against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
 arithmetic.  A constant Poly without variables acts as a scalar.
+
+from_coeff_map and to_coeff_map are the one path between a coefficient
+map k -> c_k and a Poly; no other module builds or unpacks numerators.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import parse_index
 
 Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "Poly"]
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 
 def _ratio(c: Scalar) -> tuple[int, int]:
@@ -42,18 +41,6 @@ def _ratio(c: Scalar) -> tuple[int, int]:
     raise TypeError(f"not a rational scalar: {c!r}")
 
 
-def _hash_rational(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for coprime n and d > 0, as Python defines it."""
-    if d == 1:
-        return hash(n)
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:
-        h = _HASH_INF
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 @lru_cache(maxsize=1024)
 def _alignment(a: tuple[str, ...], b: tuple[str, ...]):
     """The sorted union of two variable tuples and, for each side, the map
@@ -62,14 +49,17 @@ def _alignment(a: tuple[str, ...], b: tuple[str, ...]):
     return vs, _embedding(a, vs), _embedding(b, vs)
 
 
-def _embedding(src: tuple[str, ...], vs: tuple[str, ...]):
-    if src == vs:
+def _embedding(src: tuple[str, ...], dst: tuple[str, ...]):
+    """The map from exponent tuples over src to those over dst, with 0 for
+    a dst variable that src lacks (None where src is dst)."""
+    if src == dst:
         return None
-    if not src:
-        zero = (0,) * len(vs)
+    if not src or not dst:
+        zero = (0,) * len(dst)
         return lambda e: zero
-    # src is a proper nonempty subset, so vs has two or more variables
-    pick = itemgetter(*(src.index(v) if v in src else len(src) for v in vs))
+    pick = itemgetter(*(src.index(v) if v in src else len(src) for v in dst))
+    if len(dst) == 1:
+        return lambda e: (pick(e + (0,)),)
     return lambda e: pick(e + (0,))
 
 
@@ -88,16 +78,9 @@ class Poly:
         vs = tuple(vars)
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"variables must be sorted and distinct: {vs}")
-        parts = {}
-        for exp, c in (terms or {}).items():
-            n, d = _ratio(c)
-            if n:
-                parts[tuple(exp)] = n, d
-        den = math.lcm(*(d for _, d in parts.values()))
-        nums = {e: n * (den // d) for e, (n, d) in parts.items()}
-        _set(self, "vars", vs)
-        _set(self, "_nums", nums)
-        _set(self, "_den", den)
+        p = from_coeff_map(terms or {}, vs)
+        for name in Poly.__slots__:
+            _set(self, name, getattr(p, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -119,14 +102,15 @@ class Poly:
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """Exponent tuple -> Fraction.  Built on each read, so writing to
         it leaves the Poly unchanged."""
-        den = self._den
-        return {e: Fraction(n, den) for e, n in self._nums.items()}
+        return to_coeff_map(self, self.vars)
 
     def is_zero(self) -> bool:
         return not self._nums
 
     def is_constant(self) -> bool:
-        return not self.vars or all(not any(e) for e in self._nums)
+        # the exponent tuples are distinct, so two terms mean a variable term
+        nums = self._nums
+        return len(nums) < 2 and not any(next(iter(nums), ()))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -153,7 +137,7 @@ class Poly:
         if type(other) is Poly and other.vars:
             if self.vars:
                 return _sum(self, other, 1)
-            return _shift(other, *_scalar(self))
+            return _shift(other, *_scalar_parts(self))
         return _shift(self, *_scalar_parts(other))
 
     __radd__ = __add__
@@ -165,7 +149,7 @@ class Poly:
         if type(other) is Poly and other.vars:
             if self.vars:
                 return _sum(self, other, -1)
-            return _shift(-other, *_scalar(self))
+            return _shift(-other, *_scalar_parts(self))
         n, d = _scalar_parts(other)
         return _shift(self, -n, d)
 
@@ -176,7 +160,7 @@ class Poly:
         if type(other) is Poly and other.vars:
             if self.vars:
                 return _product(self, other)
-            return _scale(other, *_scalar(self))
+            return _scale(other, *_scalar_parts(self))
         return _scale(self, *_scalar_parts(other))
 
     __rmul__ = __mul__
@@ -216,16 +200,13 @@ class Poly:
 
     def __hash__(self):
         nums = self._nums
-        used = [i for i in range(len(self.vars)) if any(e[i] for e in nums)]
+        used = tuple(x for i, x in enumerate(self.vars) if any(e[i] for e in nums))
         if not used:
             # equal to its scalar value, so it must hash like it
-            return _hash_rational(sum(nums.values()), self._den)
+            return hash(Fraction(sum(nums.values()), self._den))
         # canonical form with variables of zero degree dropped
-        if len(used) == len(self.vars):
-            return hash((self.vars, self._den, frozenset(nums.items())))
-        pick = itemgetter(*used) if len(used) > 1 else (lambda e: (e[used[0]],))
-        return hash((tuple(self.vars[i] for i in used), self._den,
-                     frozenset((pick(e), n) for e, n in nums.items())))
+        nums = _embedded(nums, _embedding(self.vars, used))
+        return hash((used, self._den, frozenset(nums.items())))
 
     # -- substitution -------------------------------------------------
 
@@ -240,11 +221,9 @@ class Poly:
             if (name in self.vars and type(new) is Poly and len(new.vars) == 1
                     and new.vars[0] not in self.vars and new._den == 1
                     and new._nums == {(1,): 1}):
-                names = [new.vars[0] if x == name else x for x in self.vars]
-                order = sorted(range(len(names)), key=names.__getitem__)
-                pick = itemgetter(*order) if len(order) > 1 else tuple
-                return _make(tuple(names[i] for i in order),
-                             {pick(e): n for e, n in self._nums.items()}, self._den)
+                names = tuple(new.vars[0] if x == name else x for x in self.vars)
+                vs = tuple(sorted(names))
+                return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
         out = _ZERO
         powers: dict = {}
         for e, n in self._nums.items():
@@ -343,15 +322,10 @@ _ZERO = _make((), {}, 1)
 _ONE = _make((), {(): 1}, 1)
 
 
-def _scalar(p: Poly) -> tuple[int, int]:
-    """Numerator and denominator of a Poly without variables."""
-    return sum(p._nums.values()), p._den
-
-
 def _scalar_parts(c) -> tuple[int, int]:
     """Numerator and denominator of an int, a Fraction or a Poly without
     variables."""
-    return _scalar(c) if type(c) is Poly else _ratio(c)
+    return (sum(c._nums.values()), c._den) if type(c) is Poly else _ratio(c)
 
 
 def _embedded(nums: dict, emb) -> dict:
@@ -440,6 +414,86 @@ def _product(a: Poly, b: Poly) -> Poly:
     return _reduced(vs, out, a._den * b._den)
 
 
+# -- coefficient maps ----------------------------------------------------
+#
+# A coefficient map k -> c_k over names stands for the Poly
+# sum_k c_k names^k / weight(k), where each c_k is a rational or a Poly in
+# other variables and weight(k) is a positive int (1 by default).
+
+# One tuple object per parameter exponent tuple that to_coeff_map hands out,
+# across calls, so a moment array holds each once; clearing costs no result.
+_SHARED: dict = {}
+_SHARED_MAX = 1 << 12
+
+
+def from_coeff_map(coeffs: Mapping[tuple[int, ...], Coefficient],
+                   names: Sequence[str],
+                   weight: Callable[[tuple[int, ...]], int] | None = None) -> Poly:
+    """sum_k coeffs[k] names^k / weight(k) as one Poly in the names and
+    the variables of the coefficients, which must not use the names."""
+    names = tuple(names)
+    params = tuple(sorted({x for c in coeffs.values() if type(c) is Poly
+                           for x in c.vars}))
+    if params and not set(params).isdisjoint(names):
+        raise ValueError(f"a coefficient uses one of the variables {names}")
+    pad = (0,) * len(params)
+    den, parts = 1, []   # (k, (exponents over params, numerator) pairs, denominator)
+    for k, c in coeffs.items():
+        if len(k) != len(names):
+            raise ValueError(f"index {k} does not match the variables {names}")
+        if type(c) is Poly:
+            nums, d = _embedded(c._nums, _alignment(c.vars, params)[1]).items(), c._den
+        else:
+            n, d = (c.numerator, c.denominator) if type(c) is Fraction else _ratio(c)
+            nums = ((pad, n),) if n else ()
+        if nums:
+            d *= weight(k) if weight else 1
+            den = math.lcm(den, d)
+            parts.append((k, nums, d))
+    out = {}
+    for k, nums, d in parts:
+        m = den // d
+        for e, x in nums:
+            out[e + k] = x * m
+    # the sorted variables, and the map of params + names exponents onto them
+    vs, place, _ = _alignment(params + names, ())
+    return _reduced(vs, _embedded(out, place), den)
+
+
+def to_coeff_map(p: Poly, names: Sequence[str],
+                 weight: Callable[[tuple[int, ...]], int] | None = None
+                 ) -> dict[tuple[int, ...], Fraction | Poly]:
+    """The coefficient map over names whose from_coeff_map is p.
+
+    Each coefficient is in the canonical form of as_coefficient: a
+    Fraction unless it has a term in p's other variables, a Poly in them
+    then.  Zero coefficients are left out.
+    """
+    names, vs, nums, den = tuple(names), p.vars, p._nums, p._den
+    params = vs[:len(vs) - len(names)]
+    if params + names != vs:
+        # lay the exponents out as the parameters followed by the names
+        params = tuple(x for x in vs if x not in names)
+        nums = _embedded(nums, _embedding(vs, params + names))
+    np = len(params)
+    if not np:
+        return {k: Fraction(x * weight(k) if weight else x, den) for k, x in nums.items()}
+    if len(_SHARED) > _SHARED_MAX:
+        _SHARED.clear()
+    shared = _SHARED.setdefault
+    groups: dict = {}   # k -> {parameter exponents: numerator}
+    for e, x in nums.items():
+        pe = e[:np]
+        groups.setdefault(e[np:], {})[shared(pe, pe)] = x
+    out = {}
+    for k, terms in groups.items():
+        if weight:
+            w = weight(k)
+            terms = {e: x * w for e, x in terms.items()}
+        out[k] = as_coefficient(_reduced(params, terms, den))
+    return out
+
+
 # -- text and JSON readers -----------------------------------------------
 
 _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
@@ -487,7 +541,7 @@ def parse_poly(text: str) -> Poly:
 def parse_coeff_map(data, key: str) -> dict[tuple[int, ...], Fraction | Poly]:
     """Read data[key], a JSON object from index strings to coefficient strings.
 
-    A constant gives a Fraction and any other value a Poly.  A malformed
+    Each value is in the canonical form of as_coefficient.  A malformed
     input raises a one-line ValueError.
     """
     entries = data.get(key) if isinstance(data, dict) else None
@@ -501,7 +555,7 @@ def parse_coeff_map(data, key: str) -> dict[tuple[int, ...], Fraction | Poly]:
             p = parse_poly(c)
         except ZeroDivisionError:
             raise ValueError(f"{key} entry {k}: {c!r} has a zero denominator") from None
-        out[parse_index(k)] = p.constant_value() if p.is_constant() else p
+        out[parse_index(k)] = as_coefficient(p)
     return out
 
 
@@ -538,13 +592,11 @@ def as_poly(value: Coefficient) -> Poly:
 
 
 def as_coefficient(value: Coefficient) -> Fraction | Poly:
-    """Normalize ints to Fractions, pass Fractions and Polys through."""
-    if isinstance(value, (Poly, Fraction)):
+    """The canonical form of a coefficient: a Poly with a variable term as
+    it is, and any other value as a Fraction."""
+    if isinstance(value, Poly):
+        return value.constant_value() if value.is_constant() else value
+    if isinstance(value, Fraction):
         return value
     return Fraction(*_ratio(value))
 
-
-def coeff_is_zero(value: Coefficient) -> bool:
-    if isinstance(value, Poly):
-        return value.is_zero()
-    return value == 0

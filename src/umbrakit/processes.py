@@ -153,7 +153,7 @@ def ig_quadratic(a: Fraction, b: Fraction, order: int) -> UmbraTuple:
     fixed = {v: c.reduce_power("s", 2, Poly.const(Fraction(-1, 1) / b))
              if isinstance(c, Poly) else c
              for v, c in quad.moments.items()}
-    return UmbraTuple(1, order, fixed).specialize({})
+    return UmbraTuple(1, order, fixed)
 
 
 def inverse_gaussian_one_step(a: Fraction, b: Fraction, order: int) -> UmbraTuple:
@@ -247,9 +247,10 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
     elif spec.kind == "euler_half":
         one_step = euler_half_one_step(order, d)
     elif spec.kind == "custom":
-        one_step = load_custom_moments(p["path"])
-        if one_step.dim != d or one_step.order < order:
+        loaded = load_custom_moments(p["path"])
+        if loaded.dim != d or loaded.order < order:
             raise ValueError("custom moment file does not match spec")
+        one_step = UmbraTuple(d, order, loaded.moments)
     else:  # pragma: no cover - guarded by ProcessSpec
         raise UnsupportedProcessError(spec.kind)
     return SymbolicProcess(spec, one_step, one_step.dot_t("t"))

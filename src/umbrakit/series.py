@@ -8,8 +8,9 @@ which turns the binomial convolution into a plain Cauchy product.
 
 The kernel groups the ordinary coefficients into homogeneous parts by
 total degree, and each part is one Poly in the coefficient parameters
-(t, s, ...) followed by reserved variables ~z1, ..., ~zd for z.  These
-names sort after every identifier and parse_poly never produces them.
+(t, s, ...) and reserved variables ~z1, ..., ~zd for z, converted by
+from_coeff_map and to_coeff_map with weight v!.  These names sort after
+every identifier and parse_poly never produces them.
 A part product is then a Poly product, a part sum a Poly sum and a
 weight a scaling, all on integer numerators over one denominator, and
 truncation comes from the grading.
@@ -21,15 +22,13 @@ n, so exp, log, reciprocal and pow follow from recurrences on the parts
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial, total
-from .polynomials import (Coefficient, Poly, _alignment, _make, _product,
-                          _reduced, _scalar_parts, _scale, _sum, as_coefficient,
-                          coeff_is_zero)
+from .polynomials import (Coefficient, Poly, _product, _scalar_parts, _scale,
+                          _sum, as_coefficient, from_coeff_map, to_coeff_map)
 
 
 class OrderMismatchError(ValueError):
@@ -55,7 +54,7 @@ class TruncatedSeries:
             if total(v) > order:
                 continue
             c = as_coefficient(c)
-            if not coeff_is_zero(c):
+            if c != 0:
                 cs[v] = c
         self.dim = dim
         self.order = order
@@ -161,7 +160,7 @@ def series_exp(f: TruncatedSeries) -> TruncatedSeries:
 
     g = exp(h) solves E g = (E h) g: n g_n = sum_{k=1..n} k h_k g_{n-k}.
     """
-    if not coeff_is_zero(f.constant_term()):
+    if f.constant_term() != 0:
         raise ValueError("series_exp needs zero constant term")
     return _recurrence(f, lambda n, k: k)
 
@@ -219,7 +218,7 @@ def series_subst(f: TruncatedSeries,
     tgt = inners[0]
     for h in inners:
         tgt._check_ring(h)
-        if not coeff_is_zero(h.constant_term()):
+        if h.constant_term() != 0:
             raise ValueError("inner series must have zero constant term")
     order, dim = tgt.order, tgt.dim
     terms = [(v, c) for v, c in f.ordinary().items() if total(v) <= order]
@@ -255,7 +254,7 @@ def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
     h is graded once, and each power is one part product with the last
     and a scaling by 1/k; the table stays in parts for exp_at.
     """
-    if not coeff_is_zero(h.constant_term()):
+    if h.constant_term() != 0:
         raise ValueError("exp_table needs zero constant term")
     dim, order = h.dim, h.order
     hp = _graded(h)
@@ -274,10 +273,8 @@ def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
     read back once.
     """
     p = as_coefficient(p)
-    symbolic = type(p) is Poly and bool(p.vars)
-    if symbolic and p.vars[-1] >= _z_vars(dim)[0]:
-        raise ValueError(f"variable {p.vars[-1]!r} does not sort before the "
-                         f"reserved series variables")
+    symbolic = type(p) is Poly
+    _check_params(p, dim)
     out = list(table[0])
     p_k = p
     for k, term in enumerate(table[1:], 1):
@@ -375,9 +372,9 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
 
 # -- homogeneous parts ------------------------------------------------
 #
-# A part is a Poly whose variables are coefficient parameters followed
-# by the reserved _z_vars(d); an exponent tuple is the parameter
-# exponents followed by the multi-index v of z^v.
+# A part is a Poly in coefficient parameters and the reserved _z_vars(d):
+# _graded makes it with from_coeff_map and _ungraded reads it with
+# to_coeff_map, both with weight v!, so the ordinary coefficient is g_v / v!.
 
 @lru_cache(maxsize=None)
 def _z_vars(dim: int) -> tuple[str, ...]:
@@ -388,72 +385,40 @@ def _z_vars(dim: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _empty(dim: int) -> Poly:
-    return _make(_z_vars(dim), {}, 1)
+    return from_coeff_map({}, _z_vars(dim))
 
 
 @lru_cache(maxsize=None)
 def _unit(dim: int) -> Poly:
-    return _make(_z_vars(dim), {(0,) * dim: 1}, 1)
+    return from_coeff_map({(0,) * dim: 1}, _z_vars(dim))
+
+
+def _check_params(c: Coefficient, dim: int) -> None:
+    """Raise unless every variable of c sorts before the reserved names."""
+    if type(c) is Poly and c.vars and c.vars[-1] >= _z_vars(dim)[0]:
+        raise ValueError(f"variable {c.vars[-1]!r} does not sort before the "
+                         f"reserved series variables")
 
 
 def _graded(f: TruncatedSeries) -> list[Poly]:
     """Ordinary coefficients of f split by total degree: parts[n] holds |v| = n."""
-    zs = _z_vars(f.dim)
-    params = tuple(sorted({x for c in f.coeffs.values() if type(c) is Poly
-                           for x in c.vars}))
-    if params and params[-1] >= zs[0]:
-        raise ValueError(f"variable {params[-1]!r} does not sort before the "
-                         f"reserved series variables")
-    pad = (0,) * len(params)
-    by_degree: list[list] = [[] for _ in range(f.order + 1)]
+    by_degree: list[dict] = [{} for _ in range(f.order + 1)]
     for v, c in f.coeffs.items():
-        by_degree[total(v)].append((v, c, mi_factorial(v)))
-    parts = []
-    for items in by_degree:
-        if not items:
-            parts.append(_empty(f.dim))
-            continue
-        den = math.lcm(*(fact * (c._den if type(c) is Poly else c.denominator)
-                         for _, c, fact in items))
-        nums = {}
-        for v, c, fact in items:
-            if type(c) is Poly:
-                m = den // (fact * c._den)
-                emb = _alignment(c.vars, params)[1]
-                for e, x in c._nums.items():
-                    nums[(e if emb is None else emb(e)) + v] = x * m
-            else:
-                nums[pad + v] = c.numerator * (den // (fact * c.denominator))
-        parts.append(_reduced(params + zs, nums, den))
-    return parts
+        if type(c) is Poly:
+            _check_params(c, f.dim)
+        by_degree[total(v)][v] = c
+    zs = _z_vars(f.dim)
+    return [from_coeff_map(cs, zs, mi_factorial) if cs else _empty(f.dim)
+            for cs in by_degree]
 
 
 def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
-    """The series whose ordinary coefficients are grouped in parts.  A
-    coefficient without parameter terms comes back as a Fraction.  Equal
-    parameter exponents share one tuple object across the coefficients,
-    which keeps the series as small as one built coefficient-wise."""
+    """The series whose ordinary coefficients are grouped in parts."""
+    zs = _z_vars(dim)
     coeffs = {}
-    shared: dict = {}
     for part in parts:
-        den, np = part._den, len(part.vars) - dim
-        if not np:
-            for v, x in part._nums.items():
-                coeffs[v] = Fraction(x * mi_factorial(v), den)
-            continue
-        groups: dict = {}   # z-monomial v -> {parameter exponents: numerator}
-        for e, x in part._nums.items():
-            pe = e[:np]
-            groups.setdefault(e[np:], {})[shared.setdefault(pe, pe)] = x
-        for v, terms in groups.items():
-            fact = mi_factorial(v)
-            if len(terms) == 1:
-                (e, x), = terms.items()
-                if not any(e):
-                    coeffs[v] = Fraction(x * fact, den)
-                    continue
-            coeffs[v] = _reduced(part.vars[:np],
-                                 {e: x * fact for e, x in terms.items()}, den)
+        if part._nums:
+            coeffs.update(to_coeff_map(part, zs, mi_factorial))
     out = TruncatedSeries.__new__(TruncatedSeries)
     out.dim, out.order, out.coeffs = dim, order, coeffs
     return out

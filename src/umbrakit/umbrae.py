@@ -80,15 +80,11 @@ class UmbraTuple:
         return TruncatedSeries(self.dim, self.order, out)
 
     def specialize(self, mapping: Mapping[str, Fraction | int]) -> "UmbraTuple":
-        """Substitute parameter values into Poly moments."""
-        def fix(c: Coefficient) -> Coefficient:
-            if isinstance(c, Poly):
-                c = c.subs(mapping)
-                if c.is_constant():
-                    return c.constant_value()
-            return c
+        """Substitute parameter values into Poly moments; the moment array
+        takes each result in the canonical form of as_coefficient."""
         return UmbraTuple(self.dim, self.order,
-                          {v: fix(c) for v, c in self.moments.items()})
+                          {v: c.subs(mapping) if isinstance(c, Poly) else c
+                           for v, c in self.moments.items()})
 
     # -- auxiliary-umbra constructions --------------------------------
 

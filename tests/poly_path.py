@@ -1,5 +1,6 @@
 """The Fraction-dict Poly, kept as a test reference for the
-integer-numerator ring in umbrakit.polynomials.
+integer-numerator ring in umbrakit.polynomials, and the coefficient-map
+converter that the package built from ring operations.
 
 Every coefficient is a Fraction in a dict keyed by exponent tuples, and
 every binary operation remaps both operands onto the union of their
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from umbrakit import polynomials as pkg
 
 Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "Poly"]
@@ -244,3 +247,39 @@ class Poly:
 def as_poly(value: Coefficient) -> Poly:
     """Promote an int or Fraction to a constant Poly; pass a Poly through."""
     return value if isinstance(value, Poly) else Poly.const(value)
+
+
+# -- the coefficient-map converter built from ring operations -------------
+#
+# The reference for polynomials.from_coeff_map and to_coeff_map: a map is
+# summed term by term with package Poly products, and a Poly is split one
+# name at a time by degree and coefficient.
+
+
+def to_poly(coeffs: Mapping[tuple[int, ...], Coefficient],
+            names: tuple[str, ...]) -> pkg.Poly:
+    """sum_k p_k names^k as one package Poly."""
+    out = pkg.Poly.const(0)
+    for k, c in coeffs.items():
+        term = pkg.as_poly(c)
+        for name, e in zip(names, k):
+            if e:
+                term = term * pkg.Poly.var(name) ** e
+        out = out + term
+    return out
+
+
+def poly_to_coeff_map(p: pkg.Poly, names: tuple[str, ...]) -> dict:
+    """Split a package Poly into names-monomial -> Poly coefficients; the
+    zero Poly gives the single coefficient 0 at the zero index."""
+    work = [(p, ())]
+    for name in names:
+        nxt = []
+        for q, prefix in work:
+            for e in range(q.degree(name) + 1):
+                c = q.coefficient(name, e)
+                if not c.is_zero() or e == 0:
+                    nxt.append((c, prefix + (e,)))
+        work = nxt
+    out = {k: q for q, k in work if not q.is_zero()}
+    return out or {(0,) * len(names): pkg.Poly.const(0)}

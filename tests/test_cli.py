@@ -381,3 +381,20 @@ def test_malformed_arguments_exit_with_one_line(capsys, tmp_path, cmd, flag, val
     assert code == want, out.err
     assert out.out == ""
     assert out.err.count("\n") == 1 and "error" in out.err
+
+
+def test_custom_moment_file_is_cut_to_the_order(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": 10,
+                                "moments": {f"({k})": "1" for k in range(11)}}))
+    code, out, err = run(capsys, "moments", "--process", f"custom:{path}", "--order", "2")
+    assert code == 0 and err == ""
+    moments = json.loads(out)["moments"]
+    assert moments["order"] == 2 and len(moments["moments"]) == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "mc-verify"])
+def test_negative_order_is_named_before_max_order(capsys, command):
+    code, out, err = run(capsys, command, "--process", "poisson", "--order", "-1")
+    assert code == 3 and out == ""
+    assert err == "error: order -1 is negative\n"

@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
 from umbrakit.harmonic import (decompose, poly_to_coeff_map, to_poly,
                                tsh_polynomial, verify_harmonicity, x_names)
-from umbrakit.polynomials import Poly
+from umbrakit.polynomials import Poly, from_coeff_map, to_coeff_map
+from umbrakit.processes import ProcessSpec, build
 from umbrakit.umbrae import UmbraTuple
+
+import poly_path as ref
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -30,6 +34,76 @@ def test_coeff_map_roundtrip(case):
     assert all(not any(name in c.vars and c.degree(name) for name in x_names(d))
                for c in coeffs.values())
     assert to_poly(coeffs) == p
+    assert coeffs == ref.poly_to_coeff_map(p, x_names(d))
+    assert all(type(c) is Poly for c in coeffs.values())
+
+
+# Parameter sets around the names: "a" sorts before x1 and ~z1, "y" after
+# x1 and "~zz" after ~z1, so the converter must interleave the variables.
+PARAMETERS = [(), ("t",), ("s", "t"), ("a", "y"), ("t", "~zz")]
+nonzero = RATIONALS.filter(bool)
+
+
+@st.composite
+def coeff_maps(draw):
+    """(names, map, weight): a map over x1..xd or ~z1..~zd whose values are
+    nonzero ints, Fractions and Polys, possibly constant, in parameters."""
+    d = draw(st.integers(1, 3))
+    names = draw(st.sampled_from([x_names(d), tuple(f"~z{i}" for i in range(1, d + 1))]))
+    params = draw(st.sampled_from(PARAMETERS))
+    poly = st.builds(Poly, st.just(params),
+                     st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(params)),
+                                     nonzero, min_size=1, max_size=3))
+    value = st.one_of(st.integers(-4, 4).filter(bool), nonzero, poly)
+    m = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), value, max_size=6))
+    return names, m, draw(st.sampled_from([None, mi.mi_factorial]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_maps())
+def test_converter_round_trip(case):
+    names, m, weight = case
+    back = to_coeff_map(from_coeff_map(m, names, weight), names, weight)
+    assert back == m
+    assert all(type(c) is Fraction or not c.is_constant() for c in back.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_maps())
+def test_converter_matches_the_ring_reference(case):
+    names, m, weight = case
+    p = from_coeff_map(m, names, weight)
+    want = ref.to_poly({k: c * Fraction(1, weight(k) if weight else 1)
+                        for k, c in m.items()}, names)
+    assert p == want and str(p) == str(want)
+    assert to_coeff_map(p, names) == \
+        ({} if p.is_zero() else ref.poly_to_coeff_map(want, names))
+
+
+def test_converter_empty_map_and_zero():
+    assert from_coeff_map({}, x_names(2)) == 0
+    assert to_coeff_map(Poly.const(0), x_names(2)) == {}
+    assert to_coeff_map(Poly(("t",), {(2,): 3}), ()) == {(): 3 * Poly.var("t") ** 2}
+
+
+def test_converter_rejects_a_coefficient_in_the_names():
+    x1 = Poly.var("x1")
+    with pytest.raises(ValueError, match="uses one of the variables"):
+        from_coeff_map({(1,): x1}, x_names(1))
+    with pytest.raises(ValueError, match="does not match the variables"):
+        from_coeff_map({(1, 0): 1}, x_names(1))
+
+
+def test_dot_t_coefficients_share_one_tuple_per_parameter_exponent():
+    """All coefficients of one dot_t result hold each exponent tuple of
+    (s, t) as one object, so a moment array does not repeat them."""
+    mu = build(ProcessSpec("gamma", 2, 5)).one_step
+    seen: dict = {}
+    for c in mu.dot_t(Poly.var("t") - Poly.var("s")).moments.values():
+        if type(c) is Poly:
+            for e in c.terms:
+                assert seen.setdefault(e, e) is e
+    assert len(seen) > 10
 
 
 @st.composite
