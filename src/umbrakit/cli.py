@@ -34,6 +34,7 @@ PROCESS_ALIASES = {
     "inverse_gaussian": "inverse_gaussian",
     "bernoulli": "bernoulli_neg",
     "euler": "euler_half",
+    "m_stable": "m_stable",
 }
 
 def _process_spec(args) -> ProcessSpec:
@@ -95,8 +96,7 @@ def cmd_cumulants(args) -> int:
 
 def cmd_gen_tsh(args) -> int:
     v = mi.parse_index(args.v)
-    if args.order < 0:
-        raise ValueError(f"--order {args.order} is negative")
+    _process_spec(args)   # checks --order as given, before |v| raises it
     args.order = max(args.order, mi.total(v))
     proc = build(_process_spec(args))
     q = tsh_polynomial(proc.one_step, v)

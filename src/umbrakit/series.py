@@ -1,19 +1,18 @@
 """Truncated exponential formal power series in d variables.
 
-Coefficients are exact rationals (or Poly values for parameterized
-series).  A series stores the exponential coefficients g_v, i.e. it
-denotes  sum_v g_v z^v / v!  cut at total degree N.  The arithmetic
-kernel works on ordinary coefficients a_v = g_v / v! and converts back,
-which turns the binomial convolution into a plain Cauchy product.
+A series sum_v g_v z^v / v! cut at total degree N, with exact rational
+or Poly coefficients, is stored as its homogeneous parts: part n is one
+Poly in the coefficient parameters (t, s, ...) and reserved variables
+~z1, ..., ~zd for z, whose coefficient of z^v with |v| = n is the
+ordinary coefficient g_v / v!.  These names sort after every identifier
+and parse_poly never produces them.
 
-The kernel groups the ordinary coefficients into homogeneous parts by
-total degree, and each part is one Poly in the coefficient parameters
-(t, s, ...) and reserved variables ~z1, ..., ~zd for z, converted by
-from_coeff_map and to_coeff_map with weight v!.  These names sort after
-every identifier and parse_poly never produces them.
-A part product is then a Poly product, a part sum a Poly sum and a
-weight a scaling, all on integer numerators over one denominator, and
-truncation comes from the grading.
+Every operation reads and returns parts, so a product is a truncated
+Cauchy product of Poly products on integer numerators over one
+denominator.  A coefficient map meets the parts only at the boundary:
+the constructor grades a dict of exponential coefficients once with
+from_coeff_map (weight v!), and .coeffs is a read-only view of it, built
+with to_coeff_map on first read.
 
 The Euler operator E = sum_i z_i d/dz_i multiplies the degree-n part by
 n, so exp, log, reciprocal and pow follow from recurrences on the parts
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial, total
@@ -36,45 +36,55 @@ class OrderMismatchError(ValueError):
 
 
 class TruncatedSeries:
-    """Multivariate egf truncated at a fixed total order."""
+    """Multivariate egf truncated at a fixed total order, stored as its
+    homogeneous parts."""
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "_parts", "_view")
 
     def __init__(self, dim: int, order: int,
                  coeffs: Mapping[tuple[int, ...], Coefficient] | None = None):
         if dim < 1 or order < 0:
             raise ValueError(f"bad ring parameters d={dim}, N={order}")
-        cs = {}
+        by_degree: list[dict] = [{} for _ in range(order + 1)]
         for v, c in (coeffs or {}).items():
             v = tuple(v)
             if len(v) != dim:
                 raise ValueError(f"index {v} has wrong dimension (d={dim})")
             if min(v) < 0:
                 raise ValueError(f"index {v} has a negative entry")
-            if total(v) > order:
-                continue
-            c = as_coefficient(c)
-            if c != 0:
-                cs[v] = c
-        self.dim = dim
-        self.order = order
-        self.coeffs = cs
+            n = total(v)
+            if n <= order:
+                c = as_coefficient(c)
+                _check_params(c, dim)
+                by_degree[n][v] = c
+        zs = _z_vars(dim)
+        self.dim, self.order, self._view = dim, order, None
+        self._parts = [from_coeff_map(cs, zs, mi_factorial) if cs else _empty(dim)
+                       for cs in by_degree]
 
     # -- basics -------------------------------------------------------
 
     @classmethod
     def one(cls, dim: int, order: int) -> "TruncatedSeries":
-        return cls(dim, order, {(0,) * dim: 1})
+        return _from_parts(dim, order, [_unit(dim)] + [_empty(dim)] * order)
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "TruncatedSeries":
-        return cls(dim, order, {})
+        return _from_parts(dim, order, [_empty(dim)] * (order + 1))
 
     @classmethod
     def variable(cls, dim: int, order: int, i: int) -> "TruncatedSeries":
         """The series z_i (exponential coefficient 1 on the i-th unit index)."""
         e = tuple(1 if j == i else 0 for j in range(dim))
         return cls(dim, order, {e: 1})
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, ...], Coefficient]:
+        """The nonzero exponential coefficients g_v: a read-only view,
+        built from the parts on first read."""
+        if self._view is None:
+            self._view = MappingProxyType(_read(self, mi_factorial))
+        return self._view
 
     def get(self, v: tuple[int, ...]) -> Coefficient:
         v = tuple(v)
@@ -85,7 +95,8 @@ class TruncatedSeries:
         return self.coeffs.get(v, Fraction(0))
 
     def constant_term(self) -> Coefficient:
-        return self.coeffs.get((0,) * self.dim, Fraction(0))
+        zero = (0,) * self.dim
+        return to_coeff_map(self._parts[0], _z_vars(self.dim)).get(zero, Fraction(0))
 
     def _check_ring(self, other: "TruncatedSeries") -> None:
         if self.dim != other.dim or self.order != other.order:
@@ -94,7 +105,8 @@ class TruncatedSeries:
                 f"(d={other.dim}, N={other.order})")
 
     def ordinary(self) -> dict[tuple[int, ...], Coefficient]:
-        return {v: c * Fraction(1, mi_factorial(v)) for v, c in self.coeffs.items()}
+        """The nonzero ordinary coefficients a_v = g_v / v!, read from the parts."""
+        return _read(self, None)
 
     @classmethod
     def from_ordinary(cls, dim: int, order: int,
@@ -111,8 +123,7 @@ class TruncatedSeries:
             return NotImplemented
         if self.dim != other.dim or self.order != other.order:
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys)
+        return all(p == q for p, q in zip(self._parts, other._parts))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {c}" for v, c in sorted(self.coeffs.items(),
@@ -123,24 +134,23 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            out[v] = out.get(v, Fraction(0)) + c
-        return TruncatedSeries(self.dim, self.order, out)
+        return _from_parts(self.dim, self.order, list(map(_add, self._parts, other._parts)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return self.map_coeffs(lambda c: -c)
+        return _from_parts(self.dim, self.order, [_scale(part, -1, 1) for part in self._parts])
 
     def scale(self, c: Coefficient) -> "TruncatedSeries":
-        return self.map_coeffs(lambda x: x * c)
+        c = as_coefficient(c)
+        _check_params(c, self.dim)
+        return _from_parts(self.dim, self.order, [_times(c, part) for part in self._parts])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
-        return _ungraded(self.dim, self.order,
-                         _mul_parts(_graded(self), _graded(other), self.dim, self.order))
+        return _from_parts(self.dim, self.order,
+                           _mul_parts(self._parts, other._parts, self.dim, self.order))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -172,14 +182,14 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
     """
     if f.constant_term() != 1:
         raise ValueError("series_log needs constant term 1")
-    fp = _graded(f)
+    fp = f._parts
     h = [_empty(f.dim)]
     for n in range(1, f.order + 1):
         acc = _scale(fp[n], n, 1)
         for k in range(1, n):
             acc = _add_product(acc, _scale(h[k], -k, 1), fp[n - k])
         h.append(_scale(acc, 1, n))
-    return _ungraded(f.dim, f.order, h)
+    return _from_parts(f.dim, f.order, h)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
@@ -225,7 +235,7 @@ def series_subst(f: TruncatedSeries,
     one = [_unit(dim)]
     pows = []
     for i, h in enumerate(inners):
-        hp = _graded(h)
+        hp = h._parts
         ps = [one, hp]
         for _ in range(2, max((v[i] for v, _ in terms), default=0) + 1):
             ps.append(_mul_parts(ps[-1], hp, dim, order))
@@ -238,7 +248,7 @@ def series_subst(f: TruncatedSeries,
                 term = pows[i][k] if term is one else _mul_parts(term, pows[i][k], dim, order)
         for n, part in enumerate(term):
             out[n] = _add(out[n], _times(c, part))
-    return _ungraded(dim, order, out)
+    return _from_parts(dim, order, out)
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -251,13 +261,12 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
 def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
     """Homogeneous parts of h^k / k!, k = 0..N, for h with zero constant term.
 
-    h is graded once, and each power is one part product with the last
-    and a scaling by 1/k; the table stays in parts for exp_at.
+    Each power is one part product with the last and a scaling by 1/k.
     """
     if h.constant_term() != 0:
         raise ValueError("exp_table needs zero constant term")
     dim, order = h.dim, h.order
-    hp = _graded(h)
+    hp = h._parts
     term = [_unit(dim)] + [_empty(dim)] * order
     table = [term]
     for k in range(1, order + 1):
@@ -269,11 +278,9 @@ def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
 def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
            dim: int, order: int) -> TruncatedSeries:
     """exp(p h) = sum_k p^k [h^k / k!] from the exp_table of h, for a
-    rational or Poly p.  The sum runs on the parts, and the result is
-    read back once.
+    rational or Poly p, summed on the parts.
     """
     p = as_coefficient(p)
-    symbolic = type(p) is Poly
     _check_params(p, dim)
     out = list(table[0])
     p_k = p
@@ -283,9 +290,8 @@ def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
         for deg in range(k, order + 1):
             part = term[deg]
             if part._nums:
-                out[deg] = _add(out[deg], _product(part, p_k) if symbolic
-                                else _scale(part, *_scalar_parts(p_k)))
-    return _ungraded(dim, order, out)
+                out[deg] = _add(out[deg], _times(p_k, part))
+    return _from_parts(dim, order, out)
 
 
 def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -324,16 +330,14 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
             raise ValueError("component series dimension must match tuple size")
         if f.constant_term() != 1:
             raise ValueError("component series must have constant term 1")
-    one = TruncatedSeries.one(d, order)
     if order == 0:
-        return [one] * d
+        return [TruncatedSeries.one(d, order)] * d
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    jac = [[fs[i].coeffs.get(unit[j], Fraction(0)) for j in range(d)]
-           for i in range(d)]
-    jinv = _invert_matrix(jac)
+    ords = [f.ordinary() for f in fs]
+    jinv = _invert_matrix([[a.get(e, Fraction(0)) for e in unit] for a in ords])
 
     # ordinary coefficients of degree >= 2, the only ones the error reads
-    Fs = [{v: c for v, c in f.ordinary().items() if total(v) >= 2} for f in fs]
+    Fs = [{v: c for v, c in a.items() if total(v) >= 2} for a in ords]
     # v -> (j, v - e_j) with j the first nonzero entry, for each G^v built
     parent = {}
     for F in Fs:
@@ -343,9 +347,9 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
                 parent[v] = j, v[:j] + (v[j] - 1,) + v[j + 1:]
                 v = parent[v][1]
     chain = sorted((total(v), v, *jp) for v, jp in parent.items())
-    # homogeneous parts of G_i, one appended per degree
-    G = [_graded(TruncatedSeries(d, order, {unit[j]: jinv[i][j] for j in range(d)}))[:2]
-         for i in range(d)]
+    # homogeneous parts of g_i = 1 + G_i, one appended per degree
+    zs = _z_vars(d)
+    G = [[_unit(d), from_coeff_map(dict(zip(unit, row)), zs)] for row in jinv]
     mono = {unit[j]: G[j] for j in range(d)}   # v -> homogeneous parts of G^v
     for deg in range(2, order + 1):
         err = [_empty(d)] * d
@@ -367,14 +371,10 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
                 if jinv[j][i]:
                     part = _add(part, _times(-jinv[j][i], err[i]))
             G[j].append(part)
-    return [one + _ungraded(d, order, g) for g in G]
+    return [_from_parts(d, order, g) for g in G]
 
 
 # -- homogeneous parts ------------------------------------------------
-#
-# A part is a Poly in coefficient parameters and the reserved _z_vars(d):
-# _graded makes it with from_coeff_map and _ungraded reads it with
-# to_coeff_map, both with weight v!, so the ordinary coefficient is g_v / v!.
 
 @lru_cache(maxsize=None)
 def _z_vars(dim: int) -> tuple[str, ...]:
@@ -400,28 +400,18 @@ def _check_params(c: Coefficient, dim: int) -> None:
                          f"reserved series variables")
 
 
-def _graded(f: TruncatedSeries) -> list[Poly]:
-    """Ordinary coefficients of f split by total degree: parts[n] holds |v| = n."""
-    by_degree: list[dict] = [{} for _ in range(f.order + 1)]
-    for v, c in f.coeffs.items():
-        if type(c) is Poly:
-            _check_params(c, f.dim)
-        by_degree[total(v)][v] = c
-    zs = _z_vars(f.dim)
-    return [from_coeff_map(cs, zs, mi_factorial) if cs else _empty(f.dim)
-            for cs in by_degree]
-
-
-def _ungraded(dim: int, order: int, parts: Sequence[Poly]) -> TruncatedSeries:
-    """The series whose ordinary coefficients are grouped in parts."""
-    zs = _z_vars(dim)
-    coeffs = {}
-    for part in parts:
-        if part._nums:
-            coeffs.update(to_coeff_map(part, zs, mi_factorial))
+def _from_parts(dim: int, order: int, parts: list[Poly]) -> TruncatedSeries:
+    """The series whose homogeneous parts are parts, unchecked."""
     out = TruncatedSeries.__new__(TruncatedSeries)
-    out.dim, out.order, out.coeffs = dim, order, coeffs
+    out.dim, out.order, out._parts, out._view = dim, order, parts, None
     return out
+
+
+def _read(f: TruncatedSeries, weight) -> dict:
+    """The nonzero coefficients of f, ordinary ones times weight(v)."""
+    zs = _z_vars(f.dim)
+    return {v: c for part in f._parts if part._nums
+            for v, c in to_coeff_map(part, zs, weight).items()}
 
 
 def _add(p: Poly, q: Poly) -> Poly:
@@ -450,7 +440,7 @@ def _times(c: Coefficient, part: Poly) -> Poly:
 def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
     """The series g with g_0 = 1 and
     n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts."""
-    fp = _graded(f)
+    fp = f._parts
     g = [_unit(f.dim)]
     for n in range(1, f.order + 1):
         acc = _empty(f.dim)
@@ -458,7 +448,7 @@ def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
             if fp[k]._nums and g[n - k]._nums:
                 acc = _add_product(acc, _times(weight(n, k), fp[k]), g[n - k])
         g.append(_scale(acc, 1, n))
-    return _ungraded(f.dim, f.order, g)
+    return _from_parts(f.dim, f.order, g)
 
 
 def _mul_parts(p: Sequence[Poly], q: Sequence[Poly], dim: int, order: int) -> list[Poly]:

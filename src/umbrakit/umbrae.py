@@ -21,23 +21,29 @@ from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
 class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
-    __slots__ = ("dim", "order", "moments", "_series", "_tables", "_dots", "_shifts")
+    __slots__ = ("dim", "order", "_series", "_log", "_tables", "_dots", "_shifts")
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
         self._adopt(TruncatedSeries(dim, order, moments))
 
     def _adopt(self, f: TruncatedSeries) -> None:
-        """Take the gf f as the moment array; its coefficient dict is the moments."""
+        """Take the gf f as the moment array; its coefficients are the moments."""
         if f.constant_term() != 1:
             raise ValueError("moment array must be unital: g_0 = 1")
-        self.dim, self.order, self.moments = f.dim, f.order, f.coeffs
+        self.dim, self.order = f.dim, f.order
         self._series = f
+        self._log = None    # log f, see _log_series
         self._tables = {}   # kind -> series table, see _series_table
         self._dots = {}     # (kind, p) -> dot-product tuple, see _dot
         self._shifts = {}   # v -> read-only map, see harmonic.shift_coeffs
 
     # -- evaluation ---------------------------------------------------
+
+    @property
+    def moments(self) -> Mapping[tuple[int, ...], Coefficient]:
+        """The nonzero moments g_v, a read-only view of the gf's coefficients."""
+        return self._series.coeffs
 
     def eval_power(self, v: tuple[int, ...]) -> Coefficient:
         """E[mu^v] = g_v; a hard error beyond the truncation order."""
@@ -82,9 +88,8 @@ class UmbraTuple:
     def specialize(self, mapping: Mapping[str, Fraction | int]) -> "UmbraTuple":
         """Substitute parameter values into Poly moments; the moment array
         takes each result in the canonical form of as_coefficient."""
-        return UmbraTuple(self.dim, self.order,
-                          {v: c.subs(mapping) if isinstance(c, Poly) else c
-                           for v, c in self.moments.items()})
+        return UmbraTuple.from_series(self._series.map_coeffs(
+            lambda c: c.subs(mapping) if isinstance(c, Poly) else c))
 
     # -- auxiliary-umbra constructions --------------------------------
 
@@ -115,15 +120,21 @@ class UmbraTuple:
                   for j in range(d)]
         return UmbraTuple.from_series(series_subst(self.to_series(), inners))
 
+    def _log_series(self) -> TruncatedSeries:
+        """log f, built once per tuple for the "log" table and cumulant_tuple."""
+        if self._log is None:
+            self._log = series_log(self._series)
+        return self._log
+
     def _series_table(self, kind: str) -> list[list[Poly]]:
         """The exp_table of h, the homogeneous parts of h^k / k!, k = 0..N,
         where h = log f for kind "log" and h = f - 1 for kind "beta";
         built once per tuple."""
         table = self._tables.get(kind)
         if table is None:
-            f = self.to_series()
-            one = TruncatedSeries.one(self.dim, self.order)
-            table = self._tables[kind] = exp_table(series_log(f) if kind == "log" else f - one)
+            h = self._log_series() if kind == "log" else \
+                self._series - TruncatedSeries.one(self.dim, self.order)
+            table = self._tables[kind] = exp_table(h)
         return table
 
     def _dot(self, kind: str, p: Coefficient) -> "UmbraTuple":
@@ -163,7 +174,7 @@ class UmbraTuple:
     def cumulant_tuple(self) -> "UmbraTuple":
         """Tuple whose moments are the joint cumulants: gf 1 + log f."""
         one = TruncatedSeries.one(self.dim, self.order)
-        return UmbraTuple.from_series(one + series_log(self.to_series()))
+        return UmbraTuple.from_series(one + self._log_series())
 
     @classmethod
     def from_cumulants(cls, c: "UmbraTuple") -> "UmbraTuple":
@@ -228,8 +239,7 @@ def unity(order: int, dim: int = 1) -> UmbraTuple:
 
 def singleton(order: int) -> UmbraTuple:
     """Moments (1, 1, 0, 0, ...): gf 1 + z."""
-    ms = {(0,): 1, (1,): 1} if order >= 1 else {(0,): 1}
-    return UmbraTuple(1, order, ms)
+    return singleton_component(order, 1, 0)
 
 
 def singleton_component(order: int, dim: int, i: int) -> UmbraTuple:
@@ -246,10 +256,7 @@ def bell(order: int) -> UmbraTuple:
 
 def gaussian_delta(order: int) -> UmbraTuple:
     """gf 1 + z^2/2: second moment 1, all others zero."""
-    ms = {(0,): 1}
-    if order >= 2:
-        ms[(2,)] = 1
-    return UmbraTuple(1, order, ms)
+    return gaussian_delta_tuple(order, 1)
 
 
 def gaussian_delta_tuple(order: int, dim: int) -> UmbraTuple:
@@ -281,13 +288,12 @@ def comonotone_tuple(univariate: UmbraTuple, dim: int) -> UmbraTuple:
 
     Components share support, so joint moments collapse to single-umbra
     moments of the total degree: g_v = m_{|v|}.  For dim 1 this is the
-    umbra itself.
+    umbra itself.  The gf is the univariate one at z_1 + ... + z_d.
     """
     if univariate.dim != 1:
         raise ValueError("need a univariate umbra")
     if dim == 1:
         return univariate
-    order = univariate.order
-    return UmbraTuple(dim, order,
-                      {v: univariate.eval_power((mi.total(v),))
-                       for v in mi.iter_indices(dim, order)})
+    z_sum = TruncatedSeries(dim, univariate.order,
+                            dict.fromkeys(mi.iter_indices_of_total(dim, 1), 1))
+    return UmbraTuple.from_series(series_subst(univariate.to_series(), [z_sum]))

@@ -5,11 +5,17 @@ exp, log and reciprocal sum N powers of the argument, each one full
 truncated product; pow is exp(e log f); subst raises every inner to
 the N-th power.  Products are the plain pairwise Cauchy product on
 ordinary coefficients, so nothing here shares the graded kernel.
+
+The functions named d_* do the same on plain dicts v -> g_v of
+exponential coefficients, with the binomial convolution as product.
+They use no TruncatedSeries code at all, so they check its storage in
+homogeneous parts from outside.
 """
 
 from fractions import Fraction
 
-from umbrakit.multiindex import total
+from umbrakit.multiindex import add, mi_factorial, multi_binomial, total
+from umbrakit.polynomials import as_coefficient
 from umbrakit.series import TruncatedSeries
 
 
@@ -69,4 +75,91 @@ def subst(f, inners):
             if k:
                 term = mul(term, pows[i][k])
         out = out + term
+    return out
+
+
+# -- the same kernel on plain dicts of exponential coefficients -------------
+
+def d_canonical(cs, order):
+    """cs cut at order, zeros dropped and each value in canonical form."""
+    out = {}
+    for v, c in cs.items():
+        c = as_coefficient(c)
+        if total(v) <= order and c != 0:
+            out[tuple(v)] = c
+    return out
+
+
+def d_one(dim):
+    return {(0,) * dim: Fraction(1)}
+
+
+def d_add(a, b, order):
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, 0) + c
+    return d_canonical(out, order)
+
+
+def d_scale(a, c, order):
+    return d_canonical({v: c * g for v, g in a.items()}, order)
+
+
+def d_sub(a, b, order):
+    return d_add(a, d_scale(b, -1, order), order)
+
+
+def d_mul(a, b, order):
+    """The egf product: g_v = sum_{k <= v} C(v, k) a_k b_{v-k}."""
+    out = {}
+    for k, x in a.items():
+        for j, y in b.items():
+            if total(k) + total(j) <= order:
+                v = add(k, j)
+                out[v] = out.get(v, 0) + multi_binomial(v, k) * x * y
+    return d_canonical(out, order)
+
+
+def d_power_sum(h, weights, dim, order):
+    """sum_k weights[k] h^k for k = 0..order."""
+    out, power = {}, d_one(dim)
+    for k, w in enumerate(weights):
+        if k:
+            power = d_mul(power, h, order)
+        out = d_add(out, d_scale(power, w, order), order)
+    return out
+
+
+def d_exp(h, dim, order):
+    weights, w = [], Fraction(1)
+    for k in range(order + 1):
+        weights.append(w)
+        w /= k + 1
+    return d_power_sum(h, weights, dim, order)
+
+
+def d_log(f, dim, order):
+    g = d_sub(f, d_one(dim), order)
+    return d_power_sum(g, [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)],
+                       dim, order)
+
+
+def d_reciprocal(f, dim, order):
+    g = d_sub(f, d_one(dim), order)
+    return d_power_sum(g, [(-1) ** k for k in range(order + 1)], dim, order)
+
+
+def d_pow(f, e, dim, order):
+    return d_exp(d_scale(d_log(f, dim, order), e, order), dim, order)
+
+
+def d_subst(f, inners, dim, order):
+    """sum_v (g_v / v!) prod_i inners[i]^v_i, in the inners' ring (dim, order)."""
+    out = {}
+    for v, c in f.items():
+        term = d_scale(d_one(dim), c / mi_factorial(v), order)
+        for h, k in zip(inners, v):
+            for _ in range(k):
+                term = d_mul(term, h, order)
+        out = d_add(out, term, order)
     return out

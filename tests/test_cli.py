@@ -398,3 +398,20 @@ def test_negative_order_is_named_before_max_order(capsys, command):
     code, out, err = run(capsys, command, "--process", "poisson", "--order", "-1")
     assert code == 3 and out == ""
     assert err == "error: order -1 is negative\n"
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["cumulants"], ["gen-tsh", "--v", "(1)"],
+                                  ["verify"]], ids=lambda a: a[0])
+def test_m_stable_names_its_divergent_mgf(capsys, argv):
+    code, out, err = run(capsys, *argv, "--process", "m_stable", "--order", "3")
+    assert code == 3 and out == ""
+    assert err == ("error: m-stable processes have divergent moment generating "
+                   "functions; no moment-level construction exists\n")
+
+
+@pytest.mark.parametrize("order", ["-1", "-3"])
+def test_gen_tsh_names_a_negative_order_before_raising_it_to_v(capsys, order):
+    code, out, err = run(capsys, "gen-tsh", "--process", "poisson", "--order", order,
+                         "--v", "(2)")
+    assert code == 3 and out == ""
+    assert err == f"error: order {order} is negative\n"

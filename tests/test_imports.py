@@ -82,3 +82,19 @@ def test_only_polynomials_knows_the_numerator_layout(path):
     imports none of the layout helpers and reads no ._den."""
     names = referenced_names([TREES[path]])
     assert not names & LAYOUT, f"{path.name} uses {sorted(names & LAYOUT)}"
+
+
+SERIES_LAYOUT = {"_parts", "_view", "_from_parts", "_read"}
+
+
+def test_series_defines_its_layout():
+    assert SERIES_LAYOUT <= referenced_names([TREES[PACKAGE / "series.py"]])
+
+
+@pytest.mark.parametrize("path", sorted(p for p in TREES if p.name != "series.py"),
+                         ids=lambda p: p.name)
+def test_only_series_knows_the_parts_layout(path):
+    """A series' homogeneous parts are private to series: every other module
+    goes through its ops, its constructor and the .coeffs view."""
+    names = referenced_names([TREES[path]])
+    assert not names & SERIES_LAYOUT, f"{path.name} uses {sorted(names & SERIES_LAYOUT)}"
