@@ -6,10 +6,12 @@ identity is a formal basis computation: powers of the conditioning tuple
 are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
 
-One expansion serves every construction: shift_coeffs gives
-E[(x + tup)^v] = sum_k C(v, k) g_{v-k} x^k.  The basis Q_v is the shift by
--t.mu and E[(t.mu)^v | s.mu] the shift by (t - s).mu, each memoised per
-index on its tuple; expectation gives sum_k p_k g_k.  to_poly and
+Every check is one shift: shifted(P, tup) is E[P(x + tup)], the sum of
+p_k E[(x + tup)^k] over the memoised expansions of shift_coeffs.  The
+basis is Q_v = E[(x - t.mu)^v]; P is harmonic when its shift by
+(t - s).mu is P with t -> s; the coefficient recursion is the shift of
+Q_v by mu.  Since Q_k(x, 0) = x^k, decompose reads c_k = p_k(0).
+expectation gives the x^0 term sum_k p_k g_k alone.  to_poly and
 poly_to_coeff_map convert between a coefficient map and a Poly in x1..xd
 through polynomials.from_coeff_map and to_coeff_map.
 """
@@ -26,7 +28,7 @@ from typing import Mapping
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
                           parse_coeff_map, to_coeff_map)
-from .umbrae import UmbraTuple
+from .umbrae import UmbraTuple, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
 
@@ -69,6 +71,21 @@ def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...]
             {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
              for k in _sub_indices(v)})
     return out
+
+
+def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
+    """E[P(x + tup)] = sum_k p_k E[(x + tup)^k] as a coefficient map with
+    zero entries dropped."""
+    out: CoeffMap = {}
+    for k, p_k in coeffs.items():
+        p_k = as_poly(p_k)
+        if p_k.is_zero():
+            continue
+        for j, c in shift_coeffs(tup, k).items():
+            add = p_k * c
+            if not add.is_zero():
+                out[j] = out[j] + add if j in out else add
+    return {j: c for j, c in out.items() if not c.is_zero()}
 
 
 def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:
@@ -118,9 +135,8 @@ def tsh_polynomial(mu: UmbraTuple, v: tuple[int, ...]) -> TshPolynomial:
 def conditional_eval(mu: UmbraTuple, v: tuple[int, ...],
                      t: str = "t", s: str = "s") -> ConditionalPolynomial:
     """E[(t.mu)^v | s.mu] expanded over the formal basis (s.mu)^j."""
-    diff = mu.dot_t(Poly.var(t) - Poly.var(s))
-    return ConditionalPolynomial(mu.dim, {k: c for k, c in shift_coeffs(diff, v).items()
-                                          if not c.is_zero()})
+    return ConditionalPolynomial(mu.dim, shifted({tuple(v): 1},
+                                                 mu.dot_t(Poly.var(t) - Poly.var(s))))
 
 
 def verify_harmonicity(mu: UmbraTuple,
@@ -128,23 +144,15 @@ def verify_harmonicity(mu: UmbraTuple,
                        ) -> tuple[bool, dict | None]:
     """Exact check of E(P(t.mu, t) | s.mu) = P(s.mu, s) in Q[t, s].
 
-    P is given by its coefficient map k -> p_k(t).  The left side is
-    sum_k p_k(t) E[(t.mu)^k | s.mu] over the formal basis (s.mu)^j.
-    Returns the verdict and, on failure, a certificate naming the first
-    differing basis index together with both Q[t, s] coefficients.
+    P is given by its coefficient map k -> p_k(t).  The left side is its
+    shift by (t - s).mu over the formal basis (s.mu)^j, the right side P
+    with t -> s.  Returns the verdict and, on failure, a certificate
+    naming the first differing basis index in increasing (|j|, j) order
+    together with both Q[t, s] coefficients.
     """
     coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
-    diff = mu.dot_t(Poly.var("t") - Poly.var("s"))
-    lhs: CoeffMap = {}
-    for k, p_k in coeffs.items():
-        if p_k.is_zero():
-            continue
-        for j, c in shift_coeffs(diff, k).items():
-            add = p_k * c
-            if not add.is_zero():
-                lhs[j] = lhs.get(j, Poly.const(0)) + add
-    keys = sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j))
-    for j in keys:
+    lhs = shifted(coeffs, mu.dot_t(Poly.var("t") - Poly.var("s")))
+    for j in sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j)):
         left = lhs.get(j, Poly.const(0))
         right = coeffs.get(j, Poly.const(0)).subs({"t": Poly.var("s")})
         if left != right:
@@ -179,29 +187,17 @@ def coefficient_recursion_check(mu: UmbraTuple, v: tuple[int, ...]) -> Recursion
     """
     v = tuple(v)
     q = tsh_polynomial(mu, v)
-    shift = {"t": Poly.var("t") - 1}
-    # the derivation form is the coefficient map of E[Q_v(x + mu, t)]
-    proof: CoeffMap = {}
-    for i, q_i in q.coeffs.items():
-        for k, c in shift_coeffs(mu, i).items():
-            proof[k] = proof.get(k, Poly.const(0)) + c * q_i
-    proof_ok, printed_ok = True, True
-    mismatch = None
-    for k in _sub_indices(v):
-        target = q.coefficient(k).subs(shift)
-        printed_sum = Poly.const(0)
-        for i in _sub_indices(v):
-            if mi.leq(k, i):
-                printed_sum = printed_sum + mi.multi_binomial(i, k) \
-                    * as_poly(mu.eval_power(i)) * q.coefficient(i)
-        if target != proof[k]:
-            proof_ok = False
-            if mismatch is None:
-                mismatch = k
-        if k != v and target != printed_sum:
-            # the alternative form is only claimed for k strictly below v
-            printed_ok = False
-    return RecursionReport(v, proof_ok, printed_ok, mismatch)
+    zero = Poly.const(0)
+    # the derivation form is the coefficient map of E[Q_v(x + mu, t)], the
+    # alternative one the shift of sum_i g_i q_i x^i by the unity umbra
+    proof = shifted(q.coeffs, mu)
+    printed = shifted({i: mu.eval_power(i) * q_i for i, q_i in q.coeffs.items()},
+                      unity(mu.order, mu.dim))
+    targets = {k: q.coefficient(k).subs({"t": Poly.var("t") - 1}) for k in _sub_indices(v)}
+    mismatch = next((k for k, c in targets.items() if c != proof.get(k, zero)), None)
+    # the alternative form is only claimed for k strictly below v
+    printed_ok = all(c == printed.get(k, zero) for k, c in targets.items() if k != v)
+    return RecursionReport(v, mismatch is None, printed_ok, mismatch)
 
 
 @dataclass(frozen=True)
@@ -216,33 +212,23 @@ class Decomposition:
 
 def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
               mu: UmbraTuple) -> Decomposition:
-    """Solve P = sum c_k Q_k by unitriangular back-substitution.
+    """Write P = sum c_k Q_k, reading c_k = p_k(0).
 
-    Indices are processed in decreasing total order; each Q_k has unit
-    leading coefficient, so c_k is read off the residual directly.  A
-    nonzero final residual certifies that P is not time-space harmonic.
+    Q_k(x, 0) = x^k, so P(x, 0) = sum c_k x^k whenever P is in the span;
+    the c_k are keyed in decreasing (|k|, k) order.  A nonzero residual
+    P - sum c_k Q_k certifies that P is not time-space harmonic.
     """
-    residual: CoeffMap = {tuple(k): as_poly(c)
-                          for k, c in coeffs.items()}
-    closure = set()
-    for k in residual:
-        closure.update(_sub_indices(k))
-    order = sorted(closure, key=lambda k: (mi.total(k), k), reverse=True)
+    p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
+    residual = dict(p)
     out: dict[tuple[int, ...], Fraction] = {}
-    for k in order:
-        p_k = residual.get(k, Poly.const(0))
-        if p_k.is_zero():
-            continue
-        c = p_k.subs({"t": 0})
+    for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True):
+        c = p[k].coefficient("t", 0)
         if c.is_zero():
             continue
-        c_val = c.constant_value()
-        out[k] = c_val
-        q = tsh_polynomial(mu, k)
-        for j, q_j in q.coeffs.items():
-            residual[j] = residual.get(j, Poly.const(0)) - c_val * q_j
-    leftovers = {k: p for k, p in residual.items() if not p.is_zero()}
-    return Decomposition(out, leftovers)
+        out[k] = c = c.constant_value()
+        for j, q_j in tsh_polynomial(mu, k).coeffs.items():
+            residual[j] = residual.get(j, Poly.const(0)) - c * q_j
+    return Decomposition(out, {k: r for k, r in residual.items() if not r.is_zero()})
 
 
 def tsh_to_json(q: TshPolynomial) -> dict:
@@ -255,11 +241,19 @@ def tsh_to_json(q: TshPolynomial) -> dict:
 
 
 def tsh_from_json(data: Mapping) -> TshPolynomial:
+    """Read a gen-tsh "tsh" object; every index must have the d entries of v."""
     coeffs = {k: as_poly(c) for k, c in parse_coeff_map(data, "coeffs").items()}
+    if "v" not in data:
+        raise ValueError("missing key 'v'")
+    if not isinstance(data["v"], str):
+        raise ValueError(f"'v' must be a string such as \"(1,2)\", got {data['v']!r}")
     v = mi.parse_index(data["v"])
     d = json_int(data, "d", len(v))
     if d != len(v):
         raise ValueError(f"'d' is {d} but v = {mi.format_index(v)} has {len(v)} entries")
+    for k in coeffs:
+        if len(k) != d:
+            raise ValueError(f"coeffs index {mi.format_index(k)} has {len(k)} entries, not d = {d}")
     return TshPolynomial(d, v, coeffs)
 
 

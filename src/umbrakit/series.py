@@ -160,8 +160,9 @@ class TruncatedSeries:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
 

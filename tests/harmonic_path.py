@@ -1,0 +1,68 @@
+"""Test references for umbrakit.harmonic: the back-substitution decompose
+and a shift by umbral substitution.
+
+decompose is the package's former solver of P = sum c_k Q_k, kept
+verbatim: it walks every sub-index of P in decreasing total order, reads
+c_k off the residual at t = 0 and subtracts c_k Q_k from the residual
+before it reads the next one.
+
+shifted computes E[P(x + tup)] without the binomial expansion of the
+package: it substitutes x_i -> x_i + y_i in P as one Poly, and then
+replaces each monomial y^j of the result by the moment g_j of the tuple.
+It calls neither shift_coeffs nor multi_binomial.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from umbrakit import multiindex as mi
+from umbrakit.harmonic import (Decomposition, poly_to_coeff_map, to_poly,
+                               tsh_polynomial, x_names)
+from umbrakit.polynomials import Poly, as_poly
+
+
+def _sub_indices(v):
+    """Every k <= v, lexicographically."""
+    return tuple(product(*(range(e + 1) for e in v)))
+
+
+def decompose(coeffs, mu):
+    """Solve P = sum c_k Q_k by unitriangular back-substitution."""
+    residual = {tuple(k): as_poly(c)
+                for k, c in coeffs.items()}
+    closure = set()
+    for k in residual:
+        closure.update(_sub_indices(k))
+    order = sorted(closure, key=lambda k: (mi.total(k), k), reverse=True)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k in order:
+        p_k = residual.get(k, Poly.const(0))
+        if p_k.is_zero():
+            continue
+        c = p_k.subs({"t": 0})
+        if c.is_zero():
+            continue
+        c_val = c.constant_value()
+        out[k] = c_val
+        q = tsh_polynomial(mu, k)
+        for j, q_j in q.coeffs.items():
+            residual[j] = residual.get(j, Poly.const(0)) - c_val * q_j
+    leftovers = {k: p for k, p in residual.items() if not p.is_zero()}
+    return Decomposition(out, leftovers)
+
+
+def shifted(coeffs, tup):
+    """E[P(x + tup)] as a coefficient map with zero entries dropped."""
+    if not coeffs:
+        return {}
+    d = tup.dim
+    xs, ys = x_names(d), tuple(f"y{i + 1}" for i in range(d))
+    moved = to_poly(coeffs).subs({x: Poly.var(x) + Poly.var(y) for x, y in zip(xs, ys)})
+    at = [moved.vars.index(y) if y in moved.vars else None for y in ys]
+    rest = tuple(i for i, name in enumerate(moved.vars) if name not in ys)
+    out = Poly.const(0)
+    for e, c in moved.terms.items():
+        j = tuple(0 if i is None else e[i] for i in at)
+        monomial = Poly(tuple(moved.vars[i] for i in rest), {tuple(e[i] for i in rest): c})
+        out = out + monomial * tup.eval_power(j)
+    return {k: c for k, c in poly_to_coeff_map(out, d).items() if not c.is_zero()}

@@ -293,6 +293,24 @@ def test_tsh_dimension_must_match_its_index(capsys, tmp_path):
     assert err.count("\n") == 1 and "'d' is 3" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    # once checked as a d = 1 polynomial and reported as "(1,1): PASS"
+    ({"v": "(1,1)", "coeffs": {"(1)": "1"}}, "coeffs index (1) has 1 entries, not d = 2"),
+    ({"v": "(1)", "coeffs": {"(1)": "1", "(0,1)": "3"}},
+     "coeffs index (0,1) has 2 entries, not d = 1"),
+    ({"coeffs": {"(1)": "1"}}, "missing key 'v'"),
+    ({"v": 11, "coeffs": {"(1)": "1"}}, "'v' must be a string"),
+], ids=["short index", "long index", "no v", "v not a string"])
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_tsh_file_indices_must_match_v(capsys, tmp_path, data, message, d):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--process", "brownian", "--d", d,
+                         "--tsh", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_decompose_double_star_exits_3(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"coeffs": {"(0)": "x1**2"}}))

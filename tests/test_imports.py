@@ -98,3 +98,13 @@ def test_only_series_knows_the_parts_layout(path):
     goes through its ops, its constructor and the .coeffs view."""
     names = referenced_names([TREES[path]])
     assert not names & SERIES_LAYOUT, f"{path.name} uses {sorted(names & SERIES_LAYOUT)}"
+
+
+def test_only_shifted_and_the_basis_expand_shifts():
+    """Every harmonicity fact is one shift: inside harmonic, only shifted
+    (E[P(x + tup)]) and tsh_polynomial (the basis) call shift_coeffs."""
+    callers = {fn.name for fn in ast.walk(TREES[PACKAGE / "harmonic.py"])
+               if isinstance(fn, ast.FunctionDef)
+               and "shift_coeffs" in {n.func.id for n in ast.walk(fn)
+                                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}}
+    assert callers <= {"shifted", "tsh_polynomial"}, f"{sorted(callers)} call shift_coeffs"

@@ -133,6 +133,23 @@ def test_series_pow_poly_exponent():
         assert tpow.get((k,)) == t ** k
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (4, 3), (5, 4)])
+def test_integer_power_squares_only_what_it_uses(monkeypatch, n, products):
+    # binary powering: one product per set bit and one squaring per bit
+    # after the lowest, none after the highest
+    f = TruncatedSeries(2, 5, {(0, 0): 1, (1, 0): Fraction(1, 2), (1, 1): 3})
+    want = TruncatedSeries.one(2, 5)
+    for _ in range(n):
+        want = want * f
+    calls = []
+    mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    got = f ** n
+    monkeypatch.undo()
+    assert got == want
+    assert len(calls) == products
+
+
 def test_subst_multivariate():
     N = 5
     f = TruncatedSeries(2, N, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 3})
