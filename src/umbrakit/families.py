@@ -11,21 +11,15 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import multiindex as mi
-from .harmonic import (expectation, poly_to_coeff_map, shift_coeffs, to_poly,
-                       verify_harmonicity, x_names)
-from .polynomials import Coefficient, Poly, as_coefficient, as_poly
+from .harmonic import (expectation, poly_to_coeff_map, to_poly, verify_harmonicity,
+                       x_names)
+from .polynomials import Coefficient, Poly, as_poly
 from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
 from .series import (TruncatedSeries, series_exp, series_pow, series_subst,
                      vector_reversion)
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
-                     euler_umbra, unity)
-
-
-def _time(t: Coefficient | str) -> Poly | Fraction:
-    if isinstance(t, str):
-        return Poly.var(t)
-    return as_coefficient(t)
+                     euler_umbra, shift_coeffs, time_argument, unity)
 
 
 def _shift_family(one_step: UmbraTuple, v: tuple[int, ...],
@@ -59,7 +53,7 @@ def hermite(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
     C = [[Fraction(x) for x in row] for row in C]
     one_step = brownian_one_step(C, mi.total(v))
     # E[(x - t.mu)^v]: shift by the process with t negated
-    return _shift_family(one_step, v, -_time(t))
+    return _shift_family(one_step, v, -time_argument(t))
 
 
 def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
@@ -70,7 +64,7 @@ def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
     d = len(C)
     order = mi.total(v)
     sigma = covariance_from_factor(C)
-    tt = _time(t)
+    tt = time_argument(t)
     arg = _x_dot_z(d)
     for i in range(d):
         for j in range(d):
@@ -126,7 +120,7 @@ def _classical_gf_oracle(base: TruncatedSeries, v: tuple[int, ...],
                          t: Coefficient | str) -> Poly:
     """Coefficient of z^v/v! in f(base, z)^t exp(x1 z1 + ... + xd zd)."""
     x_dot_z = TruncatedSeries(base.dim, base.order, _x_dot_z(base.dim))
-    f = series_pow(base, _time(t)) * series_exp(x_dot_z)
+    f = series_pow(base, time_argument(t)) * series_exp(x_dot_z)
     return as_poly(f.get(tuple(v)))
 
 
@@ -161,7 +155,7 @@ def levy_sheffer(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
 def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
                            t: Coefficient | str = "t") -> Poly:
     """Coefficient of z^k/k! in [g(z)]^t exp{(x1+...+xd)[h(z) - 1]}."""
-    g_t = series_pow(mu.to_series(), _time(t))
+    g_t = series_pow(mu.to_series(), time_argument(t))
     h1 = nu.to_series() - TruncatedSeries.one(mu.dim, mu.order)
     return as_poly((g_t * series_exp(h1.scale(_x_sum(mu.dim)))).get(tuple(k)))
 

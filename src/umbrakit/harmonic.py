@@ -7,7 +7,8 @@ are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
 
 Every check is one shift: shifted(P, tup) is E[P(x + tup)], the sum of
-p_k E[(x + tup)^k] over the memoised expansions of shift_coeffs.  The
+p_k E[(x + tup)^k] over the expansions of umbrae.shift_coeffs, which the
+tuple memoises with the rest of what it derives from its gf.  The
 basis is Q_v = E[(x - t.mu)^v]; P is harmonic when its shift by
 (t - s).mu is P with t -> s; the coefficient recursion is the shift of
 Q_v by mu.  Since Q_k(x, 0) = x^k, decompose reads c_k = p_k(0).
@@ -20,23 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from types import MappingProxyType
 from typing import Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
                           parse_coeff_map, to_coeff_map)
-from .umbrae import UmbraTuple, unity
+from .umbrae import UmbraTuple, shift_coeffs, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
-
-
-@lru_cache(maxsize=None)
-def _sub_indices(v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every k <= v, lexicographically."""
-    return tuple(product(*(range(e + 1) for e in v)))
 
 
 # -- coefficient maps: k -> p_k stands for sum_k p_k x^k ---------------
@@ -55,22 +47,6 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     """Split a Poly in x1..xd (and t) into x-monomial -> Q[t] coefficients."""
     out = {k: as_poly(c) for k, c in to_coeff_map(p, x_names(d)).items()}
     return out or {(0,) * d: Poly.const(0)}
-
-
-def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
-    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v.
-
-    Memoised per v on the tuple, so a sweep that conditions on one tuple
-    expands each index once.  Every caller shares the map, TshPolynomial
-    among them, so it is returned read-only.
-    """
-    v = tuple(v)
-    out = tup._shifts.get(v)
-    if out is None:
-        out = tup._shifts[v] = MappingProxyType(
-            {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
-             for k in _sub_indices(v)})
-    return out
 
 
 def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
@@ -193,7 +169,7 @@ def coefficient_recursion_check(mu: UmbraTuple, v: tuple[int, ...]) -> Recursion
     proof = shifted(q.coeffs, mu)
     printed = shifted({i: mu.eval_power(i) * q_i for i, q_i in q.coeffs.items()},
                       unity(mu.order, mu.dim))
-    targets = {k: q.coefficient(k).subs({"t": Poly.var("t") - 1}) for k in _sub_indices(v)}
+    targets = {k: q.coefficient(k).subs({"t": Poly.var("t") - 1}) for k in mi.sub_indices(v)}
     mismatch = next((k for k, c in targets.items() if c != proof.get(k, zero)), None)
     # the alternative form is only claimed for k strictly below v
     printed_ok = all(c == printed.get(k, zero) for k, c in targets.items() if k != v)
@@ -216,9 +192,11 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
 
     Q_k(x, 0) = x^k, so P(x, 0) = sum c_k x^k whenever P is in the span;
     the c_k are keyed in decreasing (|k|, k) order.  A nonzero residual
-    P - sum c_k Q_k certifies that P is not time-space harmonic.
+    P - sum c_k Q_k certifies that P is not time-space harmonic.  Every
+    index must have the d entries of mu.
     """
     p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
+    _check_dimension(p, mu.dim)
     residual = dict(p)
     out: dict[tuple[int, ...], Fraction] = {}
     for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True):
@@ -240,8 +218,16 @@ def tsh_to_json(q: TshPolynomial) -> dict:
     }
 
 
+def _check_dimension(indices, d: int) -> None:
+    """Raise unless every coefficient index has d entries."""
+    for k in indices:
+        if len(k) != d:
+            raise ValueError(f"coeffs index {mi.format_index(k)} has {len(k)} entries, not d = {d}")
+
+
 def tsh_from_json(data: Mapping) -> TshPolynomial:
-    """Read a gen-tsh "tsh" object; every index must have the d entries of v."""
+    """Read a gen-tsh "tsh" object: every index must have the d entries
+    of v and be <= v, and the coefficient at v must be 1."""
     coeffs = {k: as_poly(c) for k, c in parse_coeff_map(data, "coeffs").items()}
     if "v" not in data:
         raise ValueError("missing key 'v'")
@@ -251,9 +237,13 @@ def tsh_from_json(data: Mapping) -> TshPolynomial:
     d = json_int(data, "d", len(v))
     if d != len(v):
         raise ValueError(f"'d' is {d} but v = {mi.format_index(v)} has {len(v)} entries")
+    _check_dimension(coeffs, d)
     for k in coeffs:
-        if len(k) != d:
-            raise ValueError(f"coeffs index {mi.format_index(k)} has {len(k)} entries, not d = {d}")
+        if not mi.leq(k, v):
+            raise ValueError(f"coeffs index {mi.format_index(k)} is not <= v = {mi.format_index(v)}")
+    q_v = coeffs.get(v, Poly.const(0))
+    if q_v != 1:
+        raise ValueError(f"the coefficient at v = {mi.format_index(v)} is {q_v}, not 1")
     return TshPolynomial(d, v, coeffs)
 
 

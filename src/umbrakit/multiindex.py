@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -81,6 +82,12 @@ def sub(v: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
 
 def add(v: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(v, k))
+
+
+@lru_cache(maxsize=None)
+def sub_indices(v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every k <= v, lexicographically."""
+    return tuple(product(*(range(e + 1) for e in v)))
 
 
 def multi_binomial(v: tuple[int, ...], k: tuple[int, ...]) -> int:

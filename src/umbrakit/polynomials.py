@@ -134,11 +134,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Coefficient) -> "Poly":
-        if type(other) is Poly and other.vars:
-            if self.vars:
-                return _sum(self, other, 1)
-            return _shift(other, *_scalar_parts(self))
-        return _shift(self, *_scalar_parts(other))
+        return _sum(self, as_poly(other), 1)
 
     __radd__ = __add__
 
@@ -146,15 +142,10 @@ class Poly:
         return _make(self.vars, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: Coefficient) -> "Poly":
-        if type(other) is Poly and other.vars:
-            if self.vars:
-                return _sum(self, other, -1)
-            return _shift(-other, *_scalar_parts(self))
-        n, d = _scalar_parts(other)
-        return _shift(self, -n, d)
+        return _sum(self, as_poly(other), -1)
 
     def __rsub__(self, other: Coefficient) -> "Poly":
-        return _shift(-self, *_scalar_parts(other))
+        return _sum(as_poly(other), self, -1)
 
     def __mul__(self, other: Coefficient) -> "Poly":
         if type(other) is Poly and other.vars:
@@ -332,28 +323,12 @@ def _embedded(nums: dict, emb) -> dict:
     return nums if emb is None else {emb(e): n for e, n in nums.items()}
 
 
-def _shift(p: Poly, n: int, d: int) -> Poly:
-    """p + n/d."""
-    if not n:
-        return p
-    nums, den = p._nums, p._den
-    zero = (0,) * len(p.vars)
-    if d == den:
-        out = dict(nums)
-    else:
-        g = math.gcd(den, d)
-        m = d // g
-        out, n, den = {e: x * m for e, x in nums.items()}, n * (den // g), den * m
-    c = out.get(zero, 0) + n
-    if c:
-        out[zero] = c
-    else:
-        del out[zero]
-    return _reduced(p.vars, out, den)
-
-
 def _sum(a: Poly, b: Poly, sign: int) -> Poly:
-    """a + sign * b for two Polys with variables."""
+    """a + sign * b; the constant 0 as an operand costs no copy."""
+    if not (b._nums or b.vars):
+        return a
+    if not (a._nums or a.vars):
+        return b if sign == 1 else -b
     vs, an, bn = a.vars, a._nums, b._nums
     if b.vars != vs:
         vs, ea, eb = _alignment(vs, b.vars)

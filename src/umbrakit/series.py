@@ -212,7 +212,14 @@ def series_pow(f: TruncatedSeries, e: Coefficient) -> TruncatedSeries:
     if f.constant_term() != 1:
         raise ValueError("series_pow needs constant term 1")
     e = as_coefficient(e)
-    return _recurrence(f, lambda n, k: e * k - (n - k))
+    # e k - (n - k) grows by e + 1 with k: past the first of each row, an
+    # entry is one sum of two coefficients in the same variables
+    step, weights = e + 1, {}
+    for n in range(1, f.order + 1):
+        weights[n, 1] = e - (n - 1)
+        for k in range(2, n + 1):
+            weights[n, k] = weights[n, k - 1] + step
+    return _recurrence(f, lambda n, k: weights[n, k])
 
 
 def series_subst(f: TruncatedSeries,

@@ -4,15 +4,21 @@ A tuple is identified with its joint moments {g_v : |v| <= N}; similar
 tuples are equal values, and products across distinct tuples factor by
 construction, so uncorrelated copies need no explicit representation.
 Moments may be exact rationals or Poly values in declared parameters.
+
+A tuple is its gf f, and every derived array is one series operation on
+it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
+for dot_t_beta, and the shift expansions of shift_coeffs.  Each is built
+once and kept in the tuple's one memo, which only this module touches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_coefficient
+from .polynomials import Coefficient, Poly, as_coefficient, as_poly
 from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
                      series_compose, series_exp, series_log, series_reversion,
                      series_subst, vector_reversion)
@@ -21,7 +27,7 @@ from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
 class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
-    __slots__ = ("dim", "order", "_series", "_log", "_tables", "_dots", "_shifts")
+    __slots__ = ("dim", "order", "_series", "_memo")
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
@@ -33,10 +39,7 @@ class UmbraTuple:
             raise ValueError("moment array must be unital: g_0 = 1")
         self.dim, self.order = f.dim, f.order
         self._series = f
-        self._log = None    # log f, see _log_series
-        self._tables = {}   # kind -> series table, see _series_table
-        self._dots = {}     # (kind, p) -> dot-product tuple, see _dot
-        self._shifts = {}   # v -> read-only map, see harmonic.shift_coeffs
+        self._memo = {}     # key -> array derived from f, see _derived
 
     # -- evaluation ---------------------------------------------------
 
@@ -120,52 +123,47 @@ class UmbraTuple:
                   for j in range(d)]
         return UmbraTuple.from_series(series_subst(self.to_series(), inners))
 
-    def _log_series(self) -> TruncatedSeries:
-        """log f, built once per tuple for the "log" table and cumulant_tuple."""
-        if self._log is None:
-            self._log = series_log(self._series)
-        return self._log
-
-    def _series_table(self, kind: str) -> list[list[Poly]]:
-        """The exp_table of h, the homogeneous parts of h^k / k!, k = 0..N,
-        where h = log f for kind "log" and h = f - 1 for kind "beta";
-        built once per tuple."""
-        table = self._tables.get(kind)
-        if table is None:
-            h = self._log_series() if kind == "log" else \
-                self._series - TruncatedSeries.one(self.dim, self.order)
-            table = self._tables[kind] = exp_table(h)
-        return table
-
-    def _dot(self, kind: str, p: Coefficient) -> "UmbraTuple":
-        """The tuple with gf exp(p h), summed by exp_at on the parts of
-        the _series_table of kind.
-
-        Memoised per (kind, p) on this tuple, so the few time arguments a
-        process uses (t, -t, t - s) are each expanded once.  Callers share
-        the returned tuple and must not mutate it.
-        """
-        key = (kind, p)
-        out = self._dots.get(key)
+    def _derived(self, key, build):
+        """The array that build() derives from the gf, built once per tuple
+        and kept under key: "log" (log f), "exp" (the exp_table of log f),
+        ("pow", p) and ("beta", p) (dot-product tuples) and ("shift", v)
+        (see shift_coeffs).  Callers share it and must not mutate it."""
+        out = self._memo.get(key)
         if out is None:
-            f = exp_at(self._series_table(kind), p, self.dim, self.order)
-            out = self._dots[key] = UmbraTuple.from_series(f)
+            out = self._memo[key] = build()
         return out
+
+    def _log_series(self) -> TruncatedSeries:
+        """log f, for the exp table and cumulant_tuple."""
+        return self._derived("log", lambda: series_log(self._series))
+
+    def _pow(self, p: Coefficient) -> "UmbraTuple":
+        """The tuple with gf f^p = exp(p log f), summed by exp_at on the
+        exp_table of log f, so the few time arguments a process uses (t,
+        -t, t - s) each cost one pass over one table."""
+        def build():
+            table = self._derived("exp", lambda: exp_table(self._log_series()))
+            return UmbraTuple.from_series(exp_at(table, p, self.dim, self.order))
+        return self._derived(("pow", p), build)
 
     def dot_n(self, n: int) -> "UmbraTuple":
         """n-fold sum of uncorrelated copies; gf f^n."""
         if n < 0:
             raise ValueError("dot_n needs n >= 0; use inverse_umbra for -1")
-        return self._dot("log", Fraction(n))
+        return self._pow(Fraction(n))
 
     def dot_t(self, t: Coefficient | str) -> "UmbraTuple":
         """Dot-product with a parameter: gf f^t = exp(t log f), so the
         moments are polynomials in t."""
-        return self._dot("log", Poly.var(t) if isinstance(t, str) else as_coefficient(t))
+        return self._pow(time_argument(t))
 
     def dot_t_beta(self, t: Coefficient | str) -> "UmbraTuple":
-        """Composition-style dot-product: gf exp(t (f - 1))."""
-        return self._dot("beta", Poly.var(t) if isinstance(t, str) else as_coefficient(t))
+        """Composition-style dot-product: gf exp(t (f - 1)), one series_exp."""
+        p = time_argument(t)
+        def build():
+            h = self._series - TruncatedSeries.one(self.dim, self.order)
+            return UmbraTuple.from_series(series_exp(h.scale(p)))
+        return self._derived(("beta", p), build)
 
     def inverse_umbra(self) -> "UmbraTuple":
         """The -1 dot-product: gf is the reciprocal series."""
@@ -181,6 +179,25 @@ class UmbraTuple:
         """Inverse of cumulant_tuple: gf exp(f_c - 1)."""
         one = TruncatedSeries.one(c.dim, c.order)
         return cls.from_series(series_exp(c.to_series() - one))
+
+
+def time_argument(t: Coefficient | str) -> Coefficient:
+    """A time argument as a coefficient: a name is its variable, any
+    other value its as_coefficient."""
+    return Poly.var(t) if isinstance(t, str) else as_coefficient(t)
+
+
+def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
+    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v.
+
+    Memoised per v on the tuple, so a sweep that conditions on one tuple
+    expands each index once.  Every caller shares the map, TshPolynomial
+    among them, so it is returned read-only.
+    """
+    v = tuple(v)
+    return tup._derived(("shift", v), lambda: MappingProxyType(
+        {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
+         for k in mi.sub_indices(v)}))
 
 
 # -- composition of univariate umbrae --------------------------------

@@ -300,7 +300,17 @@ def test_tsh_dimension_must_match_its_index(capsys, tmp_path):
      "coeffs index (0,1) has 2 entries, not d = 1"),
     ({"coeffs": {"(1)": "1"}}, "missing key 'v'"),
     ({"v": 11, "coeffs": {"(1)": "1"}}, "'v' must be a string"),
-], ids=["short index", "long index", "no v", "v not a string"])
+    # once "(3): PASS": x1 is harmonic for brownian motion, but it is not Q_(3)
+    ({"v": "(3)", "coeffs": {"(1)": "1"}}, "the coefficient at v = (3) is 0, not 1"),
+    # once "(2): PASS": 5 Q_(2) is harmonic, but it is not Q_(2)
+    ({"v": "(2)", "coeffs": {"(2)": "5", "(0)": "-5*t"}},
+     "the coefficient at v = (2) is 5, not 1"),
+    ({"v": "(2)", "coeffs": {"(2)": "1", "(0)": "-t", "(3)": "0"}},
+     "coeffs index (3) is not <= v = (2)"),
+    ({"v": "(1,1)", "coeffs": {"(1,1)": "1", "(2,0)": "t"}},
+     "coeffs index (2,0) is not <= v = (1,1)"),
+], ids=["short index", "long index", "no v", "v not a string", "x1 as Q_(3)", "5 Q_(2)",
+        "index above v", "index beside v"])
 @pytest.mark.parametrize("d", ["1", "2"])
 def test_tsh_file_indices_must_match_v(capsys, tmp_path, data, message, d):
     path = tmp_path / "q.json"
@@ -309,6 +319,21 @@ def test_tsh_file_indices_must_match_v(capsys, tmp_path, data, message, d):
                          "--tsh", str(path))
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("coeffs, d, message", [
+    # once "exact": false with exit 1: p_(1,1)(0) = 0, so no Q_(1,1) was built
+    ({"(1,1)": "t"}, "1", "coeffs index (1,1) has 2 entries, not d = 1"),
+    ({"(1)": "1", "(0,1)": "t"}, "1", "coeffs index (0,1) has 2 entries, not d = 1"),
+    ({"(2)": "1", "(0)": "-t"}, "2", "coeffs index (2) has 1 entries, not d = 2"),
+], ids=["long t index", "long index beside a short one", "short index"])
+def test_decompose_indices_must_have_d_entries(capsys, tmp_path, coeffs, d, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    code, out, err = run(capsys, "decompose", "--process", "brownian", "--d", d,
+                         "--poly", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_decompose_double_star_exits_3(capsys, tmp_path):

@@ -13,7 +13,7 @@ from umbrakit import multiindex as mi
 from umbrakit.harmonic import tsh_polynomial
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
-from umbrakit.series import TruncatedSeries, series_exp, series_pow
+from umbrakit.series import TruncatedSeries, exp_at, exp_table, series_pow
 from umbrakit.umbrae import UmbraTuple
 
 import partition_path as pp
@@ -77,13 +77,14 @@ def test_random_arrays(mu, p, n):
 @settings(max_examples=20, deadline=None)
 @given(arrays(), st.integers(0, 4))
 def test_random_arrays_against_series_recurrences(mu, n):
-    # exp_table/exp_at against Miller's pow and the exp recurrence
+    # exp_table/exp_at against Miller's pow, and the exp recurrence against exp_at
     f = mu.to_series()
     for p in (t, -t, t - s):
         assert mu.dot_t(p).to_series() == series_pow(f, p), f"dot_t({p})"
     assert mu.dot_n(n).to_series() == series_pow(f, n), f"dot_n({n})"
+    # dot_t_beta is series_exp(t h); the exp_table of h is summed independently
     h = f - TruncatedSeries.one(mu.dim, mu.order)
-    assert mu.dot_t_beta(t).to_series() == series_exp(h.scale(t))
+    assert mu.dot_t_beta(t).to_series() == exp_at(exp_table(h), t, mu.dim, mu.order)
 
 
 def test_parameterised_moments():
@@ -102,6 +103,7 @@ def test_memo_returns_the_same_tuple():
     assert mu.dot_t("t") is mu.dot_t(t)
     # a constant Poly is the same time argument as its scalar
     assert mu.dot_t(Poly.const(3)) is mu.dot_n(3)
+    assert mu.dot_t_beta("t") is mu.dot_t_beta(t)
     # the two kinds share no entries
     assert mu.dot_t_beta(t) != mu.dot_t(t)
     assert mu.dot_t_beta(t) == pp.dot_t_beta(mu, t)

@@ -100,11 +100,33 @@ def test_only_series_knows_the_parts_layout(path):
     assert not names & SERIES_LAYOUT, f"{path.name} uses {sorted(names & SERIES_LAYOUT)}"
 
 
+MEMO = {"_memo", "_derived", "_shifts", "_dots", "_tables", "_log"}
+
+
+def test_umbrae_defines_the_memo():
+    assert {"_memo", "_derived"} <= referenced_names([TREES[PACKAGE / "umbrae.py"]])
+
+
+@pytest.mark.parametrize("path", sorted(p for p in TREES if p.name != "umbrae.py"),
+                         ids=lambda p: p.name)
+def test_only_umbrae_knows_a_tuples_memo(path):
+    """What a tuple derives from its gf (log f, its exp table, the dot
+    products, the shift expansions) sits in one memo private to umbrae:
+    every other module asks the tuple or shift_coeffs, and writes nothing."""
+    names = referenced_names([TREES[path]])
+    assert not names & MEMO, f"{path.name} uses {sorted(names & MEMO)}"
+
+
+def called_names(fn):
+    """The names that fn calls, as f(...) or as module.f(...)."""
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
 def test_only_shifted_and_the_basis_expand_shifts():
     """Every harmonicity fact is one shift: inside harmonic, only shifted
     (E[P(x + tup)]) and tsh_polynomial (the basis) call shift_coeffs."""
     callers = {fn.name for fn in ast.walk(TREES[PACKAGE / "harmonic.py"])
-               if isinstance(fn, ast.FunctionDef)
-               and "shift_coeffs" in {n.func.id for n in ast.walk(fn)
-                                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}}
-    assert callers <= {"shifted", "tsh_polynomial"}, f"{sorted(callers)} call shift_coeffs"
+               if isinstance(fn, ast.FunctionDef) and "shift_coeffs" in called_names(fn)}
+    assert callers == {"shifted", "tsh_polynomial"}, f"{sorted(callers)} call shift_coeffs"
