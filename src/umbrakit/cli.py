@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
         with open(args.tsh) as fh:
             data = json.load(fh)
         q = tsh_from_json(data.get("tsh", data) if isinstance(data, dict) else data)
+        if q.dim != proc.one_step.dim:
+            raise ValueError(f"the --tsh file has d = {q.dim}, but the process "
+                             f"has --d {proc.one_step.dim}")
         ok, cert = verify_harmonicity(proc.one_step, q.coeffs)
         print(f"{mi.format_index(q.index)}: {'PASS' if ok else 'FAIL'}")
         if not ok:

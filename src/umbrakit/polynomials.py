@@ -11,8 +11,21 @@ against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
 arithmetic.  A constant Poly without variables acts as a scalar.
 
+Each monomial is keyed by one packed int (Monagan and Pearce, CASC
+2007): over n sorted variables, the exponent of variable i sits in the
+32-bit field at bit 32 (n - 1 - i), so the last variable is in the
+lowest field.  A monomial product is one int addition, a constant's key
+is 0 over any variables, and int order is lexicographic exponent order.
+Keys over a suffix of a variable tuple are already keys over the whole
+tuple, so a series part over ~z1..~zd meets the parameters of its
+coefficients without being re-keyed.  Every field keeps its top bit
+clear: exponents are below 2^31, and a product that would reach 2^31
+raises ValueError instead of carrying into the next field.
+
 from_coeff_map and to_coeff_map are the one path between a coefficient
 map k -> c_k and a Poly; no other module builds or unpacks numerators.
+The public API (the constructor, .terms, degree, coefficient, subs,
+reduce_power) speaks exponent tuples.
 """
 
 from __future__ import annotations
@@ -20,14 +33,18 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, itemgetter
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import parse_index
 
 Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "Poly"]
+
+_WIDTH = 32                    # bits per exponent field
+_FIELD = (1 << _WIDTH) - 1     # one field's mask
+_LIMIT = 1 << (_WIDTH - 1)     # exponents stay below this, so a field's top bit is clear
 
 
 def _ratio(c: Scalar) -> tuple[int, int]:
@@ -41,34 +58,77 @@ def _ratio(c: Scalar) -> tuple[int, int]:
     raise TypeError(f"not a rational scalar: {c!r}")
 
 
+def _pack(e: Sequence[int]) -> int:
+    """The key of an exponent tuple."""
+    key = 0
+    for x in e:
+        if not 0 <= x < _LIMIT:
+            raise ValueError(f"exponent {x} in {tuple(e)} is not in [0, 2^31)")
+        key = key << _WIDTH | x
+    return key
+
+
+@lru_cache(maxsize=None)
+def _offsets(n: int) -> tuple[int, ...]:
+    """The bit offset of each of n fields, first variable first."""
+    return tuple(range(_WIDTH * (n - 1), -1, -_WIDTH))
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a key over n variables."""
+    return tuple([key >> s & _FIELD for s in _offsets(n)])
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    """The top bit of each of n fields."""
+    return _LIMIT * (((1 << _WIDTH * n) - 1) // _FIELD)
+
+
 @lru_cache(maxsize=1024)
 def _alignment(a: tuple[str, ...], b: tuple[str, ...]):
-    """The sorted union of two variable tuples and, for each side, the map
-    of its exponent tuples into the union (None where the side is the union)."""
+    """The sorted union of two variable tuples and, for each side, the
+    re-keying of its numerators into the union (None where the keys need
+    no change)."""
     vs = tuple(sorted(set(a) | set(b)))
     return vs, _embedding(a, vs), _embedding(b, vs)
 
 
+@lru_cache(maxsize=1024)
 def _embedding(src: tuple[str, ...], dst: tuple[str, ...]):
-    """The map from exponent tuples over src to those over dst, with 0 for
-    a dst variable that src lacks (None where src is dst)."""
-    if src == dst:
+    """The map from numerators keyed over src to numerators keyed over
+    dst: each dst variable takes the field of the same src variable, or 0
+    where src lacks it.  None where every key is unchanged, as when src
+    is a suffix of dst."""
+    if src == dst or not src:
         return None
-    if not src or not dst:
-        zero = (0,) * len(dst)
-        return lambda e: zero
-    pick = itemgetter(*(src.index(v) if v in src else len(src) for v in dst))
-    if len(dst) == 1:
-        return lambda e: (pick(e + (0,)),)
-    return lambda e: pick(e + (0,))
+    pos = {x: i for i, x in enumerate(src)}
+    runs = []   # [last src index, last dst index, length] of fields that move together
+    for j, x in enumerate(dst):
+        i = pos.get(x)
+        if i is None:
+            continue
+        if runs and runs[-1][:2] == [i - 1, j - 1]:
+            runs[-1] = [i, j, runs[-1][2] + 1]
+        else:
+            runs.append([i, j, 1])
+    ns, nd = len(src), len(dst)
+    moves = tuple((_WIDTH * (ns - 1 - i), _WIDTH * (nd - 1 - j), (1 << _WIDTH * n) - 1)
+                  for i, j, n in runs)
+    if len(runs) == 1 and runs[0][2] == ns:
+        # src is one contiguous run of dst: every key moves by one shift
+        b = moves[0][1]
+        return None if b == 0 else lambda nums: {k << b: x for k, x in nums.items()}
+    return lambda nums: {sum((k >> a & m) << b for a, b, m in moves): x
+                         for k, x in nums.items()}
 
 
 class Poly:
     """Immutable sparse polynomial: integer numerators over one denominator.
 
-    Parts: vars (sorted, distinct names), _nums (exponent tuple -> nonzero
-    int) and _den (positive int) with gcd(_den, *_nums) == 1.  The zero
-    polynomial is {} over 1.
+    Parts: vars (sorted, distinct names), _nums (packed exponent key ->
+    nonzero int) and _den (positive int) with gcd(_den, *_nums) == 1.
+    The zero polynomial is {} over 1.  Exponents are below 2^31.
     """
 
     __slots__ = ("vars", "_nums", "_den")
@@ -90,11 +150,11 @@ class Poly:
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
         n, d = _ratio(c)
-        return _make((), {(): n}, d) if n else _make((), {}, 1)
+        return _make((), {0: n}, d) if n else _make((), {}, 1)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return _make((name,), {(1,): 1}, 1)
+        return _make((name,), {1: 1}, 1)
 
     # -- structure ----------------------------------------------------
 
@@ -108,9 +168,9 @@ class Poly:
         return not self._nums
 
     def is_constant(self) -> bool:
-        # the exponent tuples are distinct, so two terms mean a variable term
+        # the keys are distinct, so two terms mean a variable term
         nums = self._nums
-        return len(nums) < 2 and not any(next(iter(nums), ()))
+        return len(nums) < 2 and not next(iter(nums), 0)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -120,15 +180,19 @@ class Poly:
     def degree(self, name: str) -> int:
         if name not in self.vars or not self._nums:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self._nums)
+        s = _offsets(len(self.vars))[self.vars.index(name)]
+        return max(e >> s & _FIELD for e in self._nums)
 
     def coefficient(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, a Poly in the remaining variables."""
         if name not in self.vars:
             return self if power == 0 else _ZERO
         i = self.vars.index(name)
-        nums = {e[:i] + e[i + 1:]: n for e, n in self._nums.items() if e[i] == power}
+        s = _offsets(len(self.vars))[i]
+        low = (1 << s) - 1
+        # drop the field of name: the fields above it move down by one
+        nums = {(e >> (_WIDTH + s) << s) | (e & low): n
+                for e, n in self._nums.items() if (e >> s & _FIELD) == power}
         return _reduced(self.vars[:i] + self.vars[i + 1:], nums, self._den)
 
     # -- arithmetic ---------------------------------------------------
@@ -191,7 +255,9 @@ class Poly:
 
     def __hash__(self):
         nums = self._nums
-        used = tuple(x for i, x in enumerate(self.vars) if any(e[i] for e in nums))
+        seen = reduce(or_, nums, 0)
+        used = tuple(x for x, s in zip(self.vars, _offsets(len(self.vars)))
+                     if seen >> s & _FIELD)
         if not used:
             # equal to its scalar value, so it must hash like it
             return hash(Fraction(sum(nums.values()), self._den))
@@ -211,15 +277,16 @@ class Poly:
             (name, new), = mapping.items()
             if (name in self.vars and type(new) is Poly and len(new.vars) == 1
                     and new.vars[0] not in self.vars and new._den == 1
-                    and new._nums == {(1,): 1}):
+                    and new._nums == {1: 1}):
                 names = tuple(new.vars[0] if x == name else x for x in self.vars)
                 vs = tuple(sorted(names))
                 return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
         out = _ZERO
         powers: dict = {}
+        nv = len(self.vars)
         for e, n in self._nums.items():
-            term = _reduced((), {(): n}, self._den)
-            for name, k in zip(self.vars, e):
+            term = _reduced((), {0: n}, self._den)
+            for name, k in zip(self.vars, _unpack(e, nv)):
                 if not k:
                     continue
                 f = powers.get((name, k))
@@ -241,10 +308,10 @@ class Poly:
         rep = as_poly(replacement)
         powers: dict = {}
         out = _ZERO
-        i = self.vars.index(name)
+        s = _offsets(len(self.vars))[self.vars.index(name)]
         for e, n in self._nums.items():
-            q, r = divmod(e[i], order)
-            term = _reduced(self.vars, {e[:i] + (r,) + e[i + 1:]: n}, self._den)
+            q = (e >> s & _FIELD) // order
+            term = _reduced(self.vars, {e - (q * order << s): n}, self._den)
             if q:
                 f = powers.get(q)
                 if f is None:
@@ -259,9 +326,12 @@ class Poly:
         if not self._nums:
             return "0"
         parts = []
-        for e in sorted(self._nums, key=lambda e: (sum(e), e), reverse=True):
-            g = math.gcd(self._nums[e], self._den)
-            n, d = self._nums[e] // g, self._den // g
+        nv = len(self.vars)
+        terms = sorted(((_unpack(k, nv), x) for k, x in self._nums.items()),
+                       key=lambda ex: (sum(ex[0]), ex[0]), reverse=True)
+        for e, x in terms:
+            g = math.gcd(x, self._den)
+            n, d = x // g, self._den // g
             c = str(n) if d == 1 else f"{n}/{d}"
             factors = []
             for name, k in zip(self.vars, e):
@@ -310,7 +380,7 @@ def _reduced(vs: tuple[str, ...], nums: dict, den: int) -> Poly:
 
 
 _ZERO = _make((), {}, 1)
-_ONE = _make((), {(): 1}, 1)
+_ONE = _make((), {0: 1}, 1)
 
 
 def _scalar_parts(c) -> tuple[int, int]:
@@ -320,7 +390,7 @@ def _scalar_parts(c) -> tuple[int, int]:
 
 
 def _embedded(nums: dict, emb) -> dict:
-    return nums if emb is None else {emb(e): n for e, n in nums.items()}
+    return nums if emb is None else emb(nums)
 
 
 def _sum(a: Poly, b: Poly, sign: int) -> Poly:
@@ -373,19 +443,23 @@ def _product(a: Poly, b: Poly) -> Poly:
         an, bn = _embedded(an, ea), _embedded(bn, eb)
     if len(bn) == 1:
         (e2, x2), = bn.items()
-        out = {tuple(map(add, e1, e2)): x1 * x2 for e1, x1 in an.items()}
+        out = {e1 + e2: x1 * x2 for e1, x1 in an.items()}
     elif len(an) == 1:
         (e1, x1), = an.items()
-        out = {tuple(map(add, e1, e2)): x1 * x2 for e2, x2 in bn.items()}
+        out = {e1 + e2: x1 * x2 for e2, x2 in bn.items()}
     else:
         out = {}
         get = out.get
         for e1, x1 in an.items():
             for e2, x2 in bn.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = get(e, 0) + x1 * x2
         if 0 in out.values():
             out = {e: x for e, x in out.items() if x}
+    # each field of a sum of two keys is below 2^32, so it carries nothing
+    # into the next field, and its top bit is set iff the exponent overflowed
+    if reduce(or_, out, 0) & _guard(len(vs)):
+        raise ValueError("polynomial product has an exponent of 2^31 or more")
     return _reduced(vs, out, a._den * b._den)
 
 
@@ -395,8 +469,8 @@ def _product(a: Poly, b: Poly) -> Poly:
 # sum_k c_k names^k / weight(k), where each c_k is a rational or a Poly in
 # other variables and weight(k) is a positive int (1 by default).
 
-# One tuple object per parameter exponent tuple that to_coeff_map hands out,
-# across calls, so a moment array holds each once; clearing costs no result.
+# One int object per parameter key that to_coeff_map hands out, across
+# calls, so a moment array holds each once; clearing costs no result.
 _SHARED: dict = {}
 _SHARED_MAX = 1 << 12
 
@@ -411,8 +485,7 @@ def from_coeff_map(coeffs: Mapping[tuple[int, ...], Coefficient],
                            for x in c.vars}))
     if params and not set(params).isdisjoint(names):
         raise ValueError(f"a coefficient uses one of the variables {names}")
-    pad = (0,) * len(params)
-    den, parts = 1, []   # (k, (exponents over params, numerator) pairs, denominator)
+    den, parts = 1, []   # (key of k, (key over params, numerator) pairs, denominator)
     for k, c in coeffs.items():
         if len(k) != len(names):
             raise ValueError(f"index {k} does not match the variables {names}")
@@ -420,17 +493,18 @@ def from_coeff_map(coeffs: Mapping[tuple[int, ...], Coefficient],
             nums, d = _embedded(c._nums, _alignment(c.vars, params)[1]).items(), c._den
         else:
             n, d = (c.numerator, c.denominator) if type(c) is Fraction else _ratio(c)
-            nums = ((pad, n),) if n else ()
+            nums = ((0, n),) if n else ()
         if nums:
             d *= weight(k) if weight else 1
             den = math.lcm(den, d)
-            parts.append((k, nums, d))
+            parts.append((_pack(k), nums, d))
     out = {}
+    shift = _WIDTH * len(names)
     for k, nums, d in parts:
         m = den // d
         for e, x in nums:
-            out[e + k] = x * m
-    # the sorted variables, and the map of params + names exponents onto them
+            out[e << shift | k] = x * m
+    # the sorted variables, and the map of keys over params + names onto them
     vs, place, _ = _alignment(params + names, ())
     return _reduced(vs, _embedded(out, place), den)
 
@@ -445,23 +519,29 @@ def to_coeff_map(p: Poly, names: Sequence[str],
     then.  Zero coefficients are left out.
     """
     names, vs, nums, den = tuple(names), p.vars, p._nums, p._den
-    params = vs[:len(vs) - len(names)]
+    nn = len(names)
+    params = vs[:len(vs) - nn]
     if params + names != vs:
-        # lay the exponents out as the parameters followed by the names
+        # lay the fields out as the parameters followed by the names
         params = tuple(x for x in vs if x not in names)
         nums = _embedded(nums, _embedding(vs, params + names))
-    np = len(params)
-    if not np:
-        return {k: Fraction(x * weight(k) if weight else x, den) for k, x in nums.items()}
+    out = {}
+    if not params:
+        for key, x in nums.items():
+            k = _unpack(key, nn)
+            out[k] = Fraction(x * weight(k) if weight else x, den)
+        return out
     if len(_SHARED) > _SHARED_MAX:
         _SHARED.clear()
     shared = _SHARED.setdefault
-    groups: dict = {}   # k -> {parameter exponents: numerator}
+    shift = _WIDTH * nn
+    low = (1 << shift) - 1
+    groups: dict = {}   # key of k -> {key over params: numerator}
     for e, x in nums.items():
-        pe = e[:np]
-        groups.setdefault(e[np:], {})[shared(pe, pe)] = x
-    out = {}
-    for k, terms in groups.items():
+        pe = e >> shift
+        groups.setdefault(e & low, {})[shared(pe, pe)] = x
+    for key, terms in groups.items():
+        k = _unpack(key, nn)
         if weight:
             w = weight(k)
             terms = {e: x * w for e, x in terms.items()}
@@ -481,7 +561,11 @@ def _factor(text: str, source: str) -> Coefficient:
         return Fraction(int(m[1]), int(m[2] or 1))
     m = _POWER.fullmatch(text)
     if m:
-        return Poly.var(m[1]) ** int(m[2] or 1)
+        k = int(m[2] or 1)
+        if k >= _LIMIT:
+            raise ValueError(f"exponent {k} of {m[1]} in polynomial {source!r} "
+                             f"is 2^31 or more")
+        return Poly.var(m[1]) ** k
     raise ValueError(f"malformed factor {text!r} in polynomial {source!r}")
 
 

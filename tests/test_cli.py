@@ -255,6 +255,12 @@ BAD_MAPS = {
                               {"d": 1, "order": 2, "moments": {"(0)": 1}}),
     "zero denominator": ({"v": "(1)", "d": 1, "coeffs": {"(1)": "1/0"}},
                          {"d": 1, "order": 2, "moments": {"(0)": "1", "(1)": "1/0"}}),
+    # exponents are below 2^31, whether read or reached by a product
+    "exponent 2^31": ({"v": "(1)", "d": 1, "coeffs": {"(1)": "1", "(0)": "t^2147483648"}},
+                      {"d": 1, "order": 2, "moments": {"(0)": "1", "(1)": "a^2147483648"}}),
+    "exponent 2^31 by a product": (
+        {"v": "(1)", "d": 1, "coeffs": {"(1)": "1", "(0)": "t^2147483647*t"}},
+        {"d": 1, "order": 2, "moments": {"(0)": "1", "(1)": "a^2147483647*a"}}),
 }
 
 
@@ -291,6 +297,20 @@ def test_tsh_dimension_must_match_its_index(capsys, tmp_path):
                          "--tsh", str(path))
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "'d' is 3" in err
+
+
+@pytest.mark.parametrize("v, d", [("(2)", "2"), ("(1,1)", "1")])
+def test_tsh_file_dimension_must_match_the_process(capsys, tmp_path, v, d):
+    # a correct d = 1 file under --d 2 once failed deep in the shift with
+    # "index (2,) has wrong dimension (d=2)"
+    coeffs = {"(2)": {"(2)": "1", "(0)": "-t"}, "(1,1)": {"(1,1)": "1"}}[v]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"v": v, "coeffs": coeffs}))
+    code, out, err = run(capsys, "verify", "--process", "brownian", "--d", d,
+                         "--tsh", str(path))
+    assert code == 3 and out == ""
+    file_d = len(v.split(","))
+    assert err == f"error: the --tsh file has d = {file_d}, but the process has --d {d}\n"
 
 
 @pytest.mark.parametrize("data, message", [

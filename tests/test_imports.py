@@ -71,15 +71,17 @@ def test_every_private_function_is_referenced_in_the_package(path):
     assert not dead, f"{path.name} defines {dead}, which nothing in the package uses"
 
 
-LAYOUT = {"_alignment", "_embedded", "_make", "_reduced", "_den"}
+LAYOUT = {"_alignment", "_embedded", "_embedding", "_make", "_reduced", "_den",
+          "_pack", "_unpack", "_offsets", "_guard", "_WIDTH", "_FIELD", "_LIMIT"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in TREES if p.name != "polynomials.py"),
                          ids=lambda p: p.name)
 def test_only_polynomials_knows_the_numerator_layout(path):
-    """A Poly's numerators over one denominator are private to polynomials:
-    every other module converts through from_coeff_map and to_coeff_map,
-    imports none of the layout helpers and reads no ._den."""
+    """A Poly's numerators over one denominator, keyed by packed exponents,
+    are private to polynomials: every other module converts through
+    from_coeff_map and to_coeff_map, imports none of the layout helpers
+    and reads no ._den."""
     names = referenced_names([TREES[path]])
     assert not names & LAYOUT, f"{path.name} uses {sorted(names & LAYOUT)}"
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbrakit.polynomials import Poly
+from umbrakit.polynomials import Poly, _alignment, parse_poly
 
 import poly_path as ref
 
@@ -164,3 +164,109 @@ def test_terms_cannot_change_the_polynomial():
     assert p == Poly.var("t") + 1
     with pytest.raises(AttributeError):
         p.vars = ("s",)
+
+
+# -- packed exponent keys ----------------------------------------------------
+
+TOP = 2 ** 31 - 1   # the largest exponent a key holds
+
+# pairs of variable tuples whose union interleaves them, nests one in the
+# other, or puts one after the other as a series part's ~z names do
+LAYOUTS = [(("t", "~z1"), ("x1", "~z1")), (("a", "c"), ("b",)), (("b",), ("a", "c")),
+           (("t",), ("~z1", "~z2")), ((), ("s", "t")), (("s", "t"), ("t", "x1", "~z1")),
+           (("a", "b", "c"), ("a", "c"))]
+
+exponents = st.one_of(st.integers(0, 2), st.sampled_from([TOP - 1, TOP]))
+
+
+@st.composite
+def over(draw, names):
+    """The same polynomial in both rings over names, some of which may
+    have degree 0, with exponents up to TOP."""
+    dead = draw(st.sets(st.sampled_from(names))) if names else set()
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(0 if x in dead else draw(exponents) for x in names)
+        terms[e] = draw(rationals)
+    return Poly(names, terms), ref.Poly(names, terms)
+
+
+@st.composite
+def layout_pairs(draw):
+    a, b = draw(st.sampled_from(LAYOUTS))
+    return draw(over(a)), draw(over(b))
+
+
+def agree(p, q):
+    """p (package) and q (reference) are the same polynomial, over
+    variable tuples that may differ by variables of degree 0."""
+    assert type(p) is Poly
+    as_package = Poly(q.vars, q.terms)
+    assert p == as_package and as_package == p
+    assert hash(p) == hash(as_package)
+    assert str(p) == str(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_pairs(), st.sampled_from([0, 1, -1, Fraction(-2, 3)]))
+def test_packed_keys_agree_with_the_reference(pair, c):
+    (p, rp), (q, rq) = pair
+    same(p, rp)
+    same(p + q, rp + rq)
+    same(p - q, rp - rq)
+    same(p + c, rp + c)
+    same(c - p, c - rp)
+    product = rp * rq
+    if any(x > TOP for e in product.terms for x in e):
+        with pytest.raises(ValueError, match=r"2\^31"):
+            p * q
+    else:
+        same(p * q, product)
+    assert (p == q) == (rp == rq)
+    if p == q:
+        assert hash(p) == hash(q)
+    for name in sorted(set(p.vars) | set(q.vars)):
+        assert p.degree(name) == rp.degree(name)
+        for power in {0, 1, rp.degree(name)}:
+            same(p.coefficient(name, power), rp.coefficient(name, power))
+    for name in p.vars:
+        # renames that move the variable past others, and scalars whose
+        # powers stay small however large the exponent
+        for new in ("A", "w", "~z9"):
+            if new not in p.vars:
+                agree(p.subs({name: Poly.var(new)}), rp.subs({name: ref.Poly.var(new)}))
+        for x in (0, 1, -1):
+            agree(p.subs({name: x}), rp.subs({name: x}))
+
+
+def test_suffix_and_constant_keys_need_no_re_keying():
+    # a series part over ~z1..~zd meets a coefficient in t without a copy
+    assert _alignment(("t",), ("~z1", "~z2"))[2] is None
+    # a scalar's key is 0 over any variables
+    assert _alignment((), ("s", "t"))[1] is None
+    assert _alignment(("t", "~z1"), ("x1", "~z1"))[1] is not None
+
+
+def test_exponents_stop_below_2_to_the_31():
+    x, y = Poly.var("x"), Poly.var("y")
+    top = x ** TOP
+    assert top.degree("x") == TOP and top.terms == {(TOP,): 1}
+    for overflowing in (lambda: top * x, lambda: x * top, lambda: top * top,
+                        lambda: Poly(("x", "y"), {(TOP, 0): 1}) * x,
+                        lambda: (top + y) * (x + 1), lambda: top ** 2):
+        with pytest.raises(ValueError, match=r"2\^31") as err:
+            overflowing()
+        assert "\n" not in str(err.value)
+    # the low field of (x^TOP) * x never spills into y
+    assert (Poly(("x", "y"), {(TOP - 1, 0): 1}) * x).terms == {(TOP, 0): 1}
+    for bad in ((TOP + 1,), (-1,)):
+        with pytest.raises(ValueError, match=r"not in \[0, 2\^31\)"):
+            Poly(("x",), {bad: 1})
+
+
+@pytest.mark.parametrize("text", ["x^2147483648", "3*t^99999999999999 + 1"])
+def test_parse_poly_rejects_exponents_of_2_to_the_31(text):
+    with pytest.raises(ValueError, match=r"is 2\^31 or more") as err:
+        parse_poly(text)
+    assert "\n" not in str(err.value)
+    assert parse_poly("x^2147483647") == Poly.var("x") ** TOP

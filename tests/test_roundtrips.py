@@ -94,14 +94,14 @@ def test_converter_rejects_a_coefficient_in_the_names():
         from_coeff_map({(1, 0): 1}, x_names(1))
 
 
-def test_dot_t_coefficients_share_one_tuple_per_parameter_exponent():
-    """All coefficients of one dot_t result hold each exponent tuple of
+def test_dot_t_coefficients_share_one_key_per_parameter_exponent():
+    """All coefficients of one dot_t result hold each monomial key over
     (s, t) as one object, so a moment array does not repeat them."""
     mu = build(ProcessSpec("gamma", 2, 5)).one_step
     seen: dict = {}
     for c in mu.dot_t(Poly.var("t") - Poly.var("s")).moments.values():
         if type(c) is Poly:
-            for e in c.terms:
+            for e in c._nums:
                 assert seen.setdefault(e, e) is e
     assert len(seen) > 10
 
