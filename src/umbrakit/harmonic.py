@@ -8,7 +8,8 @@ decidable exact equality in Q[t, s].
 
 Every check is one shift: shifted(P, tup) is E[P(x + tup)], the sum of
 p_k E[(x + tup)^k] over the expansions of umbrae.shift_coeffs, which the
-tuple memoises with the rest of what it derives from its gf.  The
+tuple memoises with the rest of what it derives from its gf; each of its
+coefficients is one polynomials.sum_of_products.  The
 basis is Q_v = E[(x - t.mu)^v]; P is harmonic when its shift by
 (t - s).mu is P with t -> s; the coefficient recursion is the shift of
 Q_v by mu.  Since Q_k(x, 0) = x^k, decompose reads c_k = p_k(0).
@@ -25,7 +26,7 @@ from typing import Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
-                          parse_coeff_map, to_coeff_map)
+                          parse_coeff_map, sum_of_products, to_coeff_map)
 from .umbrae import UmbraTuple, shift_coeffs, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
@@ -51,22 +52,23 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
 
 def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
     """E[P(x + tup)] = sum_k p_k E[(x + tup)^k] as a coefficient map with
-    zero entries dropped."""
-    out: CoeffMap = {}
+    zero entries dropped: entry j is sum_k p_k C(k, j) for the expansions
+    C(k, .) of shift_coeffs, summed in one accumulation."""
+    pairs: dict = {}   # j -> the nonzero pairs (p_k, C(k, j))
     for k, p_k in coeffs.items():
         p_k = as_poly(p_k)
         if p_k.is_zero():
             continue
         for j, c in shift_coeffs(tup, k).items():
-            add = p_k * c
-            if not add.is_zero():
-                out[j] = out[j] + add if j in out else add
+            if not c.is_zero():
+                pairs.setdefault(j, []).append((p_k, c))
+    out = {j: sum_of_products(ps) for j, ps in pairs.items()}
     return {j: c for j, c in out.items() if not c.is_zero()}
 
 
 def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:
     """E[P(tup)] = sum_k p_k g_k for P = sum_k p_k x^k."""
-    return sum((as_poly(p) * tup.eval_power(k) for k, p in coeffs.items()), Poly.const(0))
+    return sum_of_products((p, tup.eval_power(k)) for k, p in coeffs.items())
 
 
 # -- the TSH basis and its checks ---------------------------------------
@@ -192,20 +194,24 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
 
     Q_k(x, 0) = x^k, so P(x, 0) = sum c_k x^k whenever P is in the span;
     the c_k are keyed in decreasing (|k|, k) order.  A nonzero residual
-    P - sum c_k Q_k certifies that P is not time-space harmonic.  Every
-    index must have the d entries of mu.
+    P - sum c_k Q_k, summed per index in one accumulation, certifies that
+    P is not time-space harmonic.  Every index must have the d entries of
+    mu, none of them negative.
     """
     p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
     _check_dimension(p, mu.dim)
-    residual = dict(p)
+    one = Poly.const(1)
+    pairs = {j: [(p_j, one)] for j, p_j in p.items()}   # j -> the pairs of residual j
     out: dict[tuple[int, ...], Fraction] = {}
     for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True):
         c = p[k].coefficient("t", 0)
         if c.is_zero():
             continue
         out[k] = c = c.constant_value()
+        minus_c = Poly.const(-c)
         for j, q_j in tsh_polynomial(mu, k).coeffs.items():
-            residual[j] = residual.get(j, Poly.const(0)) - c * q_j
+            pairs.setdefault(j, []).append((minus_c, q_j))
+    residual = {j: sum_of_products(ps) for j, ps in pairs.items()}
     return Decomposition(out, {k: r for k, r in residual.items() if not r.is_zero()})
 
 
@@ -219,10 +225,12 @@ def tsh_to_json(q: TshPolynomial) -> dict:
 
 
 def _check_dimension(indices, d: int) -> None:
-    """Raise unless every coefficient index has d entries."""
+    """Raise unless every coefficient index has d entries, none negative."""
     for k in indices:
         if len(k) != d:
             raise ValueError(f"coeffs index {mi.format_index(k)} has {len(k)} entries, not d = {d}")
+        if min(k) < 0:
+            raise ValueError(f"coeffs index {mi.format_index(k)} has a negative entry")
 
 
 def tsh_from_json(data: Mapping) -> TshPolynomial:

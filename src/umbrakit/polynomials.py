@@ -9,7 +9,10 @@ A Poly holds integer numerators over one positive common denominator.
 Every operation ends with a single gcd reduction of the denominator
 against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
-arithmetic.  A constant Poly without variables acts as a scalar.
+arithmetic.  A sum of products sum n/d a b is one operation, _dot: one
+common denominator, one dict of numerators and one gcd at the end,
+with no Poly per product (Monagan and Pearce, J. Symb. Comput. 2011).
+A constant Poly without variables acts as a scalar.
 
 Each monomial is keyed by one packed int (Monagan and Pearce, CASC
 2007): over n sorted variables, the exponent of variable i sits in the
@@ -34,7 +37,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import parse_index
@@ -214,7 +217,7 @@ class Poly:
     def __mul__(self, other: Coefficient) -> "Poly":
         if type(other) is Poly and other.vars:
             if self.vars:
-                return _product(self, other)
+                return _dot(((self, other, 1, 1),))
             return _scale(other, *_scalar_parts(self))
         return _scale(self, *_scalar_parts(other))
 
@@ -271,7 +274,8 @@ class Poly:
         """Substitute variables by polynomials or scalars.
 
         Renaming one variable to one the polynomial does not contain
-        permutes the exponents; every other mapping expands term by term.
+        permutes the exponents; every other mapping expands term by term,
+        the last factor of each term meeting the others in one _dot.
         """
         if len(mapping) == 1:
             (name, new), = mapping.items()
@@ -281,11 +285,11 @@ class Poly:
                 names = tuple(new.vars[0] if x == name else x for x in self.vars)
                 vs = tuple(sorted(names))
                 return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
-        out = _ZERO
+        terms = []
         powers: dict = {}
         nv = len(self.vars)
         for e, n in self._nums.items():
-            term = _reduced((), {0: n}, self._den)
+            factors = []
             for name, k in zip(self.vars, _unpack(e, nv)):
                 if not k:
                     continue
@@ -293,9 +297,10 @@ class Poly:
                 if f is None:
                     base = as_poly(mapping[name]) if name in mapping else Poly.var(name)
                     f = powers[name, k] = base ** k
-                term = term * f
-            out = out + term
-        return out
+                factors.append(f)
+            *rest, last = factors or [_ONE]
+            terms.append((reduce(mul, rest, _ONE), last, n, self._den))
+        return _dot(terms)
 
     def reduce_power(self, name: str, order: int, replacement: Coefficient) -> "Poly":
         """Rewrite name**order -> replacement wherever it divides a term.
@@ -306,19 +311,16 @@ class Poly:
         if name not in self.vars:
             return self
         rep = as_poly(replacement)
-        powers: dict = {}
-        out = _ZERO
+        powers = {0: _ONE}
+        terms = []
         s = _offsets(len(self.vars))[self.vars.index(name)]
         for e, n in self._nums.items():
             q = (e >> s & _FIELD) // order
-            term = _reduced(self.vars, {e - (q * order << s): n}, self._den)
-            if q:
-                f = powers.get(q)
-                if f is None:
-                    f = powers[q] = rep ** q
-                term = term * f
-            out = out + term
-        return out
+            f = powers.get(q)
+            if f is None:
+                f = powers[q] = rep ** q
+            terms.append((_make(self.vars, {e - (q * order << s): 1}, 1), f, n, self._den))
+        return _dot(terms)
 
     # -- formatting ---------------------------------------------------
 
@@ -435,32 +437,53 @@ def _scale(p: Poly, n: int, d: int) -> Poly:
     return _reduced(p.vars, {e: x * n for e, x in p._nums.items()}, den * d)
 
 
-def _product(a: Poly, b: Poly) -> Poly:
-    """a * b for two Polys with variables."""
-    vs, an, bn = a.vars, a._nums, b._nums
-    if b.vars != vs:
-        vs, ea, eb = _alignment(vs, b.vars)
-        an, bn = _embedded(an, ea), _embedded(bn, eb)
-    if len(bn) == 1:
-        (e2, x2), = bn.items()
-        out = {e1 + e2: x1 * x2 for e1, x1 in an.items()}
-    elif len(an) == 1:
-        (e1, x1), = an.items()
-        out = {e1 + e2: x1 * x2 for e2, x2 in bn.items()}
-    else:
-        out = {}
-        get = out.get
+def _dot(terms: Sequence[tuple[Poly, Poly, int, int]]) -> Poly:
+    """sum of n/d a b over the terms (a, b, n, d), d > 0, in one pass.
+
+    After Monagan and Pearce (J. Symb. Comput. 46, 2011): the variable
+    tuples of all terms are united once, every product is scaled onto the
+    one common denominator lcm(a._den b._den d) and added key by key into
+    one dict, and one gcd reduces the sum.  No terms sum to the constant 0.
+    """
+    if not terms:
+        return _ZERO
+    vs, den = terms[0][0].vars, 1
+    for a, b, _, d in terms:
+        # a scalar's key is 0 over any variables, so () needs no alignment
+        if a.vars and a.vars != vs:
+            vs = _alignment(vs, a.vars)[0]
+        if b.vars and b.vars != vs:
+            vs = _alignment(vs, b.vars)[0]
+        den = math.lcm(den, a._den * b._den * d)
+    out: dict = {}
+    get = out.get
+    for a, b, n, d in terms:
+        an, bn = a._nums, b._nums
+        if a.vars and a.vars != vs:
+            an = _embedded(an, _embedding(a.vars, vs))
+        if b.vars and b.vars != vs:
+            bn = _embedded(bn, _embedding(b.vars, vs))
+        if len(an) > len(bn):
+            an, bn = bn, an
+        m = n * (den // (a._den * b._den * d))
         for e1, x1 in an.items():
+            x1 *= m
             for e2, x2 in bn.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + x1 * x2
-        if 0 in out.values():
-            out = {e: x for e, x in out.items() if x}
     # each field of a sum of two keys is below 2^32, so it carries nothing
-    # into the next field, and its top bit is set iff the exponent overflowed
+    # into the next field, and its top bit is set iff the exponent
+    # overflowed; a cancelled key is still in out, so it is checked too
     if reduce(or_, out, 0) & _guard(len(vs)):
         raise ValueError("polynomial product has an exponent of 2^31 or more")
-    return _reduced(vs, out, a._den * b._den)
+    if 0 in out.values():
+        out = {e: x for e, x in out.items() if x}
+    return _reduced(vs, out, den)
+
+
+def sum_of_products(pairs: Iterable[tuple[Coefficient, Coefficient]]) -> Poly:
+    """sum of a b over pairs of rationals or Polys, as one accumulation."""
+    return _dot([(as_poly(a), as_poly(b), 1, 1) for a, b in pairs])
 
 
 # -- coefficient maps ----------------------------------------------------

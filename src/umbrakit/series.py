@@ -7,9 +7,11 @@ Poly in the coefficient parameters (t, s, ...) and reserved variables
 ordinary coefficient g_v / v!.  These names sort after every identifier
 and parse_poly never produces them.
 
-Every operation reads and returns parts, so a product is a truncated
-Cauchy product of Poly products on integer numerators over one
-denominator.  A coefficient map meets the parts only at the boundary:
+Every operation reads and returns parts.  Each part of a result is a
+sum of products of parts (a truncated Cauchy product, a recurrence
+step, a dot product's sum over powers, a reversion round), and each is
+one accumulation, polynomials._dot, over one denominator, with no Poly
+made per product.  A coefficient map meets the parts only at the boundary:
 the constructor grades a dict of exponential coefficients once with
 from_coeff_map (weight v!), and .coeffs is a read-only view of it, built
 with to_coeff_map on first read.
@@ -27,8 +29,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial, total
-from .polynomials import (Coefficient, Poly, _product, _scalar_parts, _scale,
-                          _sum, as_coefficient, from_coeff_map, to_coeff_map)
+from .polynomials import (Coefficient, Poly, _dot, _scalar_parts, _scale, _sum,
+                          as_coefficient, as_poly, from_coeff_map, to_coeff_map)
 
 
 class OrderMismatchError(ValueError):
@@ -75,6 +77,8 @@ class TruncatedSeries:
     @classmethod
     def variable(cls, dim: int, order: int, i: int) -> "TruncatedSeries":
         """The series z_i (exponential coefficient 1 on the i-th unit index)."""
+        if not 0 <= i < dim:
+            raise ValueError(f"slot {i} is not in [0, {dim})")
         e = tuple(1 if j == i else 0 for j in range(dim))
         return cls(dim, order, {e: 1})
 
@@ -90,6 +94,8 @@ class TruncatedSeries:
         v = tuple(v)
         if len(v) != self.dim:
             raise ValueError(f"index {v} has wrong dimension (d={self.dim})")
+        if min(v) < 0:
+            raise ValueError(f"index {v} has a negative entry")
         if total(v) > self.order:
             raise OrderMismatchError(f"|{v}| exceeds truncation order {self.order}")
         return self.coeffs.get(v, Fraction(0))
@@ -183,13 +189,11 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
     """
     if f.constant_term() != 1:
         raise ValueError("series_log needs constant term 1")
-    fp = f._parts
+    fp, unit = f._parts, _unit(f.dim)
     h = [_empty(f.dim)]
     for n in range(1, f.order + 1):
-        acc = _scale(fp[n], n, 1)
-        for k in range(1, n):
-            acc = _add_product(acc, _scale(h[k], -k, 1), fp[n - k])
-        h.append(_scale(acc, 1, n))
+        h.append(_dot([(fp[n], unit, 1, 1)] + [(h[k], fp[n - k], -k, n) for k in range(1, n)
+                                               if h[k]._nums and fp[n - k]._nums]))
     return _from_parts(f.dim, f.order, h)
 
 
@@ -239,7 +243,7 @@ def series_subst(f: TruncatedSeries,
         if h.constant_term() != 0:
             raise ValueError("inner series must have zero constant term")
     order, dim = tgt.order, tgt.dim
-    terms = [(v, c) for v, c in f.ordinary().items() if total(v) <= order]
+    terms = [(v, as_poly(c)) for v, c in f.ordinary().items() if total(v) <= order]
     one = [_unit(dim)]
     pows = []
     for i, h in enumerate(inners):
@@ -248,15 +252,16 @@ def series_subst(f: TruncatedSeries,
         for _ in range(2, max((v[i] for v, _ in terms), default=0) + 1):
             ps.append(_mul_parts(ps[-1], hp, dim, order))
         pows.append(ps)
-    out = [_empty(dim)] * (order + 1)
+    sums = [[] for _ in range(order + 1)]   # the terms of each part of the result
     for v, c in terms:
         term = one
         for i, k in enumerate(v):
             if k:
                 term = pows[i][k] if term is one else _mul_parts(term, pows[i][k], dim, order)
         for n, part in enumerate(term):
-            out[n] = _add(out[n], _times(c, part))
-    return _from_parts(dim, order, out)
+            if part._nums:
+                sums[n].append((c, part, 1, 1))
+    return _from_parts(dim, order, [_part(dim, s) for s in sums])
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -269,7 +274,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
 def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
     """Homogeneous parts of h^k / k!, k = 0..N, for h with zero constant term.
 
-    Each power is one part product with the last and a scaling by 1/k.
+    Each power is one part product with the last, divided by k.
     """
     if h.constant_term() != 0:
         raise ValueError("exp_table needs zero constant term")
@@ -278,7 +283,7 @@ def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
     term = [_unit(dim)] + [_empty(dim)] * order
     table = [term]
     for k in range(1, order + 1):
-        term = [_scale(part, 1, k) for part in _mul_parts(term, hp, dim, order)]
+        term = _mul_parts(term, hp, dim, order, k)
         table.append(term)
     return table
 
@@ -286,20 +291,18 @@ def exp_table(h: TruncatedSeries) -> list[list[Poly]]:
 def exp_at(table: Sequence[Sequence[Poly]], p: Coefficient,
            dim: int, order: int) -> TruncatedSeries:
     """exp(p h) = sum_k p^k [h^k / k!] from the exp_table of h, for a
-    rational or Poly p, summed on the parts.
+    rational or Poly p: part deg is one _dot of the p^k T_k[deg].
     """
-    p = as_coefficient(p)
+    p = as_poly(as_coefficient(p))
     _check_params(p, dim)
-    out = list(table[0])
-    p_k = p
-    for k, term in enumerate(table[1:], 1):
-        if k > 1:
-            p_k = p_k * p
-        for deg in range(k, order + 1):
-            part = term[deg]
-            if part._nums:
-                out[deg] = _add(out[deg], _times(p_k, part))
-    return _from_parts(dim, order, out)
+    powers = [_unit(dim), p]   # p^k
+    for _ in range(2, order + 1):
+        powers.append(powers[-1] * p)
+    parts = [table[0][0]]
+    for deg in range(1, order + 1):
+        parts.append(_part(dim, [(powers[k], table[k][deg], 1, 1) for k in range(1, deg + 1)
+                                 if table[k][deg]._nums]))
+    return _from_parts(dim, order, parts)
 
 
 def series_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -342,10 +345,11 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
         return [TruncatedSeries.one(d, order)] * d
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     ords = [f.ordinary() for f in fs]
-    jinv = _invert_matrix([[a.get(e, Fraction(0)) for e in unit] for a in ords])
+    jinv = _invert_matrix([
+        [a.get(e, Fraction(0)) for e in unit] for a in ords])
 
     # ordinary coefficients of degree >= 2, the only ones the error reads
-    Fs = [{v: c for v, c in a.items() if total(v) >= 2} for a in ords]
+    Fs = [{v: as_poly(c) for v, c in a.items() if total(v) >= 2} for a in ords]
     # v -> (j, v - e_j) with j the first nonzero entry, for each G^v built
     parent = {}
     for F in Fs:
@@ -356,29 +360,27 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
                 v = parent[v][1]
     chain = sorted((total(v), v, *jp) for v, jp in parent.items())
     # homogeneous parts of g_i = 1 + G_i, one appended per degree
-    zs = _z_vars(d)
-    G = [[_unit(d), from_coeff_map(dict(zip(unit, row)), zs)] for row in jinv]
+    zs, one = _z_vars(d), _unit(d)
+    G = [[one, from_coeff_map(dict(zip(unit, row)), zs)] for row in jinv]
     mono = {unit[j]: G[j] for j in range(d)}   # v -> homogeneous parts of G^v
     for deg in range(2, order + 1):
-        err = [_empty(d)] * d
+        err = [[] for _ in range(d)]   # the terms of the degree-deg error of each f_i
         for n, v, j, p in chain:
             if n > deg:
                 break
             base = mono[p]
-            part = _empty(d)
-            for k in range(n - 1, deg):
-                part = _add_product(part, base[k], G[j][deg - k])
+            part = _part(d, [(base[k], G[j][deg - k], 1, 1) for k in range(n - 1, deg)
+                             if base[k]._nums and G[j][deg - k]._nums])
             mono.setdefault(v, [_empty(d)] * n).append(part)
-            for i in range(d):
-                a = Fs[i].get(v)
-                if a is not None:
-                    err[i] = _add(err[i], _times(a, part))
-        for j in range(d):
-            part = _empty(d)
-            for i in range(d):
-                if jinv[j][i]:
-                    part = _add(part, _times(-jinv[j][i], err[i]))
-            G[j].append(part)
+            if part._nums:
+                for i in range(d):
+                    a = Fs[i].get(v)
+                    if a is not None:
+                        err[i].append((a, part, 1, 1))
+        err = [_part(d, terms) for terms in err]
+        for g, row in zip(G, jinv):
+            g.append(_part(d, [(e, one, -x.numerator, x.denominator)
+                               for e, x in zip(err, row) if x and e._nums]))
     return [_from_parts(d, order, g) for g in G]
 
 
@@ -431,50 +433,59 @@ def _add(p: Poly, q: Poly) -> Poly:
     return _sum(p, q, 1)
 
 
-def _add_product(acc: Poly, p: Poly, q: Poly) -> Poly:
-    """acc + p q for three parts."""
-    if not (p._nums and q._nums):
-        return acc
-    return _add(acc, _product(p, q))
-
-
 def _times(c: Coefficient, part: Poly) -> Poly:
     """c part for a rational or Poly coefficient c."""
     if type(c) is Poly and c.vars:
-        return _product(c, part)
+        return _dot(((c, part, 1, 1),))
     return _scale(part, *_scalar_parts(c))
+
+
+def _part(dim: int, terms: list[tuple[Poly, Poly, int, int]]) -> Poly:
+    """The part sum n/d a b over the terms (a, b, n, d): one _dot, or the
+    empty part when there are no terms."""
+    return _dot(terms) if terms else _empty(dim)
 
 
 def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
     """The series g with g_0 = 1 and
-    n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts."""
+    n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts,
+    each part one _dot; a Poly weight is multiplied into f_k first."""
     fp = f._parts
     g = [_unit(f.dim)]
     for n in range(1, f.order + 1):
-        acc = _empty(f.dim)
+        terms = []
         for k in range(1, n + 1):
             if fp[k]._nums and g[n - k]._nums:
-                acc = _add_product(acc, _times(weight(n, k), fp[k]), g[n - k])
-        g.append(_scale(acc, 1, n))
+                w = weight(n, k)
+                if type(w) is Poly and w.vars:
+                    terms.append((_times(w, fp[k]), g[n - k], 1, n))
+                else:
+                    a, b = _scalar_parts(w)
+                    if a:
+                        terms.append((fp[k], g[n - k], a, b * n))
+        g.append(_part(f.dim, terms))
     return _from_parts(f.dim, f.order, g)
 
 
-def _mul_parts(p: Sequence[Poly], q: Sequence[Poly], dim: int, order: int) -> list[Poly]:
-    """Homogeneous parts of the product p q, truncated at order."""
-    out = [_empty(dim)] * (order + 1)
-    for i, pi in enumerate(p[:order + 1]):
-        if pi._nums:
-            for j, qj in enumerate(q[:order + 1 - i]):
-                if qj._nums:
-                    out[i + j] = _add_product(out[i + j], pi, qj)
+def _mul_parts(p: Sequence[Poly], q: Sequence[Poly], dim: int, order: int,
+               d: int = 1) -> list[Poly]:
+    """Homogeneous parts of the product p q / d, truncated at order, each
+    one _dot."""
+    out = []
+    for n in range(order + 1):
+        # every i with p[i] and q[n - i] in range
+        out.append(_part(dim, [(p[i], q[n - i], 1, d)
+                               for i in range(max(0, n + 1 - len(q)), min(n + 1, len(p)))
+                               if p[i]._nums and q[n - i]._nums]))
     return out
 
 
 def _invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact Gauss-Jordan inverse; raises on a singular matrix."""
     d = len(m)
-    a = [[Fraction(m[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
-         for i in range(d)]
+    a = [
+        [Fraction(m[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
+        for i in range(d)]
     for col in range(d):
         piv = next((r for r in range(col, d) if a[r][col] != 0), None)
         if piv is None:

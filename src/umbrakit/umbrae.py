@@ -192,12 +192,17 @@ def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...]
 
     Memoised per v on the tuple, so a sweep that conditions on one tuple
     expands each index once.  Every caller shares the map, TshPolynomial
-    among them, so it is returned read-only.
+    among them, so it is returned read-only.  An index with a negative
+    entry is a ValueError.
     """
     v = tuple(v)
-    return tup._derived(("shift", v), lambda: MappingProxyType(
-        {k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
-         for k in mi.sub_indices(v)}))
+
+    def build():
+        if any(e < 0 for e in v):
+            raise ValueError(f"index {v} has a negative entry")
+        return MappingProxyType({k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
+                                 for k in mi.sub_indices(v)})
+    return tup._derived(("shift", v), build)
 
 
 # -- composition of univariate umbrae --------------------------------
@@ -261,8 +266,8 @@ def singleton(order: int) -> UmbraTuple:
 
 def singleton_component(order: int, dim: int, i: int) -> UmbraTuple:
     """The tuple with gf 1 + z_i (singleton in slot i, augmentation elsewhere)."""
-    e = tuple(1 if j == i else 0 for j in range(dim))
-    return UmbraTuple(dim, order, {(0,) * dim: 1, e: 1})
+    return UmbraTuple.from_series(TruncatedSeries.one(dim, order)
+                                  + TruncatedSeries.variable(dim, order, i))
 
 
 def bell(order: int) -> UmbraTuple:

@@ -182,3 +182,19 @@ def test_specialize_time():
     q = tsh_polynomial(proc("brownian"), (2,))
     at2 = q.specialize_time(2)
     assert at2[(0,)] == -2 and at2[(2,)] == 1
+
+
+@pytest.mark.parametrize("check", [
+    lambda mu: tsh_polynomial(mu, (-1,)),
+    lambda mu: expected_value_zero(mu, (-1,)),
+    lambda mu: verify_harmonicity(mu, {(-1,): t}),
+    lambda mu: conditional_eval(mu, (-1,)),
+    lambda mu: decompose({(-1,): t}, mu),
+    lambda mu: decompose({(2,): Poly.const(1), (-1,): Poly.const(0)}, mu),
+], ids=["tsh_polynomial", "expected_value_zero", "verify_harmonicity",
+        "conditional_eval", "decompose", "decompose_zero_coefficient"])
+def test_a_negative_index_is_rejected(check):
+    # an empty expansion of (-1,) used to prove Q_{-1} = 0 harmonic
+    with pytest.raises(ValueError, match="negative entry") as err:
+        check(proc("poisson"))
+    assert "\n" not in str(err.value)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbrakit.polynomials import Poly, _alignment, parse_poly
+from umbrakit.polynomials import Poly, _alignment, _dot, parse_poly, sum_of_products
 
 import poly_path as ref
 
@@ -180,13 +180,13 @@ exponents = st.one_of(st.integers(0, 2), st.sampled_from([TOP - 1, TOP]))
 
 
 @st.composite
-def over(draw, names):
+def over(draw, names, exps=exponents):
     """The same polynomial in both rings over names, some of which may
-    have degree 0, with exponents up to TOP."""
+    have degree 0, with exponents drawn from exps (up to TOP)."""
     dead = draw(st.sets(st.sampled_from(names))) if names else set()
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
-        e = tuple(0 if x in dead else draw(exponents) for x in names)
+        e = tuple(0 if x in dead else draw(exps) for x in names)
         terms[e] = draw(rationals)
     return Poly(names, terms), ref.Poly(names, terms)
 
@@ -270,3 +270,70 @@ def test_parse_poly_rejects_exponents_of_2_to_the_31(text):
         parse_poly(text)
     assert "\n" not in str(err.value)
     assert parse_poly("x^2147483647") == Poly.var("x") ** TOP
+
+
+# -- one accumulation for a sum of products ------------------------------------
+
+weights = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                      max_denominator=6), large)
+
+
+@st.composite
+def products(draw):
+    """Up to five terms (a, b, w), each pair over one of the LAYOUTS, in
+    both rings: a and b as package and reference Polys, w a rational."""
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        names_a, names_b = draw(st.sampled_from(LAYOUTS))
+        a, b = draw(over(names_a, st.integers(0, 2))), draw(over(names_b, st.integers(0, 2)))
+        out.append((a, b, Fraction(draw(weights))))
+    return out
+
+
+def reference_sum(terms):
+    out = ref.Poly.const(0)
+    for (_, ra), (_, rb), w in terms:
+        out = out + ra * rb * w
+    return out
+
+
+def canonical(p):
+    assert p._den > 0 and math.gcd(p._den, *p._nums.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_one_accumulation_is_the_sum_of_its_products(terms):
+    got = _dot([(a, b, w.numerator, w.denominator) for (a, _), (b, _), w in terms])
+    same(got, reference_sum(terms))
+    canonical(got)
+    pairs = [(a, b) for (a, _), (b, _), _ in terms] + [(w, a) for (a, _), _, w in terms]
+    want = reference_sum([(a, b, 1) for a, b, _ in terms] +
+                         [((None, ref.Poly.const(w)), a, 1) for a, _, w in terms])
+    same(sum_of_products(pairs), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_an_accumulation_that_cancels_is_the_canonical_zero(terms):
+    both = [(a, b, w.numerator, w.denominator) for (a, _), (b, _), w in terms]
+    both += [(b, a, -n, d) for a, b, n, d in both]
+    zero = _dot(both)
+    assert zero.is_zero() and zero == 0 and hash(zero) == hash(0)
+    assert (zero._nums, zero._den) == ({}, 1)
+    assert zero.vars == reference_sum(terms).vars
+
+
+def test_an_overflowing_product_raises_even_when_another_term_cancels_it():
+    x = Poly.var("x")
+    top, wide = x ** TOP, Poly(("x", "y"), {(TOP, 0): 1})
+    for terms in ([(top, x, 1, 1), (top, x, -1, 1)],
+                  [(x, top, 2, 3), (top, x, -2, 3)],
+                  [(x, x, 1, 1), (wide, x, 1, 2), (x, wide, -1, 2)]):
+        with pytest.raises(ValueError, match=r"2\^31") as err:
+            _dot(terms)
+        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match=r"2\^31"):
+        sum_of_products([(top, x), (-top, x)])
+    # up to 2^31 - 1 the same cancellation is an exact zero
+    assert _dot([(x ** (TOP - 1), x, 1, 1), (x, x ** (TOP - 1), -1, 1)]) == 0

@@ -253,3 +253,19 @@ def test_exp_log_roundtrip(cs):
     N = 6
     f = TruncatedSeries(1, N, {(k + 1,): c for k, c in enumerate(cs)})
     assert series_log(series_exp(f)) == f
+
+
+def test_get_rejects_a_negative_entry():
+    f = TruncatedSeries(2, 3, {(0, 0): 1, (1, 2): 5})
+    for v in ((-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match=r"has a negative entry") as err:
+            f.get(v)
+        assert "\n" not in str(err.value)
+    assert f.get((1, 2)) == 5
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_variable_rejects_a_slot_outside_the_dimension(i):
+    with pytest.raises(ValueError, match=rf"slot {i} is not in \[0, 2\)"):
+        TruncatedSeries.variable(2, 3, i)
+    assert TruncatedSeries.variable(2, 3, 1).coeffs == {(0, 1): 1}

@@ -273,3 +273,16 @@ def test_eval_power_guards():
         mu.eval_power((2, 2))
     with pytest.raises(ValueError):
         mu.eval_power((1,))
+
+
+def test_eval_power_rejects_a_negative_entry():
+    mu = rand_tuple(random.Random(13), 2, 3)
+    with pytest.raises(ValueError, match="negative entry"):
+        mu.eval_power((-1, 2))
+
+
+@pytest.mark.parametrize("i", [-1, 2, 7])
+def test_singleton_component_rejects_a_slot_outside_the_dimension(i):
+    with pytest.raises(ValueError, match=rf"slot {i} is not in \[0, 2\)"):
+        singleton_component(3, 2, i)
+    assert singleton_component(3, 2, 1).moments == {(0, 0): 1, (0, 1): 1}
