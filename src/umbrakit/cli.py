@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -192,17 +193,23 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mc_verify(args) -> int:
-    from .montecarlo import SimConfig, simulate_and_test
+    from .montecarlo import SAMPLERS, SimConfig, simulate_and_test
     spec = _process_spec(args)
+    if spec.kind not in SAMPLERS:
+        sampled = sorted(next(a for a, k in PROCESS_ALIASES.items() if k == kind)
+                         for kind in SAMPLERS)
+        raise ValueError(f"mc-verify has no sampler for --process {args.process} "
+                         f"(choices: {', '.join(sampled)})")
     _check_max_order(args)
     times = args.times.split(",")
     if len(times) != 2:
         raise ValueError(f"--times {args.times!r} must have the form s,t")
     s, t = (parse_rational("times", x) for x in times)
+    indices = tuple(v for v in mi.iter_indices(args.d, args.max_order) if any(v))
+    # checks --paths and --seed before the build and before any path array
+    cfg = SimConfig(spec, args.paths, s, t, args.seed, indices)
     proc = build(spec)
-    polys = [tsh_polynomial(proc.one_step, v)
-             for v in mi.iter_indices(args.d, args.max_order) if any(v)]
-    cfg = SimConfig(spec, args.paths, s, t, args.seed, tuple(q.index for q in polys))
+    polys = [tsh_polynomial(proc.one_step, v) for v in indices]
     report = simulate_and_test(cfg, polys)
     if args.json:
         _emit(report.to_json(), args)
@@ -219,7 +226,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args reads
+    it and leaves it unchanged, so every call of main can share it."""
     ap = _Parser(
         prog="umbrakit",
         description="Exact time-space harmonic polynomials for symbolic "

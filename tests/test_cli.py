@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from umbrakit.cli import main
+from umbrakit.cli import main, make_parser
 
 
 def run(capsys, *argv):
@@ -478,3 +478,39 @@ def test_gen_tsh_names_a_negative_order_before_raising_it_to_v(capsys, order):
                          "--v", "(2)")
     assert code == 3 and out == ""
     assert err == f"error: order {order} is negative\n"
+
+
+REUSE_ARGVS = [
+    ["partitions", "--v", "(2,1)"],
+    ["mc-verify", "--process", "poisson", "--max-order", "1", "--paths", "10000",
+     "--seed", "3", "--json"],
+    ["gen-tsh"],                                        # usage error: no --v
+    ["mc-verify", "--process", "poisson", "--max-order", "1", "--paths", "10000",
+     "--seed", "3"],
+    ["gen-tsh", "--process", "gamma", "--d", "2", "--v", "(1,1)"],
+    ["verify", "--process", "poisson", "--order", "-1"],
+    ["moments", "--process", "poisson", "--order", "2"],
+    ["gen-tsh", "--process", "poisson", "--v", "(3)"],  # --order raised to |v| on args
+    ["gen-tsh", "--process", "poisson", "--v", "(1)"],
+]
+
+
+def run_all(capsys, fresh):
+    results = []
+    for argv in REUSE_ARGVS:
+        if fresh:
+            make_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err))
+    return results
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert make_parser() is make_parser()
+    shared = run_all(capsys, fresh=False)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 3, 0, 0, 0]
+    assert shared == run_all(capsys, fresh=True)
