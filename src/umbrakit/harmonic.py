@@ -6,16 +6,15 @@ identity is a formal basis computation: powers of the conditioning tuple
 are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
 
-Every check is one shift: shifted(P, tup) is E[P(x + tup)], the sum of
-p_k E[(x + tup)^k] over the expansions of umbrae.shift_coeffs, which the
-tuple memoises with the rest of what it derives from its gf; each of its
-coefficients is one polynomials.sum_of_products.  The
-basis is Q_v = E[(x - t.mu)^v]; P is harmonic when its shift by
-(t - s).mu is P with t -> s; the coefficient recursion is the shift of
-Q_v by mu.  Since Q_k(x, 0) = x^k, decompose reads c_k = p_k(0).
-expectation gives the x^0 term sum_k p_k g_k alone.  to_poly and
-poly_to_coeff_map convert between a coefficient map and a Poly in x1..xd
-through polynomials.from_coeff_map and to_coeff_map.
+Every check is one shift: entry j of shifted(P, tup) = E[P(x + tup)] is
+one weighted polynomials.sum_of_products of p_k g_m C(k, j) over the
+cached plans multiindex.shift_plan(k), read off the moments of tup with
+no Poly per (k, j) pair.  The basis is Q_v = E[(x - t.mu)^v]; P is
+harmonic when its shift by (t - s).mu is P with t -> s; the coefficient
+recursion is the shift of Q_v by mu.  Since Q_k(x, 0) = x^k, decompose
+reads c_k = p_k(0).  to_poly and poly_to_coeff_map convert between a
+coefficient map and a Poly in x1..xd through from_coeff_map and
+to_coeff_map.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
 from .umbrae import UmbraTuple, shift_coeffs, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
+T, S = Poly.var("t"), Poly.var("s")
+MINUS_T, T_MINUS_S = -T, T - S     # the time arguments of the checks, built once
 
 
 # -- coefficient maps: k -> p_k stands for sum_k p_k x^k ---------------
@@ -50,25 +51,31 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     return out or {(0,) * d: Poly.const(0)}
 
 
-def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
-    """E[P(x + tup)] = sum_k p_k E[(x + tup)^k] as a coefficient map with
-    zero entries dropped: entry j is sum_k p_k C(k, j) for the expansions
-    C(k, .) of shift_coeffs, summed in one accumulation."""
-    pairs: dict = {}   # j -> the nonzero pairs (p_k, C(k, j))
+def _shift_terms(terms: dict, coeffs: Mapping, tup: UmbraTuple) -> dict:
+    """Append each term (p_k, g_m, C(k, j)) of E[P(x + tup)] to terms[j]; each
+    k of a nonzero p_k is checked by eval_power and keys every j <= k."""
+    g = tup.moments
     for k, p_k in coeffs.items():
-        p_k = as_poly(p_k)
-        if p_k.is_zero():
+        if p_k == 0:
             continue
-        for j, c in shift_coeffs(tup, k).items():
-            if not c.is_zero():
-                pairs.setdefault(j, []).append((p_k, c))
-    out = {j: sum_of_products(ps) for j, ps in pairs.items()}
+        tup.eval_power(k)
+        for j, m, b in mi.shift_plan(k):
+            ts = terms.setdefault(j, [])
+            if m in g:
+                ts.append((p_k, g[m], b))
+    return terms
+
+
+def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
+    """E[P(x + tup)] as a coefficient map with zero entries dropped: entry
+    j is sum_m C(j + m, m) p_{j+m} g_m, one weighted accumulation."""
+    out = {j: sum_of_products(ts) for j, ts in _shift_terms({}, coeffs, tup).items()}
     return {j: c for j, c in out.items() if not c.is_zero()}
 
 
 def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:
     """E[P(tup)] = sum_k p_k g_k for P = sum_k p_k x^k."""
-    return sum_of_products((p, tup.eval_power(k)) for k, p in coeffs.items())
+    return sum_of_products((p, tup.eval_power(k), 1) for k, p in coeffs.items())
 
 
 # -- the TSH basis and its checks ---------------------------------------
@@ -107,7 +114,7 @@ class ConditionalPolynomial:
 def tsh_polynomial(mu: UmbraTuple, v: tuple[int, ...]) -> TshPolynomial:
     """The basis polynomial Q_v(x, t) = E[(x - t.mu)^v]."""
     v = tuple(v)
-    return TshPolynomial(mu.dim, v, shift_coeffs(mu.dot_t(-Poly.var("t")), v))
+    return TshPolynomial(mu.dim, v, shift_coeffs(mu.dot_t(MINUS_T), v))
 
 
 def conditional_eval(mu: UmbraTuple, v: tuple[int, ...],
@@ -129,10 +136,10 @@ def verify_harmonicity(mu: UmbraTuple,
     together with both Q[t, s] coefficients.
     """
     coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
-    lhs = shifted(coeffs, mu.dot_t(Poly.var("t") - Poly.var("s")))
+    lhs = shifted(coeffs, mu.dot_t(T_MINUS_S))
     for j in sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j)):
         left = lhs.get(j, Poly.const(0))
-        right = coeffs.get(j, Poly.const(0)).subs({"t": Poly.var("s")})
+        right = coeffs.get(j, Poly.const(0)).subs({"t": S})
         if left != right:
             return False, {"index": j, "conditional": str(left),
                            "expected": str(right)}
@@ -140,11 +147,15 @@ def verify_harmonicity(mu: UmbraTuple,
 
 
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
-    """Cor.-style check: sum_k q_k(t) E[(t.mu)^k] is the zero polynomial."""
+    """Cor.-style check: E[Q_v(t.mu, t)] = sum_{k <= v} C(v, k) g_{v-k}(-t)
+    g_k(t) is the zero polynomial, summed as one accumulation."""
     v = tuple(v)
     if not any(v):
         raise ValueError("v = 0 is excluded: Q_0 = 1 has expectation 1")
-    return expectation(tsh_polynomial(mu, v).coeffs, mu.dot_t(Poly.var("t"))).is_zero()
+    mu.eval_power(v)
+    g, h = mu.dot_t(MINUS_T).moments, mu.dot_t(T).moments
+    return sum_of_products((g[m], h[k], b) for k, m, b in mi.shift_plan(v)
+                           if m in g and k in h).is_zero()
 
 
 @dataclass(frozen=True)
@@ -200,18 +211,13 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
     """
     p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
     _check_dimension(p, mu.dim)
-    one = Poly.const(1)
-    pairs = {j: [(p_j, one)] for j, p_j in p.items()}   # j -> the pairs of residual j
-    out: dict[tuple[int, ...], Fraction] = {}
-    for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True):
-        c = p[k].coefficient("t", 0)
-        if c.is_zero():
-            continue
-        out[k] = c = c.constant_value()
-        minus_c = Poly.const(-c)
-        for j, q_j in tsh_polynomial(mu, k).coeffs.items():
-            pairs.setdefault(j, []).append((minus_c, q_j))
-    residual = {j: sum_of_products(ps) for j, ps in pairs.items()}
+    at_0 = {k: p[k].coefficient("t", 0)
+            for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True)}
+    out = {k: c.constant_value() for k, c in at_0.items() if not c.is_zero()}
+    # residual j is p_j plus entry j of -sum_k c_k Q_k, a shift by -t.mu
+    terms = _shift_terms({j: [(p_j, 1, 1)] for j, p_j in p.items()},
+                         {k: -c for k, c in out.items()}, mu.dot_t(MINUS_T))
+    residual = {j: sum_of_products(ts) for j, ts in terms.items()}
     return Decomposition(out, {k: r for k, r in residual.items() if not r.is_zero()})
 
 

@@ -102,6 +102,14 @@ def multi_binomial(v: tuple[int, ...], k: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def shift_plan(v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The terms (j, v - j, C(v, j)) of (x + y)^v, every j <= v in lex order."""
+    if any(e < 0 for e in v):
+        raise ValueError(f"index {v} has a negative entry")
+    return tuple((j, sub(v, j), multi_binomial(v, j)) for j in sub_indices(v))
+
+
 def iter_indices(d: int, max_total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of dimension d with |v| <= max_total, by |v| then lex."""
     for n in range(max_total + 1):

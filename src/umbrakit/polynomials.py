@@ -481,9 +481,19 @@ def _dot(terms: Sequence[tuple[Poly, Poly, int, int]]) -> Poly:
     return _reduced(vs, out, den)
 
 
-def sum_of_products(pairs: Iterable[tuple[Coefficient, Coefficient]]) -> Poly:
-    """sum of a b over pairs of rationals or Polys, as one accumulation."""
-    return _dot([(as_poly(a), as_poly(b), 1, 1) for a, b in pairs])
+def sum_of_products(terms: Iterable[tuple[Coefficient, Coefficient, int]]) -> Poly:
+    """sum of w a b over terms (a, b, w) of rationals or Polys and an int w,
+    as one _dot; a rational goes into the term's n/d and makes no Poly."""
+    out = []
+    for a, b, n in terms:
+        d = 1
+        if type(a) is not Poly:
+            a, n, d = _ONE, n * a.numerator, a.denominator
+        if type(b) is not Poly:
+            b, n, d = _ONE, n * b.numerator, d * b.denominator
+        if n:
+            out.append((a, b, n, d))
+    return _dot(out)
 
 
 # -- coefficient maps ----------------------------------------------------

@@ -6,9 +6,10 @@ construction, so uncorrelated copies need no explicit representation.
 Moments may be exact rationals or Poly values in declared parameters.
 
 A tuple is its gf f, and every derived array is one series operation on
-it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
-for dot_t_beta, and the shift expansions of shift_coeffs.  Each is built
-once and kept in the tuple's one memo, which only this module touches.
+it: log f, the exp table of log f behind dot_n and dot_t, and
+exp(t (f - 1)) for dot_t_beta.  Each is built once and kept in the
+tuple's one memo, which only this module touches; shift_coeffs reads a
+shift off the moments by its binomial plan and keeps nothing.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class UmbraTuple:
     def _derived(self, key, build):
         """The array that build() derives from the gf, built once per tuple
         and kept under key: "log" (log f), "exp" (the exp_table of log f),
-        ("pow", p) and ("beta", p) (dot-product tuples) and ("shift", v)
-        (see shift_coeffs).  Callers share it and must not mutate it."""
+        ("pow", p) and ("beta", p) (dot-product tuples).  Callers share it
+        and must not mutate it."""
         out = self._memo.get(key)
         if out is None:
             out = self._memo[key] = build()
@@ -188,21 +189,11 @@ def time_argument(t: Coefficient | str) -> Coefficient:
 
 
 def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
-    """E[(x + tup)^v] as its coefficient map k -> C(v, k) g_{v-k}, k <= v.
-
-    Memoised per v on the tuple, so a sweep that conditions on one tuple
-    expands each index once.  Every caller shares the map, TshPolynomial
-    among them, so it is returned read-only.  An index with a negative
-    entry is a ValueError.
-    """
-    v = tuple(v)
-
-    def build():
-        if any(e < 0 for e in v):
-            raise ValueError(f"index {v} has a negative entry")
-        return MappingProxyType({k: mi.multi_binomial(v, k) * as_poly(tup.eval_power(mi.sub(v, k)))
-                                 for k in mi.sub_indices(v)})
-    return tup._derived(("shift", v), build)
+    """E[(x + tup)^v] as a read-only map k -> C(v, k) g_{v-k} over every
+    k <= v, zeros included; eval_power checks v's length, sign and order."""
+    v, g = tuple(v), tup.moments
+    tup.eval_power(v)
+    return MappingProxyType({k: as_poly(c * g.get(m, 0)) for k, m, c in mi.shift_plan(v)})
 
 
 # -- composition of univariate umbrae --------------------------------

@@ -11,7 +11,8 @@ from umbrakit.harmonic import (coefficient_recursion_check, conditional_eval,
                                verify_harmonicity)
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
-from umbrakit.umbrae import unity
+from umbrakit.series import OrderMismatchError
+from umbrakit.umbrae import shift_coeffs, unity
 
 t, s = Poly.var("t"), Poly.var("s")
 x1 = Poly.var("x1")
@@ -191,10 +192,33 @@ def test_specialize_time():
     lambda mu: conditional_eval(mu, (-1,)),
     lambda mu: decompose({(-1,): t}, mu),
     lambda mu: decompose({(2,): Poly.const(1), (-1,): Poly.const(0)}, mu),
+    lambda mu: shift_coeffs(mu, (-1,)),
 ], ids=["tsh_polynomial", "expected_value_zero", "verify_harmonicity",
-        "conditional_eval", "decompose", "decompose_zero_coefficient"])
+        "conditional_eval", "decompose", "decompose_zero_coefficient", "shift_coeffs"])
 def test_a_negative_index_is_rejected(check):
     # an empty expansion of (-1,) used to prove Q_{-1} = 0 harmonic
     with pytest.raises(ValueError, match="negative entry") as err:
         check(proc("poisson"))
+    assert "\n" not in str(err.value)
+
+
+ENTRIES = {
+    "tsh_polynomial": tsh_polynomial,
+    "expected_value_zero": expected_value_zero,
+    "verify_harmonicity": lambda mu, k: verify_harmonicity(mu, {k: t}),
+    "conditional_eval": conditional_eval,
+    "decompose": lambda mu, k: decompose({k: 1}, mu),
+    "shift_coeffs": shift_coeffs,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("index, error, message", [
+    ((1, 1), ValueError, r"has (wrong dimension \(d=1\)|2 entries, not d = 1)"),
+    ((7,), OrderMismatchError, r"exceeds truncation order 6"),
+], ids=["wrong_length", "above_order"])
+def test_a_wrong_length_or_above_order_index_is_rejected(entry, index, error, message):
+    # mu is d = 1 at N = 6: (1, 1) has two entries and |(7,)| = 7 > 6
+    with pytest.raises(error, match=message) as err:
+        ENTRIES[entry](proc("poisson"), index)
     assert "\n" not in str(err.value)

@@ -113,8 +113,8 @@ def test_umbrae_defines_the_memo():
                          ids=lambda p: p.name)
 def test_only_umbrae_knows_a_tuples_memo(path):
     """What a tuple derives from its gf (log f, its exp table, the dot
-    products, the shift expansions) sits in one memo private to umbrae:
-    every other module asks the tuple or shift_coeffs, and writes nothing."""
+    products) sits in one memo private to umbrae: every other module asks
+    the tuple, and writes nothing."""
     names = referenced_names([TREES[path]])
     assert not names & MEMO, f"{path.name} uses {sorted(names & MEMO)}"
 
@@ -126,9 +126,10 @@ def called_names(fn):
             and isinstance(n.func, (ast.Name, ast.Attribute))}
 
 
-def test_only_shifted_and_the_basis_expand_shifts():
-    """Every harmonicity fact is one shift: inside harmonic, only shifted
-    (E[P(x + tup)]) and tsh_polynomial (the basis) call shift_coeffs."""
-    callers = {fn.name for fn in ast.walk(TREES[PACKAGE / "harmonic.py"])
-               if isinstance(fn, ast.FunctionDef) and "shift_coeffs" in called_names(fn)}
-    assert callers == {"shifted", "tsh_polynomial"}, f"{sorted(callers)} call shift_coeffs"
+def test_only_the_shift_plan_expands_binomials():
+    """Every shift is a weighted sum over one binomial plan: in the
+    package, only multiindex.shift_plan calls multi_binomial, so nothing
+    else expands (x + y)^k or builds a term per (k, j) pair of its own."""
+    callers = {(path.name, fn.name) for path, tree in TREES.items() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and "multi_binomial" in called_names(fn)}
+    assert callers == {("multiindex.py", "shift_plan")}, f"{sorted(callers)} call multi_binomial"

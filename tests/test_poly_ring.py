@@ -310,7 +310,7 @@ def test_one_accumulation_is_the_sum_of_its_products(terms):
     pairs = [(a, b) for (a, _), (b, _), _ in terms] + [(w, a) for (a, _), _, w in terms]
     want = reference_sum([(a, b, 1) for a, b, _ in terms] +
                          [((None, ref.Poly.const(w)), a, 1) for a, _, w in terms])
-    same(sum_of_products(pairs), want)
+    same(sum_of_products([(a, b, 1) for a, b in pairs]), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,6 +334,33 @@ def test_an_overflowing_product_raises_even_when_another_term_cancels_it():
             _dot(terms)
         assert "\n" not in str(err.value)
     with pytest.raises(ValueError, match=r"2\^31"):
-        sum_of_products([(top, x), (-top, x)])
+        sum_of_products([(top, x, 1), (-top, x, 1)])
     # up to 2^31 - 1 the same cancellation is an exact zero
     assert _dot([(x ** (TOP - 1), x, 1, 1), (x, x ** (TOP - 1), -1, 1)]) == 0
+
+
+@st.composite
+def factors(draw):
+    """A factor of a weighted term, as itself and as a reference Poly: an
+    int, a Fraction, a constant Poly or a Poly over NAMES."""
+    kind = draw(st.sampled_from(("int", "fraction", "constant", "poly")))
+    if kind == "poly":
+        return draw(pairs(max_terms=3))
+    c = draw(st.integers(-5, 5)) if kind == "int" else Fraction(draw(rationals))
+    return (Poly.const(c) if kind == "constant" else c), ref.Poly.const(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(factors(), factors(), st.integers(-3, 3)), max_size=6))
+def test_a_weighted_accumulation_is_the_naive_sum(terms):
+    got = sum_of_products([(a, b, w) for (a, _), (b, _), w in terms])
+    naive, want = Fraction(0), ref.Poly.const(0)
+    for (a, ra), (b, rb), w in terms:
+        naive = naive + w * a * b
+        want = want + ra * rb * w
+    assert type(got) is Poly
+    canonical(got)
+    assert 0 not in got._nums.values()
+    assert got == naive
+    # a dropped zero term may leave fewer variables; the text is the value
+    assert str(got) == str(want)
