@@ -51,14 +51,20 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     return out or {(0,) * d: Poly.const(0)}
 
 
+def _check_index(tup: UmbraTuple, k: tuple[int, ...]) -> None:
+    """Raise eval_power's error unless k fits tup; a valid k reads nothing."""
+    if len(k) != tup.dim or min(k) < 0 or sum(k) > tup.order:
+        tup.eval_power(k)
+
+
 def _shift_terms(terms: dict, coeffs: Mapping, tup: UmbraTuple) -> dict:
-    """Append each term (p_k, g_m, C(k, j)) of E[P(x + tup)] to terms[j]; each
-    k of a nonzero p_k is checked by eval_power and keys every j <= k."""
+    """Append each term (p_k, g_m, C(k, j)) of E[P(x + tup)] to terms[j]; every
+    k is checked, whatever p_k, and a nonzero p_k keys every j <= k."""
     g = tup.moments
     for k, p_k in coeffs.items():
+        _check_index(tup, k)
         if p_k == 0:
             continue
-        tup.eval_power(k)
         for j, m, b in mi.shift_plan(k):
             ts = terms.setdefault(j, [])
             if m in g:
@@ -207,10 +213,12 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
     the c_k are keyed in decreasing (|k|, k) order.  A nonzero residual
     P - sum c_k Q_k, summed per index in one accumulation, certifies that
     P is not time-space harmonic.  Every index must have the d entries of
-    mu, none of them negative.
+    mu, none of them negative, and be within mu's truncation order.
     """
     p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
     _check_dimension(p, mu.dim)
+    for k in p:
+        _check_index(mu, k)
     at_0 = {k: p[k].coefficient("t", 0)
             for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True)}
     out = {k: c.constant_value() for k, c in at_0.items() if not c.is_zero()}

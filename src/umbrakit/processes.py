@@ -171,14 +171,11 @@ def inverse_gaussian_closed_form(a: Fraction, b: Fraction, order: int) -> Trunca
     no reversion is involved.
     """
     w = Fraction(2) * a * a / b          # sqrt argument is 1 - w z
-    root = {}
+    # binom(1/2, k) (-w)^k, the ordinary coefficient of z^k, from the last
+    root, c = {}, Fraction(1)
     for k in range(order + 1):
-        # binom(1/2, k) * (-w)^k, as the ordinary coefficient of z^k
-        c = Fraction(1)
-        half = Fraction(1, 2)
-        for i in range(k):
-            c = c * (half - i) / (i + 1)
-        root[(k,)] = c * (-w) ** k
+        root[(k,)] = c
+        c = c * (Fraction(1, 2) - k) * -w / (k + 1)
     sqrt_series = TruncatedSeries.from_ordinary(1, order, root)
     exponent = (TruncatedSeries.one(1, order) - sqrt_series).scale(b / a)
     return series_exp(exponent)

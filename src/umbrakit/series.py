@@ -17,8 +17,9 @@ from_coeff_map (weight v!), and .coeffs is a read-only view of it, built
 with to_coeff_map on first read.
 
 The Euler operator E = sum_i z_i d/dz_i multiplies the degree-n part by
-n, so exp, log, reciprocal and pow follow from recurrences on the parts
-(Knuth, TAOCP vol. 2, 4.7) and each costs about one truncated product.
+n, so exp, log, reciprocal and f**(p/q) are recurrences on the parts with
+int weights (Knuth, TAOCP vol. 2, 4.7), each about one truncated product,
+and f**e for a Poly e is exp(e log f).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial, total
-from .polynomials import (Coefficient, Poly, _dot, _scalar_parts, _scale, _sum,
-                          as_coefficient, as_poly, from_coeff_map, to_coeff_map)
+from .polynomials import (Coefficient, Poly, _dot, _scale, _sum, as_coefficient,
+                          as_poly, from_coeff_map, to_coeff_map)
 
 
 class OrderMismatchError(ValueError):
@@ -151,7 +152,11 @@ class TruncatedSeries:
     def scale(self, c: Coefficient) -> "TruncatedSeries":
         c = as_coefficient(c)
         _check_params(c, self.dim)
-        return _from_parts(self.dim, self.order, [_times(c, part) for part in self._parts])
+        if type(c) is Poly:
+            parts = [_dot(((c, part, 1, 1),)) for part in self._parts]
+        else:
+            parts = [_scale(part, c.numerator, c.denominator) for part in self._parts]
+        return _from_parts(self.dim, self.order, parts)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_ring(other)
@@ -210,20 +215,18 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
 def series_pow(f: TruncatedSeries, e: Coefficient) -> TruncatedSeries:
     """f**e for a series with constant term 1 and any rational or Poly e.
 
-    J.C.P. Miller's recurrence: g = f**e solves f E g = e (E f) g, so
-    n g_n = sum_{k=1..n} (e k - (n - k)) f_k g_{n-k}.
+    A Poly e with a variable gives exp(e log f): log f is rational when f
+    is, and exp's weight k is an int, so each pair costs one product.  A
+    rational e = p/q gives J.C.P. Miller's recurrence: g = f**e solves
+    f E g = e (E f) g, so q n g_n = sum_{k=1..n} ((p + q) k - q n) f_k g_{n-k}.
     """
     if f.constant_term() != 1:
         raise ValueError("series_pow needs constant term 1")
     e = as_coefficient(e)
-    # e k - (n - k) grows by e + 1 with k: past the first of each row, an
-    # entry is one sum of two coefficients in the same variables
-    step, weights = e + 1, {}
-    for n in range(1, f.order + 1):
-        weights[n, 1] = e - (n - 1)
-        for k in range(2, n + 1):
-            weights[n, k] = weights[n, k - 1] + step
-    return _recurrence(f, lambda n, k: weights[n, k])
+    if type(e) is Poly:
+        return series_exp(series_log(f).scale(e))
+    p, q = e.numerator, e.denominator
+    return _recurrence(f, lambda n, k: (p + q) * k - q * n, q)
 
 
 def series_subst(f: TruncatedSeries,
@@ -433,23 +436,17 @@ def _add(p: Poly, q: Poly) -> Poly:
     return _sum(p, q, 1)
 
 
-def _times(c: Coefficient, part: Poly) -> Poly:
-    """c part for a rational or Poly coefficient c."""
-    if type(c) is Poly and c.vars:
-        return _dot(((c, part, 1, 1),))
-    return _scale(part, *_scalar_parts(c))
-
-
 def _part(dim: int, terms: list[tuple[Poly, Poly, int, int]]) -> Poly:
     """The part sum n/d a b over the terms (a, b, n, d): one _dot, or the
     empty part when there are no terms."""
     return _dot(terms) if terms else _empty(dim)
 
 
-def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
+def _recurrence(f: TruncatedSeries, weight: Callable[[int, int], int],
+                q: int = 1) -> TruncatedSeries:
     """The series g with g_0 = 1 and
-    n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts,
-    each part one _dot; a Poly weight is multiplied into f_k first."""
+    q n g_n = sum_{k=1..n} weight(n, k) f_k g_{n-k} on homogeneous parts,
+    for an int weight and q > 0, each part one _dot."""
     fp = f._parts
     g = [_unit(f.dim)]
     for n in range(1, f.order + 1):
@@ -457,12 +454,8 @@ def _recurrence(f: TruncatedSeries, weight: Callable) -> TruncatedSeries:
         for k in range(1, n + 1):
             if fp[k]._nums and g[n - k]._nums:
                 w = weight(n, k)
-                if type(w) is Poly and w.vars:
-                    terms.append((_times(w, fp[k]), g[n - k], 1, n))
-                else:
-                    a, b = _scalar_parts(w)
-                    if a:
-                        terms.append((fp[k], g[n - k], a, b * n))
+                if w:
+                    terms.append((fp[k], g[n - k], w, q * n))
         g.append(_part(f.dim, terms))
     return _from_parts(f.dim, f.order, g)
 

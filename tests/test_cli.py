@@ -356,6 +356,17 @@ def test_decompose_indices_must_have_d_entries(capsys, tmp_path, coeffs, d, mess
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["t", "0", "1"])
+def test_decompose_index_above_the_order_exits_3(capsys, tmp_path, value):
+    # p_(9)(0) = 0 for "t" and "0", so no Q_(9) is ever built for them
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": {"(9)": value}}))
+    code, out, err = run(capsys, "decompose", "--process", "gamma", "--d", "1",
+                         "--order", "8", "--poly", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: |(9,)| exceeds truncation order 8\n"
+
+
 def test_decompose_double_star_exits_3(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"coeffs": {"(0)": "x1**2"}}))

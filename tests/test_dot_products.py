@@ -77,7 +77,8 @@ def test_random_arrays(mu, p, n):
 @settings(max_examples=20, deadline=None)
 @given(arrays(), st.integers(0, 4))
 def test_random_arrays_against_series_recurrences(mu, n):
-    # exp_table/exp_at against Miller's pow, and the exp recurrence against exp_at
+    # exp_table/exp_at against series_pow (exp of log for t, Miller's recurrence
+    # for an int n), and the exp recurrence against exp_at
     f = mu.to_series()
     for p in (t, -t, t - s):
         assert mu.dot_t(p).to_series() == series_pow(f, p), f"dot_t({p})"

@@ -222,3 +222,22 @@ def test_a_wrong_length_or_above_order_index_is_rejected(entry, index, error, me
     with pytest.raises(error, match=message) as err:
         ENTRIES[entry](proc("poisson"), index)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("check", ["verify_harmonicity", "decompose"])
+@pytest.mark.parametrize("coeffs, error, message", [
+    ({(-1,): 0, (9,): Poly.const(0)}, ValueError, r"negative entry"),
+    ({(1,): 1, (9,): Poly.const(0)}, OrderMismatchError, r"exceeds truncation order 6"),
+    ({(9,): t}, OrderMismatchError, r"exceeds truncation order 6"),
+    ({(1, 2): 0, (1,): 1}, ValueError, r"has (wrong dimension \(d=1\)|2 entries, not d = 1)"),
+], ids=["negative_zero", "above_order_zero", "above_order_t", "wrong_length_zero"])
+def test_an_index_is_checked_whatever_its_coefficient(check, coeffs, error, message):
+    # a zero p_k, or one with p_k(0) = 0, adds no term to the shift, but
+    # its index must still fit mu (d = 1, N = 6)
+    mu = proc("poisson")
+    with pytest.raises(error, match=message) as err:
+        if check == "verify_harmonicity":
+            verify_harmonicity(mu, coeffs)
+        else:
+            decompose(coeffs, mu)
+    assert "\n" not in str(err.value)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
-from umbrakit.polynomials import Poly, parse_poly
+from umbrakit.polynomials import Poly, as_poly, parse_poly
 from umbrakit.processes import ig_quadratic
 from umbrakit.series import (TruncatedSeries, _z_vars, reciprocal, series_exp,
                              series_log, series_pow, series_reversion,
@@ -73,6 +73,34 @@ def test_log_and_reciprocal_match_product_loop(data):
 def test_pow_matches_exp_of_log(data, e):
     f = data.draw(series(constant=1, coefficients=data.draw(coefficient_kinds)))
     assert series_pow(f, e) == sp.pow(f, e)
+
+
+# The two checks below use products and reciprocal only, never exp or log.
+linear_in_a = st.builds(lambda x, y: x + y * Poly.var("a"), rationals, rationals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_variable_pow_is_the_integer_powers_at_t_equals_n(data):
+    # each coefficient of f**t is a polynomial in t of degree <= N, so it
+    # is fixed by its values at t = 0..N, and those are f**n
+    f = data.draw(series(constant=1, coefficients=rationals | linear_in_a))
+    g = series_pow(f, t)
+    assert all(as_poly(c).degree("t") <= f.order for c in g.coeffs.values())
+    for n in range(f.order + 1):
+        assert g.map_coeffs(lambda c: as_poly(c).subs({"t": n})) == f ** n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(-3, 3), st.integers(1, 3))
+def test_rational_pow_to_the_denominator_is_an_integer_power(data, p, q):
+    f = data.draw(series(constant=1, coefficients=data.draw(coefficient_kinds)))
+    g = series_pow(f, Fraction(p, q))
+    # g^q = f^p, written with products only: g^q f^-p = 1 for p < 0
+    assert g ** q * f ** max(-p, 0) == f ** max(p, 0)
+    assert series_pow(f, 0) == TruncatedSeries.one(f.dim, f.order)
+    assert series_pow(f, 1) == f
+    assert series_pow(f, -1) == reciprocal(f)
 
 
 @settings(max_examples=30, deadline=None)
