@@ -112,7 +112,8 @@ def cmd_gen_family(args) -> int:
         if args.C:
             C = parse_matrix("--C", json.loads(args.C))
         else:
-            C = [[1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
+            C = [
+                [1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
         p = hermite(v, C, t)
     elif args.family == "bernoulli":
         p = bernoulli(v, t)
@@ -196,8 +197,8 @@ def cmd_mc_verify(args) -> int:
     from .montecarlo import SAMPLERS, SimConfig, simulate_and_test
     spec = _process_spec(args)
     if spec.kind not in SAMPLERS:
-        sampled = sorted(next(a for a, k in PROCESS_ALIASES.items() if k == kind)
-                         for kind in SAMPLERS)
+        sampled = sorted(
+            next(a for a, k in PROCESS_ALIASES.items() if k == kind) for kind in SAMPLERS)
         raise ValueError(f"mc-verify has no sampler for --process {args.process} "
                          f"(choices: {', '.join(sampled)})")
     _check_max_order(args)

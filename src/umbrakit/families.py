@@ -41,8 +41,10 @@ def _x_dot_z(d: int) -> dict[tuple[int, ...], Poly]:
 
 def covariance_from_factor(C: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     d = len(C)
-    return [[sum((Fraction(C[i][k]) * Fraction(C[j][k]) for k in range(d)),
-                 Fraction(0)) for j in range(d)] for i in range(d)]
+    return [
+        [sum((Fraction(C[i][k]) * Fraction(C[j][k]) for k in range(d)), Fraction(0))
+         for j in range(d)]
+        for i in range(d)]
 
 
 def hermite(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
@@ -50,7 +52,8 @@ def hermite(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
     """Generalized Hermite polynomial for covariance CC^T, as a Poly."""
     v = tuple(v)
     check_square(C, len(v), f"hermite C for v = {v}")
-    C = [[Fraction(x) for x in row] for row in C]
+    C = [
+        [Fraction(x) for x in row] for row in C]
     one_step = brownian_one_step(C, mi.total(v))
     # E[(x - t.mu)^v]: shift by the process with t negated
     return _shift_family(one_step, v, -time_argument(t))
@@ -85,7 +88,8 @@ def hermite_scaling_identity(v: tuple[int, ...],
     v = tuple(v)
     direct = hermite(v, C, "t")
     r = Poly.var("r")
-    Cr = [[r * Fraction(x) for x in row] for row in C]
+    Cr = [
+        [r * Fraction(x) for x in row] for row in C]
     scaled = _shift_family(brownian_one_step(Cr, max(mi.total(v), 1)), v, -1)
     return direct == scaled.reduce_power("r", 2, Poly.var("t"))
 

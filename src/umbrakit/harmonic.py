@@ -7,14 +7,17 @@ are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
 
 Every check is one shift: entry j of shifted(P, tup) = E[P(x + tup)] is
-one weighted polynomials.sum_of_products of p_k g_m C(k, j) over the
-cached plans multiindex.shift_plan(k), read off the moments of tup with
-no Poly per (k, j) pair.  The basis is Q_v = E[(x - t.mu)^v]; P is
-harmonic when its shift by (t - s).mu is P with t -> s; the coefficient
-recursion is the shift of Q_v by mu.  Since Q_k(x, 0) = x^k, decompose
-reads c_k = p_k(0).  to_poly and poly_to_coeff_map convert between a
-coefficient map and a Poly in x1..xd through from_coeff_map and
-to_coeff_map.
+the sum of p_k g_m C(k, j) over the cached plans multiindex.shift_plan(k),
+read off the moments of tup with no Poly per (k, j) pair, and every j
+is one slot of a single polynomials.slot_sums accumulation.  The basis
+is Q_v = E[(x - t.mu)^v].  P is harmonic when its shift by (t - s).mu
+less P with t -> s, in the same accumulation, leaves every slot empty;
+only a failure compares the two sides index by index, to name the
+first differing one.  The coefficient recursion is the shift of Q_v by
+mu less the shifted-time coefficients, and since Q_k(x, 0) = x^k,
+decompose reads c_k = p_k(0) and sums its residual one slot per index.
+to_poly and poly_to_coeff_map convert between a coefficient map and a
+Poly in x1..xd through from_coeff_map and to_coeff_map.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
-                          parse_coeff_map, sum_of_products, to_coeff_map)
+                          parse_coeff_map, slot_sums, sum_of_products, to_coeff_map)
 from .umbrae import UmbraTuple, shift_coeffs, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
@@ -57,9 +60,14 @@ def _check_index(tup: UmbraTuple, k: tuple[int, ...]) -> None:
         tup.eval_power(k)
 
 
-def _shift_terms(terms: dict, coeffs: Mapping, tup: UmbraTuple) -> dict:
-    """Append each term (p_k, g_m, C(k, j)) of E[P(x + tup)] to terms[j]; every
-    k is checked, whatever p_k, and a nonzero p_k keys every j <= k."""
+def _shift_sums(coeffs: Mapping, tup: UmbraTuple,
+                extra: Mapping[tuple[int, ...], Coefficient], sign: int) -> CoeffMap:
+    """Entry j of E[P(x + tup)] + sign * extra[j], for every j, as one
+    slot_sums accumulation in which each index j is a slot: the nonzero
+    entries, extra's indices first, then the others as the shift meets
+    them.  Every k of P is checked, whatever p_k, and a nonzero p_k
+    reaches every j <= k with the terms (p_k, g_m, C(k, j))."""
+    terms = {j: [(c, 1, sign)] for j, c in extra.items()}
     g = tup.moments
     for k, p_k in coeffs.items():
         _check_index(tup, k)
@@ -69,14 +77,14 @@ def _shift_terms(terms: dict, coeffs: Mapping, tup: UmbraTuple) -> dict:
             ts = terms.setdefault(j, [])
             if m in g:
                 ts.append((p_k, g[m], b))
-    return terms
+    sums = slot_sums(list(terms.values()))
+    return {j: sums[i] for i, j in enumerate(terms) if i in sums}
 
 
 def shifted(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> CoeffMap:
     """E[P(x + tup)] as a coefficient map with zero entries dropped: entry
-    j is sum_m C(j + m, m) p_{j+m} g_m, one weighted accumulation."""
-    out = {j: sum_of_products(ts) for j, ts in _shift_terms({}, coeffs, tup).items()}
-    return {j: c for j, c in out.items() if not c.is_zero()}
+    j is sum_m C(j + m, m) p_{j+m} g_m, every j in one accumulation."""
+    return _shift_sums(coeffs, tup, {}, 1)
 
 
 def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) -> Poly:
@@ -135,14 +143,20 @@ def verify_harmonicity(mu: UmbraTuple,
                        ) -> tuple[bool, dict | None]:
     """Exact check of E(P(t.mu, t) | s.mu) = P(s.mu, s) in Q[t, s].
 
-    P is given by its coefficient map k -> p_k(t).  The left side is its
-    shift by (t - s).mu over the formal basis (s.mu)^j, the right side P
-    with t -> s.  Returns the verdict and, on failure, a certificate
-    naming the first differing basis index in increasing (|j|, j) order
-    together with both Q[t, s] coefficients.
+    P is given by its coefficient map k -> p_k(t); an s in a p_k is read
+    as the conditioning time.  The left side is P's shift by (t - s).mu
+    over the formal basis (s.mu)^j, the right side P with t -> s.  Both
+    go into one accumulation, the right side with weight -1, and P is
+    harmonic iff every basis index sums to zero.  Returns the verdict
+    and, on failure, a certificate naming the first differing basis
+    index in increasing (|j|, j) order together with both Q[t, s]
+    coefficients, which only a failure compares index by index.
     """
     coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
-    lhs = shifted(coeffs, mu.dot_t(T_MINUS_S))
+    tup = mu.dot_t(T_MINUS_S)
+    if not _shift_sums(coeffs, tup, {k: c.subs({"t": S}) for k, c in coeffs.items()}, -1):
+        return True, None
+    lhs = shifted(coeffs, tup)
     for j in sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j)):
         left = lhs.get(j, Poly.const(0))
         right = coeffs.get(j, Poly.const(0)).subs({"t": S})
@@ -182,16 +196,16 @@ def coefficient_recursion_check(mu: UmbraTuple, v: tuple[int, ...]) -> Recursion
     """
     v = tuple(v)
     q = tsh_polynomial(mu, v)
-    zero = Poly.const(0)
-    # the derivation form is the coefficient map of E[Q_v(x + mu, t)], the
-    # alternative one the shift of sum_i g_i q_i x^i by the unity umbra
-    proof = shifted(q.coeffs, mu)
-    printed = shifted({i: mu.eval_power(i) * q_i for i, q_i in q.coeffs.items()},
-                      unity(mu.order, mu.dim))
     targets = {k: q.coefficient(k).subs({"t": Poly.var("t") - 1}) for k in mi.sub_indices(v)}
-    mismatch = next((k for k, c in targets.items() if c != proof.get(k, zero)), None)
+    # the derivation form is the coefficient map of E[Q_v(x + mu, t)], the
+    # alternative one the shift of sum_i g_i q_i x^i by the unity umbra;
+    # each is one accumulation less the targets, keyed in the targets' order
+    proof = _shift_sums(q.coeffs, mu, targets, -1)
+    printed = _shift_sums({i: mu.eval_power(i) * q_i for i, q_i in q.coeffs.items()},
+                          unity(mu.order, mu.dim), targets, -1)
+    mismatch = next(iter(proof), None)
     # the alternative form is only claimed for k strictly below v
-    printed_ok = all(c == printed.get(k, zero) for k, c in targets.items() if k != v)
+    printed_ok = not printed.keys() - {v}
     return RecursionReport(v, mismatch is None, printed_ok, mismatch)
 
 
@@ -223,10 +237,8 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
             for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True)}
     out = {k: c.constant_value() for k, c in at_0.items() if not c.is_zero()}
     # residual j is p_j plus entry j of -sum_k c_k Q_k, a shift by -t.mu
-    terms = _shift_terms({j: [(p_j, 1, 1)] for j, p_j in p.items()},
-                         {k: -c for k, c in out.items()}, mu.dot_t(MINUS_T))
-    residual = {j: sum_of_products(ts) for j, ts in terms.items()}
-    return Decomposition(out, {k: r for k, r in residual.items() if not r.is_zero()})
+    residual = _shift_sums({k: -c for k, c in out.items()}, mu.dot_t(MINUS_T), p, 1)
+    return Decomposition(out, residual)
 
 
 def tsh_to_json(q: TshPolynomial) -> dict:
@@ -249,7 +261,8 @@ def _check_dimension(indices, d: int) -> None:
 
 def tsh_from_json(data: Mapping) -> TshPolynomial:
     """Read a gen-tsh "tsh" object: every index must have the d entries
-    of v and be <= v, and the coefficient at v must be 1."""
+    of v and be <= v, the coefficient at v must be 1, and no coefficient
+    may use s, which verify_harmonicity reads as the conditioning time."""
     coeffs = {k: as_poly(c) for k, c in parse_coeff_map(data, "coeffs").items()}
     if "v" not in data:
         raise ValueError("missing key 'v'")
@@ -266,6 +279,10 @@ def tsh_from_json(data: Mapping) -> TshPolynomial:
     q_v = coeffs.get(v, Poly.const(0))
     if q_v != 1:
         raise ValueError(f"the coefficient at v = {mi.format_index(v)} is {q_v}, not 1")
+    for k, c in coeffs.items():
+        if c.degree("s"):
+            raise ValueError(f"coeffs index {mi.format_index(k)} uses s, "
+                             f"the conditioning time of the harmonic check")
     return TshPolynomial(d, v, coeffs)
 
 

@@ -65,7 +65,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _brownian(p: dict, d: int, dt: float, paths: int,
               rng: np.random.Generator) -> np.ndarray:
-    C = np.array([[float(x) for x in row] for row in p["C"]])
+    C = np.array([
+        [float(x) for x in row] for row in p["C"]])
     z = rng.standard_normal((paths, d))
     return np.sqrt(dt) * z @ C.T
 

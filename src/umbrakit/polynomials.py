@@ -9,10 +9,16 @@ A Poly holds integer numerators over one positive common denominator.
 Every operation ends with a single gcd reduction of the denominator
 against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
-arithmetic.  A sum of products sum n/d a b is one operation, _dot: one
-common denominator, one dict of numerators and one gcd at the end,
-with no Poly per product (Monagan and Pearce, J. Symb. Comput. 2011).
-A constant Poly without variables acts as a scalar.
+arithmetic.  A sum of products sum n/d a b is one accumulation,
+_accumulate: one union of variables, one common denominator, one
+product loop and one overflow check, with no Poly per product (Monagan
+and Pearce, J. Symb. Comput. 2011).  It takes its terms in slots, each
+slot a sum with its own dict of numerators, so one accumulation holds
+many sums side by side: slot_sums makes one Poly per nonzero slot, each
+reduced by its own gcd, and an accumulation whose every slot is empty
+makes no Poly and takes no gcd.  _dot and sum_of_products are the
+one-slot case.  A constant Poly
+without variables acts as a scalar.
 
 Each monomial is keyed by one packed int (Monagan and Pearce, CASC
 2007): over n sorted variables, the exponent of variable i sits in the
@@ -37,6 +43,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import starmap
 from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -131,10 +138,11 @@ class Poly:
 
     Parts: vars (sorted, distinct names), _nums (packed exponent key ->
     nonzero int) and _den (positive int) with gcd(_den, *_nums) == 1.
-    The zero polynomial is {} over 1.  Exponents are below 2^31.
+    The zero polynomial is {} over 1.  Exponents are below 2^31.  The
+    hash is kept in _hash once computed.
     """
 
-    __slots__ = ("vars", "_nums", "_den")
+    __slots__ = ("vars", "_nums", "_den", "_hash")
 
     def __init__(self, vars: Iterable[str] = (),
                  terms: Mapping[tuple[int, ...], Scalar] | None = None):
@@ -142,7 +150,7 @@ class Poly:
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"variables must be sorted and distinct: {vs}")
         p = from_coeff_map(terms or {}, vs)
-        for name in Poly.__slots__:
+        for name in ("vars", "_nums", "_den"):
             _set(self, name, getattr(p, name))
 
     def __setattr__(self, name, value):
@@ -257,31 +265,44 @@ class Poly:
         return _embedded(self._nums, ea) == _embedded(other._nums, eb)
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         nums = self._nums
         seen = reduce(or_, nums, 0)
         used = tuple(x for x, s in zip(self.vars, _offsets(len(self.vars)))
                      if seen >> s & _FIELD)
         if not used:
             # equal to its scalar value, so it must hash like it
-            return hash(Fraction(sum(nums.values()), self._den))
-        # canonical form with variables of zero degree dropped
-        nums = _embedded(nums, _embedding(self.vars, used))
-        return hash((used, self._den, frozenset(nums.items())))
+            h = hash(Fraction(sum(nums.values()), self._den))
+        else:
+            # canonical form with variables of zero degree dropped
+            nums = _embedded(nums, _embedding(self.vars, used))
+            h = hash((used, self._den, frozenset(nums.items())))
+        _set(self, "_hash", h)
+        return h
 
     # -- substitution -------------------------------------------------
 
     def subs(self, mapping: Mapping[str, Coefficient]) -> "Poly":
         """Substitute variables by polynomials or scalars.
 
-        Renaming one variable to one the polynomial does not contain
-        permutes the exponents; every other mapping expands term by term,
-        the last factor of each term meeting the others in one _dot.
+        A constant is returned as it is.  Renaming one variable to one the
+        polynomial does not contain permutes the exponents, and costs no
+        copy when that variable is the only one; every other mapping
+        expands term by term, the last factor of each term meeting the
+        others in one _dot.
         """
+        if not self.vars:
+            return self
         if len(mapping) == 1:
             (name, new), = mapping.items()
             if (name in self.vars and type(new) is Poly and len(new.vars) == 1
                     and new.vars[0] not in self.vars and new._den == 1
                     and new._nums == {1: 1}):
+                if self.vars == (name,):
+                    return _make(new.vars, self._nums, self._den)
                 names = tuple(new.vars[0] if x == name else x for x in self.vars)
                 vs = tuple(sorted(names))
                 return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
@@ -437,63 +458,100 @@ def _scale(p: Poly, n: int, d: int) -> Poly:
     return _reduced(p.vars, {e: x * n for e, x in p._nums.items()}, den * d)
 
 
-def _dot(terms: Sequence[tuple[Poly, Poly, int, int]]) -> Poly:
-    """sum of n/d a b over the terms (a, b, n, d), d > 0, in one pass.
+def _accumulate(slots: Sequence[Sequence[tuple[Poly, Poly, int, int]]]):
+    """The sums sum n/d a b over the terms (a, b, n, d), d > 0, of each
+    slot, slots[i] being the terms of slot i, as (vars, one numerator dict
+    per slot, denominator).
 
     After Monagan and Pearce (J. Symb. Comput. 46, 2011): the variable
     tuples of all terms are united once, every product is scaled onto the
     one common denominator lcm(a._den b._den d) and added key by key into
-    one dict, and one gcd reduces the sum.  No terms sum to the constant 0.
+    the dict of its slot, by the same product loop in every slot.  One
+    overflow check reads the keys of every slot.  A cancelled key stays
+    in its dict with numerator 0, and no gcd is taken.
     """
-    if not terms:
-        return _ZERO
-    vs, den = terms[0][0].vars, 1
-    for a, b, _, d in terms:
-        # a scalar's key is 0 over any variables, so () needs no alignment
-        if a.vars and a.vars != vs:
-            vs = _alignment(vs, a.vars)[0]
-        if b.vars and b.vars != vs:
-            vs = _alignment(vs, b.vars)[0]
-        den = math.lcm(den, a._den * b._den * d)
-    out: dict = {}
-    get = out.get
-    for a, b, n, d in terms:
-        an, bn = a._nums, b._nums
-        if a.vars and a.vars != vs:
-            an = _embedded(an, _embedding(a.vars, vs))
-        if b.vars and b.vars != vs:
-            bn = _embedded(bn, _embedding(b.vars, vs))
-        if len(an) > len(bn):
-            an, bn = bn, an
-        m = n * (den // (a._den * b._den * d))
-        for e1, x1 in an.items():
-            x1 *= m
-            for e2, x2 in bn.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + x1 * x2
+    vs, den = (), 1
+    for terms in slots:
+        for a, b, _, d in terms:
+            # a scalar's key is 0 over any variables, so () needs no alignment
+            if a.vars and a.vars != vs:
+                vs = _alignment(vs, a.vars)[0] if vs else a.vars
+            if b.vars and b.vars != vs:
+                vs = _alignment(vs, b.vars)[0] if vs else b.vars
+            den = math.lcm(den, a._den * b._den * d)
+    outs = []
+    for terms in slots:
+        out: dict = {}
+        get = out.get
+        for a, b, n, d in terms:
+            an, bn = a._nums, b._nums
+            if a.vars and a.vars != vs:
+                an = _embedded(an, _embedding(a.vars, vs))
+            if b.vars and b.vars != vs:
+                bn = _embedded(bn, _embedding(b.vars, vs))
+            if len(an) > len(bn):
+                an, bn = bn, an
+            m = n * (den // (a._den * b._den * d))
+            for e1, x1 in an.items():
+                x1 *= m
+                for e2, x2 in bn.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + x1 * x2
+        outs.append(out)
     # each field of a sum of two keys is below 2^32, so it carries nothing
     # into the next field, and its top bit is set iff the exponent
-    # overflowed; a cancelled key is still in out, so it is checked too
-    if reduce(or_, out, 0) & _guard(len(vs)):
+    # overflowed; a cancelled key is still in its dict, so it is checked too
+    high = 0
+    for out in outs:
+        high |= reduce(or_, out, 0)
+    if high & _guard(len(vs)):
         raise ValueError("polynomial product has an exponent of 2^31 or more")
+    return vs, outs, den
+
+
+def _dot(terms: Sequence[tuple[Poly, Poly, int, int]]) -> Poly:
+    """sum of n/d a b over the terms (a, b, n, d), d > 0: one accumulation
+    in one slot and one gcd.  No terms sum to the constant 0."""
+    if not terms:
+        return _ZERO
+    vs, (out,), den = _accumulate((terms,))
     if 0 in out.values():
         out = {e: x for e, x in out.items() if x}
     return _reduced(vs, out, den)
 
 
+def _fold(a: Coefficient, b: Coefficient, n: int) -> tuple[Poly, Poly, int, int]:
+    """The term n a b as (a, b, n, d) over Polys: a rational factor goes
+    into n/d and makes no Poly."""
+    d = 1
+    if type(a) is not Poly:
+        a, n, d = _ONE, n * a.numerator, a.denominator
+    if type(b) is not Poly:
+        b, n, d = _ONE, n * b.numerator, d * b.denominator
+    return a, b, n, d
+
+
 def sum_of_products(terms: Iterable[tuple[Coefficient, Coefficient, int]]) -> Poly:
     """sum of w a b over terms (a, b, w) of rationals or Polys and an int w,
-    as one _dot; a rational goes into the term's n/d and makes no Poly."""
-    out = []
-    for a, b, n in terms:
-        d = 1
-        if type(a) is not Poly:
-            a, n, d = _ONE, n * a.numerator, a.denominator
-        if type(b) is not Poly:
-            b, n, d = _ONE, n * b.numerator, d * b.denominator
-        if n:
-            out.append((a, b, n, d))
-    return _dot(out)
+    as one _dot."""
+    return _dot([t for t in starmap(_fold, terms) if t[2]])
+
+
+def slot_sums(slots: Sequence[Iterable[tuple[Coefficient, Coefficient, int]]]
+              ) -> dict[int, Poly]:
+    """The sum of w a b over the terms (a, b, w) of each slot, slots[i]
+    being the terms of slot i, as one accumulation over every slot at
+    once.
+
+    Returns i -> the sum of slot i for the slots whose sum is not zero,
+    in increasing i, each sum a Poly over the variables of all the terms.
+    An empty result says that every sum is zero, and takes no gcd.
+    """
+    vs, outs, den = _accumulate([
+        [t for t in starmap(_fold, terms) if t[2]] for terms in slots])
+    return {
+        i: _reduced(vs, {e: x for e, x in out.items() if x}, den)
+        for i, out in enumerate(outs) if any(out.values())}
 
 
 # -- coefficient maps ----------------------------------------------------
@@ -675,7 +733,8 @@ def parse_matrix(key: str, value) -> list[list[Fraction]]:
     """value, a list of rows of rationals, as lists of Fractions."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ValueError(f"parameter {key}: {value!r} is not a list of rows")
-    return [[parse_rational(key, x) for x in row] for row in value]
+    return [
+        [parse_rational(key, x) for x in row] for row in value]
 
 
 def as_poly(value: Coefficient) -> Poly:

@@ -73,8 +73,8 @@ class ProcessSpec:
         mi.check_order(self.order)
         if self.kind == "brownian":
             if params["C"] is None:
-                params["C"] = [[Fraction(int(i == j)) for j in range(self.dim)]
-                               for i in range(self.dim)]
+                params["C"] = [
+                    [Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
             check_square(params["C"], self.dim, f"brownian C for --d {self.dim}")
         if self.kind == "custom" and params["path"] is None:
             raise ValueError("a custom process needs a 'path'")

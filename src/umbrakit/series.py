@@ -34,6 +34,9 @@ from .polynomials import (Coefficient, Poly, _dot, _scale, _sum, as_coefficient,
                           as_poly, from_coeff_map, to_coeff_map)
 
 
+_NAUGHT = Fraction(0)   # the coefficient off the support, shared: a Fraction is immutable
+
+
 class OrderMismatchError(ValueError):
     """Operands live in different truncation rings."""
 
@@ -92,18 +95,19 @@ class TruncatedSeries:
         return self._view
 
     def get(self, v: tuple[int, ...]) -> Coefficient:
-        v = tuple(v)
+        if type(v) is not tuple:
+            v = tuple(v)
         if len(v) != self.dim:
             raise ValueError(f"index {v} has wrong dimension (d={self.dim})")
         if min(v) < 0:
             raise ValueError(f"index {v} has a negative entry")
-        if total(v) > self.order:
+        if sum(v) > self.order:
             raise OrderMismatchError(f"|{v}| exceeds truncation order {self.order}")
-        return self.coeffs.get(v, Fraction(0))
+        return self.coeffs.get(v, _NAUGHT)
 
     def constant_term(self) -> Coefficient:
         zero = (0,) * self.dim
-        return to_coeff_map(self._parts[0], _z_vars(self.dim)).get(zero, Fraction(0))
+        return to_coeff_map(self._parts[0], _z_vars(self.dim)).get(zero, _NAUGHT)
 
     def _check_ring(self, other: "TruncatedSeries") -> None:
         if self.dim != other.dim or self.order != other.order:
@@ -349,7 +353,7 @@ def vector_reversion(fs: Sequence[TruncatedSeries]) -> list[TruncatedSeries]:
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     ords = [f.ordinary() for f in fs]
     jinv = _invert_matrix([
-        [a.get(e, Fraction(0)) for e in unit] for a in ords])
+        [a.get(e, _NAUGHT) for e in unit] for a in ords])
 
     # ordinary coefficients of degree >= 2, the only ones the error reads
     Fs = [{v: as_poly(c) for v, c in a.items() if total(v) >= 2} for a in ords]
@@ -477,7 +481,8 @@ def _invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact Gauss-Jordan inverse; raises on a singular matrix."""
     d = len(m)
     a = [
-        [Fraction(m[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
+        [Fraction(m[i][j]) for j in range(d)]
+        + [Fraction(int(i == j)) for j in range(d)]
         for i in range(d)]
     for col in range(d):
         piv = next((r for r in range(col, d) if a[r][col] != 0), None)

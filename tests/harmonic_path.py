@@ -10,6 +10,10 @@ shifted computes E[P(x + tup)] without the binomial expansion of the
 package: it substitutes x_i -> x_i + y_i in P as one Poly, and then
 replaces each monomial y^j of the result by the moment g_j of the tuple.
 It calls neither shift_coeffs nor multi_binomial.
+
+verify_harmonicity is the package's former check, index by index: it
+compares entry j of that shift by (t - s).mu with p_j(s) for every j in
+increasing (|j|, j) order and certifies the first difference.
 """
 
 from fractions import Fraction
@@ -66,3 +70,16 @@ def shifted(coeffs, tup):
         monomial = Poly(tuple(moved.vars[i] for i in rest), {tuple(e[i] for i in rest): c})
         out = out + monomial * tup.eval_power(j)
     return {k: c for k, c in poly_to_coeff_map(out, d).items() if not c.is_zero()}
+
+
+def verify_harmonicity(mu, coeffs):
+    """The verdict and certificate of E(P(t.mu, t) | s.mu) = P(s.mu, s)."""
+    t, s = Poly.var("t"), Poly.var("s")
+    coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
+    lhs = shifted(coeffs, mu.dot_t(t - s))
+    zero = Poly.const(0)
+    for j in sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j)):
+        left, right = lhs.get(j, zero), coeffs.get(j, zero).subs({"t": s})
+        if left != right:
+            return False, {"index": j, "conditional": str(left), "expected": str(right)}
+    return True, None

@@ -116,6 +116,21 @@ def test_verify_tsh_passes_iff_decompose_leaves_no_residual(capsys, tmp_path, pe
     assert verify_code == decompose_code == (1 if perturbed else 0)
 
 
+def test_tsh_coefficient_using_s_exits_3(capsys, tmp_path):
+    # s is the conditioning time of the check: Q_(2) with "-2*t + s" at
+    # (1) once failed with exit 1 and "conditional": "s*t - s"
+    process = ("--process", "gamma", "--d", "1")
+    code, out, _ = run(capsys, "gen-tsh", *process, "--v", "(2)")
+    assert code == 0
+    tsh = json.loads(out)["tsh"]
+    tsh["coeffs"]["(1)"] = "-2*t + s"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(tsh))
+    code, out, err = run(capsys, "verify", *process, "--tsh", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: coeffs index (1) uses s, the conditioning time of the harmonic check\n"
+
+
 def test_decompose_command(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"coeffs": {"(2)": "1", "(1)": "3", "(0)": "-t"}}))

@@ -12,7 +12,7 @@ from umbrakit.harmonic import (coefficient_recursion_check, conditional_eval,
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
 from umbrakit.series import OrderMismatchError
-from umbrakit.umbrae import shift_coeffs, unity
+from umbrakit.umbrae import UmbraTuple, shift_coeffs, unity
 
 t, s = Poly.var("t"), Poly.var("s")
 x1 = Poly.var("x1")
@@ -114,6 +114,15 @@ def test_recursion_check_proof_version():
     rep2 = coefficient_recursion_check(mu2, (4,))
     assert rep2.proof_version_holds
     assert not rep2.printed_version_holds
+
+
+def test_recursion_check_claims_the_printed_form_below_v_only():
+    # for v = (1) the printed form holds at k = 0 whatever g_1 is, and at
+    # k = v it would need g_1 = 1
+    mu = UmbraTuple(1, 2, {(0,): 1, (1,): 2, (2,): 5})
+    rep = coefficient_recursion_check(mu, (1,))
+    assert (rep.proof_version_holds, rep.printed_version_holds) == (True, True)
+    assert rep.first_mismatch is None
 
 
 @pytest.mark.parametrize("kind, d, v, params, cert", [

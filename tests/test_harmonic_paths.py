@@ -144,3 +144,38 @@ def test_basis_and_zero_mean_of_sparse_and_parametric_arrays(case):
     # E[Q_v(t.mu, t)] is the x^0 term of the shift of Q_v by t.mu
     assert ref.shifted(want, pp.dot_t(mu, t)).get((0,) * mu.dim, 0) == 0
     assert expected_value_zero(mu, v) is True
+
+
+@st.composite
+def perturbed_basis(draw):
+    """Q_v for an array (d <= 3, N <= 4) of rationals or of Polys in a,
+    and Q_v with t, t^2 or a constant added at one random index."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    parametric = draw(st.booleans())
+    ms = {(0,) * d: Fraction(1)}
+    for v in mi.iter_indices(d, order):
+        if any(v):
+            ms[v] = draw(RATIONALS) + (draw(RATIONALS) * A if parametric else 0)
+    mu = UmbraTuple(d, order, ms)
+    indices = list(mi.iter_indices(d, order))
+    p = dict(tsh_polynomial(mu, draw(st.sampled_from(indices[1:]))).coeffs)
+    bump = draw(st.sampled_from((None, t, t ** 2, Poly.const(draw(NONZERO)))))
+    if bump is not None:
+        j = draw(st.sampled_from(indices))
+        p[j] = p.get(j, Poly.const(0)) + bump
+    return mu, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_basis())
+def test_the_slot_path_matches_the_references(case):
+    # every shift, residual and verdict is one accumulation with a slot per
+    # index; the references sum each index on its own
+    mu, p = case
+    for tup in (mu, mu.dot_t(-t), mu.dot_t(t - s)):
+        assert shifted(p, tup) == ref.shifted(p, tup)
+    got, want = decompose(p, mu), ref.decompose(p, mu)
+    assert list(got.coefficients.items()) == list(want.coefficients.items())
+    assert list(got.residual.items()) == list(want.residual.items())
+    assert verify_harmonicity(mu, p) == ref.verify_harmonicity(mu, p)

@@ -133,3 +133,29 @@ def test_only_the_shift_plan_expands_binomials():
     callers = {(path.name, fn.name) for path, tree in TREES.items() for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and "multi_binomial" in called_names(fn)}
     assert callers == {("multiindex.py", "shift_plan")}, f"{sorted(callers)} call multi_binomial"
+
+
+CODE_NAMES = {ast.Lambda: "<lambda>", ast.ListComp: "<listcomp>", ast.SetComp: "<setcomp>",
+              ast.DictComp: "<dictcomp>", ast.GeneratorExp: "<genexpr>"}
+
+
+def profile_labels(tree):
+    """The (line, name) of each code object in a module, as cProfile labels
+    it with the file: a def or class starts at its first decorator, and a
+    lambda or comprehension at its own first line."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield min([node.lineno] + [d.lineno for d in node.decorator_list]), node.name
+        elif type(node) in CODE_NAMES:
+            yield node.lineno, CODE_NAMES[type(node)]
+
+
+@pytest.mark.parametrize("path", sorted(TREES), ids=lambda p: p.name)
+def test_every_profile_label_names_one_code_object(path):
+    """cProfile keys its statistics by (file, line, name), so two code
+    objects with one label, such as nested comprehensions on one line,
+    share one entry, and the benchmark's per-layer figures for them would
+    depend on which one it kept."""
+    labels = list(profile_labels(TREES[path]))
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    assert not shared, f"{path.name} has more than one code object at {shared}"

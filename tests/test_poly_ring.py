@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbrakit.polynomials import Poly, _alignment, _dot, parse_poly, sum_of_products
+from umbrakit.polynomials import (Poly, _alignment, _dot, parse_poly, slot_sums,
+                                  sum_of_products)
 
 import poly_path as ref
 
@@ -364,3 +365,33 @@ def test_a_weighted_accumulation_is_the_naive_sum(terms):
     assert got == naive
     # a dropped zero term may leave fewer variables; the text is the value
     assert str(got) == str(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(factors(), factors(), st.integers(-3, 3)), max_size=4),
+                max_size=4))
+def test_one_slotted_accumulation_is_a_sum_of_products_per_slot(slots):
+    got = slot_sums([[(a, b, w) for (a, _), (b, _), w in terms] for terms in slots])
+    want = {}
+    for i, terms in enumerate(slots):
+        p = sum_of_products([(a, b, w) for (a, _), (b, _), w in terms])
+        if not p.is_zero():
+            want[i] = p
+    assert list(got) == list(want)
+    for i, p in got.items():
+        assert type(p) is Poly
+        canonical(p)
+        assert p == want[i] and str(p) == str(want[i])
+
+
+def test_an_overflowing_product_raises_in_any_slot_even_when_another_term_cancels_it():
+    x, y = Poly.var("x"), Poly.var("y")
+    top = x ** TOP
+    for slots in ([[(top, x, 1), (top, x, -1)], [(y, y, 1)]],
+                  [[(y, y, 1)], [], [], [(x, top, 1), (top, x, -1)]],
+                  [[(x, x, 1)], [(y ** TOP, y, 1), (y, y ** TOP, -1)]]):
+        with pytest.raises(ValueError, match=r"2\^31") as err:
+            slot_sums(slots)
+        assert "\n" not in str(err.value)
+    # up to 2^31 - 1 the same cancellation leaves every slot empty
+    assert slot_sums([[], [], [(x ** (TOP - 1), x, 1), (x, x ** (TOP - 1), -1)]]) == {}
