@@ -12,12 +12,13 @@ read off the moments of tup with no Poly per (k, j) pair, and every j
 is one slot of a single polynomials.slot_sums accumulation.  The basis
 is Q_v = E[(x - t.mu)^v].  P is harmonic when its shift by (t - s).mu
 less P with t -> s, in the same accumulation, leaves every slot empty;
-only a failure compares the two sides index by index, to name the
-first differing one.  The coefficient recursion is the shift of Q_v by
-mu less the shifted-time coefficients, and since Q_k(x, 0) = x^k,
-decompose reads c_k = p_k(0) and sums its residual one slot per index.
-to_poly and poly_to_coeff_map convert between a coefficient map and a
-Poly in x1..xd through from_coeff_map and to_coeff_map.
+a failure names the first nonzero slot in (|j|, j) order, with both
+sides read back from that slot's sum.  The coefficient recursion is
+the shift of Q_v by mu less the shifted-time coefficients, and since
+Q_k(x, 0) = x^k, decompose reads c_k = p_k(0) and sums its residual one
+slot per index.  to_poly and poly_to_coeff_map convert between a
+coefficient map and a Poly in x1..xd through from_coeff_map and
+to_coeff_map.
 """
 
 from __future__ import annotations
@@ -150,20 +151,18 @@ def verify_harmonicity(mu: UmbraTuple,
     harmonic iff every basis index sums to zero.  Returns the verdict
     and, on failure, a certificate naming the first differing basis
     index in increasing (|j|, j) order together with both Q[t, s]
-    coefficients, which only a failure compares index by index.
+    coefficients, read from that index's sum: "expected" is p_j with
+    t -> s, and "conditional" is the sum plus "expected".
     """
     coeffs = {tuple(k): as_poly(c) for k, c in coeffs.items()}
-    tup = mu.dot_t(T_MINUS_S)
-    if not _shift_sums(coeffs, tup, {k: c.subs({"t": S}) for k, c in coeffs.items()}, -1):
+    right = {k: c.subs({"t": S}) for k, c in coeffs.items()}
+    diff = _shift_sums(coeffs, mu.dot_t(T_MINUS_S), right, -1)
+    if not diff:
         return True, None
-    lhs = shifted(coeffs, tup)
-    for j in sorted(set(lhs) | set(coeffs), key=lambda j: (mi.total(j), j)):
-        left = lhs.get(j, Poly.const(0))
-        right = coeffs.get(j, Poly.const(0)).subs({"t": S})
-        if left != right:
-            return False, {"index": j, "conditional": str(left),
-                           "expected": str(right)}
-    return True, None
+    j = min(diff, key=lambda j: (mi.total(j), j))
+    expected = right.get(j, Poly.const(0))
+    return False, {"index": j, "conditional": str(diff[j] + expected),
+                   "expected": str(expected)}
 
 
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:

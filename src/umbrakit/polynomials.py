@@ -9,16 +9,16 @@ A Poly holds integer numerators over one positive common denominator.
 Every operation ends with a single gcd reduction of the denominator
 against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
-arithmetic.  A sum of products sum n/d a b is one accumulation,
-_accumulate: one union of variables, one common denominator, one
-product loop and one overflow check, with no Poly per product (Monagan
-and Pearce, J. Symb. Comput. 2011).  It takes its terms in slots, each
-slot a sum with its own dict of numerators, so one accumulation holds
-many sums side by side: slot_sums makes one Poly per nonzero slot, each
-reduced by its own gcd, and an accumulation whose every slot is empty
-makes no Poly and takes no gcd.  _dot and sum_of_products are the
-one-slot case.  A constant Poly
-without variables acts as a scalar.
+arithmetic.  A sum of products sum n/d a b is one accumulation, _dot,
+with no Poly per product (Monagan and Pearce, J. Symb. Comput. 2011):
+one union of variables, one common denominator, one product loop into
+one dict of numerators, one overflow check and one gcd.  slot_sums
+holds many sums side by side as slots: _common takes the union and the
+denominator of the terms of every slot in one pass, _dot runs its
+product loop once per slot over that shared pair and returns the
+slot's dict with no gcd, and only a nonzero slot becomes a Poly,
+reduced by its own gcd, so sums that all vanish make no Poly and take
+no gcd.  A constant Poly without variables acts as a scalar.
 
 Each monomial is keyed by one packed int (Monagan and Pearce, CASC
 2007): over n sorted variables, the exponent of variable i sits in the
@@ -43,7 +43,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import starmap
+from itertools import chain, starmap
 from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -458,66 +458,72 @@ def _scale(p: Poly, n: int, d: int) -> Poly:
     return _reduced(p.vars, {e: x * n for e, x in p._nums.items()}, den * d)
 
 
-def _accumulate(slots: Sequence[Sequence[tuple[Poly, Poly, int, int]]]):
-    """The sums sum n/d a b over the terms (a, b, n, d), d > 0, of each
-    slot, slots[i] being the terms of slot i, as (vars, one numerator dict
-    per slot, denominator).
+def _dot(terms: Sequence[tuple[Poly, Poly, int, int]],
+         common: tuple[tuple[str, ...], int] | None = None):
+    """sum of n/d a b over the terms (a, b, n, d), d > 0, in one pass.
 
     After Monagan and Pearce (J. Symb. Comput. 46, 2011): the variable
     tuples of all terms are united once, every product is scaled onto the
     one common denominator lcm(a._den b._den d) and added key by key into
-    the dict of its slot, by the same product loop in every slot.  One
-    overflow check reads the keys of every slot.  A cancelled key stays
-    in its dict with numerator 0, and no gcd is taken.
+    one dict, and one gcd reduces the sum.  No terms sum to the constant 0.
+
+    Given common = (vs, den), _common of a larger list of terms, the sum
+    is one slot of that list's accumulation: it returns den times the sum
+    as a dict of numerators over vs, a cancelled key kept at 0, with no
+    gcd and no Poly.
     """
-    vs, den = (), 1
-    for terms in slots:
+    if common is not None:
+        vs, den = common
+    elif not terms:
+        return _ZERO
+    else:
+        vs, den = terms[0][0].vars, 1
         for a, b, _, d in terms:
             # a scalar's key is 0 over any variables, so () needs no alignment
             if a.vars and a.vars != vs:
-                vs = _alignment(vs, a.vars)[0] if vs else a.vars
+                vs = _alignment(vs, a.vars)[0]
             if b.vars and b.vars != vs:
-                vs = _alignment(vs, b.vars)[0] if vs else b.vars
+                vs = _alignment(vs, b.vars)[0]
             den = math.lcm(den, a._den * b._den * d)
-    outs = []
-    for terms in slots:
-        out: dict = {}
-        get = out.get
-        for a, b, n, d in terms:
-            an, bn = a._nums, b._nums
-            if a.vars and a.vars != vs:
-                an = _embedded(an, _embedding(a.vars, vs))
-            if b.vars and b.vars != vs:
-                bn = _embedded(bn, _embedding(b.vars, vs))
-            if len(an) > len(bn):
-                an, bn = bn, an
-            m = n * (den // (a._den * b._den * d))
-            for e1, x1 in an.items():
-                x1 *= m
-                for e2, x2 in bn.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) + x1 * x2
-        outs.append(out)
+    out: dict = {}
+    get = out.get
+    for a, b, n, d in terms:
+        an, bn = a._nums, b._nums
+        if a.vars and a.vars != vs:
+            an = _embedded(an, _embedding(a.vars, vs))
+        if b.vars and b.vars != vs:
+            bn = _embedded(bn, _embedding(b.vars, vs))
+        if len(an) > len(bn):
+            an, bn = bn, an
+        m = n * (den // (a._den * b._den * d))
+        for e1, x1 in an.items():
+            x1 *= m
+            for e2, x2 in bn.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + x1 * x2
     # each field of a sum of two keys is below 2^32, so it carries nothing
     # into the next field, and its top bit is set iff the exponent
-    # overflowed; a cancelled key is still in its dict, so it is checked too
-    high = 0
-    for out in outs:
-        high |= reduce(or_, out, 0)
-    if high & _guard(len(vs)):
+    # overflowed; a cancelled key is still in out, so it is checked too
+    if reduce(or_, out, 0) & _guard(len(vs)):
         raise ValueError("polynomial product has an exponent of 2^31 or more")
-    return vs, outs, den
-
-
-def _dot(terms: Sequence[tuple[Poly, Poly, int, int]]) -> Poly:
-    """sum of n/d a b over the terms (a, b, n, d), d > 0: one accumulation
-    in one slot and one gcd.  No terms sum to the constant 0."""
-    if not terms:
-        return _ZERO
-    vs, (out,), den = _accumulate((terms,))
+    if common is not None:
+        return out
     if 0 in out.values():
         out = {e: x for e, x in out.items() if x}
     return _reduced(vs, out, den)
+
+
+def _common(terms: Iterable[tuple[Poly, Poly, int, int]]) -> tuple[tuple[str, ...], int]:
+    """The union of the variables of the terms (a, b, n, d) and their
+    common denominator, as _dot takes them for a slot."""
+    vs, den = (), 1
+    for a, b, _, d in terms:
+        if a.vars and a.vars != vs:
+            vs = _alignment(vs, a.vars)[0] if vs else a.vars
+        if b.vars and b.vars != vs:
+            vs = _alignment(vs, b.vars)[0] if vs else b.vars
+        den = math.lcm(den, a._den * b._den * d)
+    return vs, den
 
 
 def _fold(a: Coefficient, b: Coefficient, n: int) -> tuple[Poly, Poly, int, int]:
@@ -540,15 +546,18 @@ def sum_of_products(terms: Iterable[tuple[Coefficient, Coefficient, int]]) -> Po
 def slot_sums(slots: Sequence[Iterable[tuple[Coefficient, Coefficient, int]]]
               ) -> dict[int, Poly]:
     """The sum of w a b over the terms (a, b, w) of each slot, slots[i]
-    being the terms of slot i, as one accumulation over every slot at
-    once.
+    being the terms of slot i: one _common pass over the terms of every
+    slot, so all slots share one variable tuple and one denominator, and
+    one _dot dict per slot.
 
     Returns i -> the sum of slot i for the slots whose sum is not zero,
     in increasing i, each sum a Poly over the variables of all the terms.
     An empty result says that every sum is zero, and takes no gcd.
     """
-    vs, outs, den = _accumulate([
-        [t for t in starmap(_fold, terms) if t[2]] for terms in slots])
+    slots = [
+        [t for t in starmap(_fold, terms) if t[2]] for terms in slots]
+    vs, den = common = _common(chain.from_iterable(slots))
+    outs = [_dot(terms, common) for terms in slots]
     return {
         i: _reduced(vs, {e: x for e, x in out.items() if x}, den)
         for i, out in enumerate(outs) if any(out.values())}
