@@ -14,9 +14,9 @@ import sys
 from . import multiindex as mi
 from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
                        hermite)
-from .harmonic import (TshPolynomial, decompose, expected_value_zero,
-                       poly_to_coeff_map, tsh_from_json, tsh_polynomial,
-                       tsh_to_json, tsh_to_latex, verify_harmonicity)
+from .harmonic import (TshPolynomial, basis_sweep, decompose, poly_to_coeff_map,
+                       tsh_from_json, tsh_polynomial, tsh_to_json, tsh_to_latex,
+                       verify_harmonicity)
 from .polynomials import parse_coeff_map, parse_matrix, parse_rational
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
 
@@ -155,12 +155,8 @@ def cmd_verify(args) -> int:
             print(json.dumps(cert), file=sys.stderr)
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
     failures = 0
-    for v in mi.iter_indices(args.d, args.max_order):
-        if not any(v):
-            continue
-        q = tsh_polynomial(proc.one_step, v)
-        ok, cert = verify_harmonicity(proc.one_step, q.coeffs)
-        zero = expected_value_zero(proc.one_step, v)
+    indices = (v for v in mi.iter_indices(args.d, args.max_order) if any(v))
+    for v, ok, cert, zero in basis_sweep(proc.one_step, indices):
         verdict = "PASS" if (ok and zero) else "FAIL"
         print(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} {verdict}")
         if not (ok and zero):

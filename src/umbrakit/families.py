@@ -3,16 +3,25 @@
 Generalized Hermite, multivariate Bernoulli, multivariate Euler, and
 Levy-Sheffer systems, each with an independent generating-function
 expansion oracle and a harmonicity check against its driving process.
+
+A Bernoulli or Euler member is E[(x + t.nu)^v] for a driver nu whose
+inverse is the family's process mu, so it is the basis polynomial Q_v
+of mu: its check is the tuple equality nu.dot_t(t) = mu.dot_t(-t) and
+then the verdicts harmonic.basis_sweep reads off the basis identity of
+mu, with no member built.  A Levy-Sheffer member carries x through
+x1 + ... + xd and a composition dot-product, so it is no shift of x^k
+by a tuple, and each member is checked on its own with
+verify_harmonicity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import multiindex as mi
-from .harmonic import (expectation, poly_to_coeff_map, to_poly, verify_harmonicity,
-                       x_names)
+from .harmonic import (MINUS_T, T, basis_sweep, expectation, poly_to_coeff_map,
+                       to_poly, verify_harmonicity, x_names)
 from .polynomials import Coefficient, Poly, as_poly
 from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
@@ -209,32 +218,39 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     return comonotone_tuple(one_d, d).scale(Fraction(1, d))
 
 
-def _family_tsh_check(one_step: UmbraTuple, member: Callable[[tuple[int, ...]], Poly],
-                      d: int, max_order: int) -> bool:
-    """Every member(v), |v| <= max_order, is harmonic for one_step and,
-    for v != 0, has zero expectation along it."""
+def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bool:
+    """Harmonicity and zero mean of every V_k, |k| <= max_order, for the pair.
+
+    V_k is not the shift of x^k by a tuple, so each member is checked on
+    its own: harmonic for the driving process and, for k != 0, with zero
+    expectation along it."""
+    one_step = levy_sheffer_process_one_step(mu, nu)
     forward = one_step.dot_t("t")
-    for v in mi.iter_indices(d, max_order):
-        coeffs = poly_to_coeff_map(member(v), d)
+    for k in mi.iter_indices(mu.dim, max_order):
+        coeffs = poly_to_coeff_map(levy_sheffer(mu, nu, k), mu.dim)
         ok, _ = verify_harmonicity(one_step, coeffs)
-        if not ok or (any(v) and not expectation(coeffs, forward).is_zero()):
+        if not ok or (any(k) and not expectation(coeffs, forward).is_zero()):
             return False
     return True
 
 
-def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bool:
-    """Harmonicity and zero mean of every V_k, |k| <= max_order, for the pair."""
-    return _family_tsh_check(levy_sheffer_process_one_step(mu, nu),
-                             lambda k: levy_sheffer(mu, nu, k), mu.dim, max_order)
+def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple) -> bool:
+    """Every member E[(x + t.driver)^v], |v| <= the order, is harmonic for
+    one_step and, for v != 0, has zero expectation along it: the tuple
+    equality makes every member the basis polynomial Q_v of one_step."""
+    if driver.dot_t(T) != one_step.dot_t(MINUS_T):
+        return False
+    indices = (v for v in mi.iter_indices(one_step.dim, one_step.order) if any(v))
+    return all(ok and zero for _, ok, _, zero in basis_sweep(one_step, indices))
 
 
 def bernoulli_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of B_v^(t) along the negated Bernoulli family."""
-    return _family_tsh_check(bernoulli_neg_one_step(max_order, d),
-                             lambda v: bernoulli(v, "t", d), d, max_order)
+    return _shift_family_tsh_check(bernoulli_neg_one_step(max_order, d),
+                                   bernoulli_tuple(max_order, d))
 
 
 def euler_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of the Euler polynomials along their process."""
-    return _family_tsh_check(euler_half_one_step(max_order, d),
-                             lambda v: euler(v, "t", d), d, max_order)
+    return _shift_family_tsh_check(euler_half_one_step(max_order, d),
+                                   euler_difference_tuple(max_order, d))

@@ -19,13 +19,19 @@ Q_k(x, 0) = x^k, decompose reads c_k = p_k(0) and sums its residual one
 slot per index.  to_poly and poly_to_coeff_map convert between a
 coefficient map and a Poly in x1..xd through from_coeff_map and
 to_coeff_map.
+
+A sweep over the basis shifts no Q_v: t.mu is a semigroup, so
+basis_identity forms two tuple sums through mu.order, and basis_sweep
+reads every verdict, and on a failure the certificate of
+verify_harmonicity, off them.  The per-index verify_harmonicity stays
+for polynomials that are not a basis member, as a --tsh file may be.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
@@ -165,6 +171,54 @@ def verify_harmonicity(mu: UmbraTuple,
                    "expected": str(expected)}
 
 
+def basis_identity(mu: UmbraTuple, order: int | None = None
+                   ) -> tuple[UmbraTuple, UmbraTuple]:
+    """The tuple sums step = (-t).mu + (t - s).mu and zero = (-t).mu + t.mu,
+    through order (by default mu.order), from which every basis verdict
+    of that order is read.
+
+    Q_v has q_k = C(v, k) g_{v-k}(-t), and C(v, k) C(k, j) = C(v, j)
+    C(v - j, k - j) (Vandermonde), so entry j of the shift of Q_v by
+    (t - s).mu is C(v, j) step_{v-j}, while q_j(s) = C(v, j) g_{v-j}(-s):
+    Q_v is harmonic iff step_w = g_w(-s) at every w <= v.  Likewise
+    E[Q_v(t.mu, t)] = zero_v, so the mean is zero iff zero_v = 0.
+    """
+    n = mu.order if order is None else order
+    back, mid, forward = (mu.dot_t(p).truncate(n) for p in (MINUS_T, T_MINUS_S, T))
+    return back + mid, back + forward
+
+
+def basis_sweep(mu: UmbraTuple, indices: Iterable[tuple[int, ...]]
+                ) -> Iterator[tuple[tuple[int, ...], bool, dict | None, bool]]:
+    """(v, harmonic, certificate, zero mean) of Q_v for each v != 0 in
+    indices, as verify_harmonicity(mu, Q_v) and expected_value_zero(mu, v)
+    give them, each read off basis_identity(mu) through the largest |v|.
+    g_w(-s) is read as verify_harmonicity reads p_j(s), g_w(-t) with
+    t -> s.  The certificate names the first j in (|j|, j) order at which
+    step misses at v - j, with "conditional" C(v, j) step_{v-j} and
+    "expected" C(v, j) g_{v-j}(-s).
+    """
+    indices = [tuple(v) for v in indices]
+    if not indices:
+        return
+    n = max(0, min(max(map(mi.total, indices)), mu.order))  # a bad v fails in eval_power
+    step, zero = basis_identity(mu, n)
+    back = mu.dot_t(MINUS_T).truncate(n).moments
+    at_s = {w: as_poly(g).subs({"t": S}) for w, g in back.items()}
+    misses = {w for w in step.moments.keys() | at_s.keys()
+              if step.eval_power(w) != at_s.get(w, 0)}
+    for v in indices:
+        mean_zero = zero.eval_power(v) == 0
+        failing = misses and [(mi.total(j), j, w, b) for j, w, b in mi.shift_plan(v)
+                              if w in misses]
+        if not failing:
+            yield v, True, None, mean_zero
+            continue
+        _, j, w, b = min(failing)
+        yield v, False, {"index": j, "conditional": str(as_poly(b * step.eval_power(w))),
+                         "expected": str(b * at_s.get(w, Poly.const(0)))}, mean_zero
+
+
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
     """Cor.-style check: E[Q_v(t.mu, t)] = sum_{k <= v} C(v, k) g_{v-k}(-t)
     g_k(t) is the zero polynomial, summed as one accumulation."""
@@ -234,6 +288,10 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
         _check_index(mu, k)
     at_0 = {k: p[k].coefficient("t", 0)
             for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True)}
+    for k, c in at_0.items():
+        if not c.is_constant():
+            raise ValueError(f"coeffs index {mi.format_index(k)}: {p[k]} is {c} "
+                             f"at t = 0, not a rational")
     out = {k: c.constant_value() for k, c in at_0.items() if not c.is_zero()}
     # residual j is p_j plus entry j of -sum_k c_k Q_k, a shift by -t.mu
     residual = _shift_sums({k: -c for k, c in out.items()}, mu.dot_t(MINUS_T), p, 1)

@@ -289,10 +289,11 @@ class Poly:
         """Substitute variables by polynomials or scalars.
 
         A constant is returned as it is.  Renaming one variable to one the
-        polynomial does not contain permutes the exponents, and costs no
-        copy when that variable is the only one; every other mapping
-        expands term by term, the last factor of each term meeting the
-        others in one _dot.
+        polynomial does not contain permutes the exponents when every
+        variable occurs, and costs no copy when the renamed variable is
+        the only one; every other mapping expands term by term, the last
+        factor of each term meeting the others in one _dot, which keeps
+        only the variables that occur.
         """
         if not self.vars:
             return self
@@ -302,10 +303,13 @@ class Poly:
                     and new.vars[0] not in self.vars and new._den == 1
                     and new._nums == {1: 1}):
                 if self.vars == (name,):
-                    return _make(new.vars, self._nums, self._den)
-                names = tuple(new.vars[0] if x == name else x for x in self.vars)
-                vs = tuple(sorted(names))
-                return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
+                    if not self.is_constant():
+                        return _make(new.vars, self._nums, self._den)
+                elif all(reduce(or_, self._nums, 0) >> s & _FIELD
+                         for s in _offsets(len(self.vars))):
+                    names = tuple(new.vars[0] if x == name else x for x in self.vars)
+                    vs = tuple(sorted(names))
+                    return _make(vs, _embedded(self._nums, _embedding(names, vs)), self._den)
         terms = []
         powers: dict = {}
         nv = len(self.vars)

@@ -105,6 +105,14 @@ class TruncatedSeries:
             raise OrderMismatchError(f"|{v}| exceeds truncation order {self.order}")
         return self.coeffs.get(v, _NAUGHT)
 
+    def truncate(self, order: int) -> "TruncatedSeries":
+        """The same series in the ring of a lower order: its parts up to order."""
+        if not 0 <= order <= self.order:
+            raise OrderMismatchError(f"cannot truncate order {self.order} to {order}")
+        if order == self.order:
+            return self
+        return _from_parts(self.dim, order, self._parts[:order + 1])
+
     def constant_term(self) -> Coefficient:
         zero = (0,) * self.dim
         return to_coeff_map(self._parts[0], _z_vars(self.dim)).get(zero, _NAUGHT)

@@ -89,6 +89,11 @@ class UmbraTuple:
             out[v] = self.eval_power(v)
         return TruncatedSeries(self.dim, self.order, out)
 
+    def truncate(self, order: int) -> "UmbraTuple":
+        """The moments g_v with |v| <= order, as a tuple of that order."""
+        f = self._series.truncate(order)
+        return self if f is self._series else UmbraTuple.from_series(f)
+
     def specialize(self, mapping: Mapping[str, Fraction | int]) -> "UmbraTuple":
         """Substitute parameter values into Poly moments; the moment array
         takes each result in the canonical form of as_coefficient."""

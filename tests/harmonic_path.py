@@ -14,15 +14,24 @@ It calls neither shift_coeffs nor multi_binomial.
 verify_harmonicity is the package's former check, index by index: it
 compares entry j of that shift by (t - s).mu with p_j(s) for every j in
 increasing (|j|, j) order and certifies the first difference.
+
+per_index_sweep is the former basis sweep of the verify command: it
+builds each Q_v and checks it with the package's verify_harmonicity and
+expected_value_zero, where the package now reads every verdict off one
+series identity.  MovedArray is a test-local copy of a tuple whose
+dot_t at one time argument has one moment moved, so both sweeps can be
+compared on arrays that fail.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from umbrakit import harmonic
 from umbrakit import multiindex as mi
 from umbrakit.harmonic import (Decomposition, poly_to_coeff_map, to_poly,
                                tsh_polynomial, x_names)
 from umbrakit.polynomials import Poly, as_poly
+from umbrakit.umbrae import UmbraTuple, time_argument
 
 
 def _sub_indices(v):
@@ -83,3 +92,31 @@ def verify_harmonicity(mu, coeffs):
         if left != right:
             return False, {"index": j, "conditional": str(left), "expected": str(right)}
     return True, None
+
+
+def per_index_sweep(mu, indices):
+    """(v, harmonic, certificate, zero mean) of each Q_v, v != 0, one
+    index at a time."""
+    for v in indices:
+        ok, cert = harmonic.verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
+        yield v, ok, cert, harmonic.expected_value_zero(mu, v)
+
+
+def moved(tup, w, bump):
+    """A copy of tup with the moment at w moved by bump."""
+    ms = dict(tup.moments)
+    ms[w] = as_poly(ms.get(w, 0)) + bump
+    return UmbraTuple(tup.dim, tup.order, ms)
+
+
+class MovedArray(UmbraTuple):
+    """The moments of mu, with the moment at w of dot_t(time) moved by bump."""
+
+    def __init__(self, mu, time, w, bump):
+        self._adopt(mu.to_series())
+        self.move = (time, w, bump)
+
+    def dot_t(self, t):
+        out = super().dot_t(t)
+        time, w, bump = self.move
+        return moved(out, w, bump) if time_argument(t) == time else out

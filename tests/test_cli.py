@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from umbrakit.cli import main, make_parser
+from umbrakit import multiindex as mi
+from umbrakit.cli import _process_spec, main, make_parser
+from umbrakit.polynomials import parse_poly
+from umbrakit.processes import build
+from umbrakit.umbrae import UmbraTuple, time_argument
+
+import harmonic_path as ref
 
 
 def run(capsys, *argv):
@@ -389,6 +395,47 @@ def test_decompose_double_star_exits_3(capsys, tmp_path):
                          "--d", "1", "--poly", str(path))
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "malformed factor ''" in err
+
+
+@pytest.mark.parametrize("value,at_0", [("a", "a"), ("-2*t + s", "s")])
+def test_decompose_value_at_0_not_rational_names_the_index(capsys, tmp_path, value, at_0):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": {"(1)": value}}))
+    code, out, err = run(capsys, "decompose", "--process", "brownian", "--d", "1",
+                         "--order", "4", "--poly", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: coeffs index (1): {parse_poly(value)} is {at_0} at t = 0, not a rational\n"
+
+
+@pytest.mark.parametrize("process,d,time,w,bump", [
+    ("gamma", 2, None, None, None),
+    ("gamma", 2, "t - s", (1, 0), "t"),
+    ("poisson", 1, "t - s", (2,), "s"),
+    ("ig", 3, "t - s", (0, 1, 1), "1"),
+    ("brownian", 2, "t", (1, 1), "1"),
+])
+def test_verify_sweep_prints_what_the_per_index_loop_prints(capsys, monkeypatch,
+                                                           process, d, time, w, bump):
+    # the sweep reads its lines off basis_identity; the per-index loop builds
+    # and checks each Q_v, here on the same arrays with one moment moved
+    if time is not None:
+        dot_t, time, bump = UmbraTuple.dot_t, parse_poly(time), parse_poly(bump)
+        monkeypatch.setattr(UmbraTuple, "dot_t", lambda self, t: (
+            ref.moved(dot_t(self, t), w, bump) if time_argument(t) == time
+            else dot_t(self, t)))
+    argv = ["verify", "--process", process, "--d", str(d), "--order", "4",
+            "--max-order", "4"]
+    code, out, err = run(capsys, *argv)
+    mu = build(_process_spec(make_parser().parse_args(argv))).one_step
+    lines, certs = [], []
+    indices = [v for v in mi.iter_indices(d, 4) if any(v)]
+    for v, ok, cert, zero in ref.per_index_sweep(mu, indices):
+        lines.append(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} "
+                     f"{'PASS' if ok and zero else 'FAIL'}\n")
+        if cert:
+            certs.append(json.dumps(cert) + "\n")
+    assert (out, err) == ("".join(lines), "".join(certs))
+    assert code == (1 if "FAIL" in out else 0) == (0 if time is None else 1)
 
 
 @pytest.mark.parametrize("value", [[1], 1.5, True], ids=["list", "float", "bool"])

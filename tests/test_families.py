@@ -3,16 +3,18 @@ from fractions import Fraction
 import pytest
 
 from umbrakit import multiindex as mi
-from umbrakit.families import (bernoulli, bernoulli_gf_oracle,
+from umbrakit.families import (_shift_family_tsh_check, bernoulli, bernoulli_gf_oracle,
                                bernoulli_tsh_check, bernoulli_tuple, euler,
-                               euler_gf_oracle, euler_tsh_check, hermite,
+                               euler_difference_tuple, euler_gf_oracle,
+                               euler_tsh_check, hermite,
                                hermite_gf_oracle, hermite_scaling_identity,
                                levy_sheffer, levy_sheffer_gf_oracle,
                                levy_sheffer_process_one_step,
                                levy_sheffer_tsh_check)
-from umbrakit.harmonic import poly_to_coeff_map
+from umbrakit.harmonic import poly_to_coeff_map, tsh_polynomial
 from umbrakit.polynomials import Poly
-from umbrakit.processes import build, ProcessSpec
+from umbrakit.processes import (ProcessSpec, bernoulli_neg_one_step, build,
+                                euler_half_one_step)
 from umbrakit.umbrae import (UmbraTuple, augmentation, comonotone_tuple,
                              singleton, unity)
 
@@ -101,6 +103,23 @@ def test_family_harmonicity_checks():
     assert euler_tsh_check(4, 1)
     assert bernoulli_tsh_check(2, 2)
     assert euler_tsh_check(2, 2)
+
+
+@pytest.mark.parametrize("d,order", [(1, 10), (2, 7), (3, 5)])
+def test_family_members_are_the_basis_of_their_process(d, order):
+    # B_v = E[(x + t.B)^v] = E[(x - t.B^-1)^v] = Q_v, and likewise for
+    # Euler, which is what lets the family checks read basis_identity
+    for member, one_step in ((bernoulli, bernoulli_neg_one_step(order, d)),
+                             (euler, euler_half_one_step(order, d))):
+        for v in mi.iter_indices(d, order):
+            assert member(v, "t", d) == tsh_polynomial(one_step, v).as_polynomial()
+
+
+def test_a_shift_family_with_the_wrong_driver_fails():
+    assert _shift_family_tsh_check(bernoulli_neg_one_step(4, 2), bernoulli_tuple(4, 2))
+    assert not _shift_family_tsh_check(bernoulli_neg_one_step(4, 2),
+                                       euler_difference_tuple(4, 2))
+    assert not _shift_family_tsh_check(euler_half_one_step(3, 1), bernoulli_tuple(3, 1))
 
 
 def test_levy_sheffer_examples():

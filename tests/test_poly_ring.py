@@ -117,6 +117,16 @@ def test_subs(a, mapping):
     same(p.subs(mapping[0]), rp.subs(mapping[1]))
 
 
+def test_a_rename_drops_the_variables_that_do_not_occur():
+    # the rename keeps its own path only when every variable occurs
+    for names, terms, want in ((("t", "x1"), {(1, 0): 3}, ("s",)),
+                               (("t",), {(0,): 3}, ()),
+                               (("t", "x1"), {(1, 2): 3}, ("s", "x1"))):
+        got = Poly(names, terms).subs({"t": Poly.var("s")})
+        same(got, ref.Poly(names, terms).subs({"t": ref.Poly.var("s")}))
+        assert got.vars == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(pairs(), st.sampled_from(NAMES), st.integers(1, 3), pairs(max_terms=3))
 def test_reduce_power(a, name, order, rep):

@@ -269,3 +269,13 @@ def test_variable_rejects_a_slot_outside_the_dimension(i):
     with pytest.raises(ValueError, match=rf"slot {i} is not in \[0, 2\)"):
         TruncatedSeries.variable(2, 3, i)
     assert TruncatedSeries.variable(2, 3, 1).coeffs == {(0, 1): 1}
+
+
+def test_truncate_keeps_the_parts_up_to_the_order():
+    f = TruncatedSeries(2, 4, {(0, 0): 1, (1, 0): 2, (1, 1): Fraction(1, 3), (3, 1): 5})
+    assert f.truncate(4) is f
+    assert f.truncate(2) == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 2, (1, 1): Fraction(1, 3)})
+    assert f.truncate(0) == TruncatedSeries.one(2, 0)
+    for order in (5, -1):
+        with pytest.raises(ValueError):
+            f.truncate(order)
