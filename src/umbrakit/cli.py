@@ -123,7 +123,7 @@ def cmd_gen_family(args) -> int:
         raise ValueError(f"unknown family {args.family!r}")
     if args.latex:
         coeffs = poly_to_coeff_map(p, len(v))
-        print(tsh_to_latex(TshPolynomial(len(v), v, coeffs)))
+        print(tsh_to_latex(TshPolynomial(v, coeffs)))
     else:
         _emit({"family": args.family, "v": mi.format_index(v),
                "polynomial": str(p)}, args)
@@ -204,7 +204,7 @@ def cmd_mc_verify(args) -> int:
     s, t = (parse_rational("times", x) for x in times)
     indices = tuple(v for v in mi.iter_indices(args.d, args.max_order) if any(v))
     # checks --paths and --seed before the build and before any path array
-    cfg = SimConfig(spec, args.paths, s, t, args.seed, indices)
+    cfg = SimConfig(spec, args.paths, s, t, args.seed)
     proc = build(spec)
     polys = [tsh_polynomial(proc.one_step, v) for v in indices]
     report = simulate_and_test(cfg, polys)
@@ -233,13 +233,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "Levy processes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, process=True):
+    def common(p):
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--order", type=int, default=6)
         p.add_argument("--output")
-        if process:
-            p.add_argument("--process", default="brownian")
-            p.add_argument("--params", help="process parameters as JSON")
+        p.add_argument("--process", default="brownian")
+        p.add_argument("--params", help="process parameters as JSON")
 
     p = sub.add_parser("partitions", help="enumerate multi-index partitions")
     p.add_argument("--v", required=True)

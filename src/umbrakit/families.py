@@ -11,7 +11,8 @@ then the verdicts harmonic.basis_sweep reads off the basis identity of
 mu, with no member built.  A Levy-Sheffer member carries x through
 x1 + ... + xd and a composition dot-product, so it is no shift of x^k
 by a tuple, and each member is checked on its own with
-verify_harmonicity.
+verify_harmonicity.  Only the closed forms bernoulli, euler and hermite
+take a time (gen-family --t); the oracles and Levy-Sheffer use t itself.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from typing import Sequence
 
 from . import multiindex as mi
 from .harmonic import (MINUS_T, T, basis_sweep, expectation, poly_to_coeff_map,
-                       to_poly, verify_harmonicity, x_names)
+                       shift_coeffs, to_poly, verify_harmonicity, x_names)
 from .polynomials import Coefficient, Poly, as_poly
 from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
-from .series import (TruncatedSeries, series_exp, series_pow, series_subst,
-                     vector_reversion)
+from .series import TruncatedSeries, series_exp, series_pow
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
-                     euler_umbra, shift_coeffs, time_argument, unity)
+                     compositional_inverse, dot_beta_tuple, euler_umbra,
+                     time_argument, unity)
 
 
 def _shift_family(one_step: UmbraTuple, v: tuple[int, ...],
@@ -68,15 +69,13 @@ def hermite(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
     return _shift_family(one_step, v, -time_argument(t))
 
 
-def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
-                      t: Coefficient | str = "t") -> Poly:
+def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]]) -> Poly:
     """Coefficient of z^v/v! in exp{x z^T - (t/2) z Sigma z^T}."""
     v = tuple(v)
     check_square(C, len(v), f"hermite C for v = {v}")
     d = len(C)
     order = mi.total(v)
     sigma = covariance_from_factor(C)
-    tt = time_argument(t)
     arg = _x_dot_z(d)
     for i in range(d):
         for j in range(d):
@@ -84,7 +83,7 @@ def hermite_gf_oracle(v: tuple[int, ...], C: Sequence[Sequence[Fraction]],
                 e = tuple((2 if k == i else 0) if i == j else
                           (1 if k in (i, j) else 0) for k in range(d))
                 arg[e] = arg.get(e, Poly.const(0)) \
-                    - tt * sigma[i][j] * Fraction(mi.mi_factorial(e), 2)
+                    - T * sigma[i][j] * Fraction(mi.mi_factorial(e), 2)
     return as_poly(series_exp(TruncatedSeries(d, order, arg)).get(v))
 
 
@@ -115,46 +114,38 @@ def euler_difference_tuple(order: int, d: int) -> UmbraTuple:
     return comonotone_tuple(diff, d)
 
 
-def bernoulli(v: tuple[int, ...], t: Coefficient | str = "t", d: int | None = None) -> Poly:
+def bernoulli(v: tuple[int, ...], t: Coefficient | str = "t") -> Poly:
     """Multivariate Bernoulli polynomial E[(x + t . iota)^v]."""
     v = tuple(v)
-    d = d or len(v)
-    return _shift_family(bernoulli_tuple(mi.total(v), d), v, t)
+    return _shift_family(bernoulli_tuple(mi.total(v), len(v)), v, t)
 
 
-def euler(v: tuple[int, ...], t: Coefficient | str = "t", d: int | None = None) -> Poly:
+def euler(v: tuple[int, ...], t: Coefficient | str = "t") -> Poly:
     """Multivariate Euler polynomial E[(x + (t/2) . (eta - u))^v]."""
     v = tuple(v)
-    d = d or len(v)
-    return _shift_family(euler_difference_tuple(mi.total(v), d), v, t)
+    return _shift_family(euler_difference_tuple(mi.total(v), len(v)), v, t)
 
 
-def _classical_gf_oracle(base: TruncatedSeries, v: tuple[int, ...],
-                         t: Coefficient | str) -> Poly:
+def _classical_gf_oracle(base: TruncatedSeries, v: tuple[int, ...]) -> Poly:
     """Coefficient of z^v/v! in f(base, z)^t exp(x1 z1 + ... + xd zd)."""
     x_dot_z = TruncatedSeries(base.dim, base.order, _x_dot_z(base.dim))
-    f = series_pow(base, time_argument(t)) * series_exp(x_dot_z)
-    return as_poly(f.get(tuple(v)))
+    f = series_pow(base, T) * series_exp(x_dot_z)
+    return as_poly(f.get(v))
 
 
-def bernoulli_gf_oracle(v: tuple[int, ...], t: Coefficient | str = "t",
-                        d: int | None = None) -> Poly:
+def bernoulli_gf_oracle(v: tuple[int, ...]) -> Poly:
     v = tuple(v)
-    d = d or len(v)
-    return _classical_gf_oracle(bernoulli_tuple(mi.total(v), d).to_series(), v, t)
+    return _classical_gf_oracle(bernoulli_tuple(mi.total(v), len(v)).to_series(), v)
 
 
-def euler_gf_oracle(v: tuple[int, ...], t: Coefficient | str = "t",
-                    d: int | None = None) -> Poly:
+def euler_gf_oracle(v: tuple[int, ...]) -> Poly:
     v = tuple(v)
-    d = d or len(v)
-    return _classical_gf_oracle(euler_difference_tuple(mi.total(v), d).to_series(), v, t)
+    return _classical_gf_oracle(euler_difference_tuple(mi.total(v), len(v)).to_series(), v)
 
 
 # -- Levy-Sheffer systems ---------------------------------------------
 
-def levy_sheffer(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
-                 t: Coefficient | str = "t") -> Poly:
+def levy_sheffer(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...]) -> Poly:
     """V_k(x, t) = E[(t . mu + (x1 + ... + xd) . beta . nu)^k].
 
     The x-sum enters as one auxiliary scalar parameter through the
@@ -162,13 +153,12 @@ def levy_sheffer(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
     """
     mu._check(nu)
     b = nu.dot_t_beta("_xsum")
-    return expectation(shift_coeffs(mu.dot_t(t), k), b).subs({"_xsum": _x_sum(mu.dim)})
+    return expectation(shift_coeffs(mu.dot_t(T), k), b).subs({"_xsum": _x_sum(mu.dim)})
 
 
-def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...],
-                           t: Coefficient | str = "t") -> Poly:
+def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...]) -> Poly:
     """Coefficient of z^k/k! in [g(z)]^t exp{(x1+...+xd)[h(z) - 1]}."""
-    g_t = series_pow(mu.to_series(), time_argument(t))
+    g_t = series_pow(mu.to_series(), T)
     h1 = nu.to_series() - TruncatedSeries.one(mu.dim, mu.order)
     return as_poly((g_t * series_exp(h1.scale(_x_sum(mu.dim)))).get(tuple(k)))
 
@@ -187,10 +177,10 @@ def _collapse_exchangeable(tup: UmbraTuple) -> UmbraTuple | None:
 def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     """One step of the process that makes the Levy-Sheffer family harmonic.
 
-    For d = 1 the driver composes mu with the compositional inverse of
-    nu; the family carries the x-shift with a plus sign, so the harmonic
-    process is the inverse of that composition (exactly as the Bernoulli
-    family is harmonic for the negated Bernoulli process).
+    For d = 1 the driver is mu . beta . nu^<-1>; the family carries the
+    x-shift with a plus sign, so the harmonic process is the driver's
+    inverse (exactly as the Bernoulli family is harmonic for the negated
+    Bernoulli process).
 
     For d > 1 the family depends on x only through x1 + ... + xd, so a
     driving process exists only when both moment arrays are exchangeable
@@ -203,10 +193,7 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     x1 + x2, so their expectations cannot both vanish.
     """
     if mu.dim == 1:
-        inv = vector_reversion([nu.component_series(i) for i in range(nu.dim)])
-        one = TruncatedSeries.one(nu.dim, nu.order)
-        pi = UmbraTuple.from_series(series_subst(mu.to_series(), [g - one for g in inv]))
-        return pi.inverse_umbra()
+        return dot_beta_tuple(mu, compositional_inverse(nu)).inverse_umbra()
     m = _collapse_exchangeable(mu)
     n = _collapse_exchangeable(nu)
     if m is None or n is None:

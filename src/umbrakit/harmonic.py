@@ -6,10 +6,11 @@ identity is a formal basis computation: powers of the conditioning tuple
 are opaque symbols and both sides are normalized in that basis, giving a
 decidable exact equality in Q[t, s].
 
-Every check is one shift: entry j of shifted(P, tup) = E[P(x + tup)] is
-the sum of p_k g_m C(k, j) over the cached plans multiindex.shift_plan(k),
-read off the moments of tup with no Poly per (k, j) pair, and every j
-is one slot of a single polynomials.slot_sums accumulation.  The basis
+Every check is one shift, read off a tuple's moments by the cached plans
+multiindex.shift_plan(k), which only this module reads: shift_coeffs
+maps k -> C(v, k) g_{v-k}, and entry j of shifted(P, tup) = E[P(x + tup)]
+sums p_k g_m C(k, j), no Poly per (k, j), as one slot of a single
+polynomials.slot_sums accumulation.  The basis
 is Q_v = E[(x - t.mu)^v].  P is harmonic when its shift by (t - s).mu
 less P with t -> s, in the same accumulation, leaves every slot empty;
 a failure names the first nonzero slot in (|j|, j) order, with both
@@ -31,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
                           parse_coeff_map, slot_sums, sum_of_products, to_coeff_map)
-from .umbrae import UmbraTuple, shift_coeffs, unity
+from .umbrae import UmbraTuple, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
 T, S = Poly.var("t"), Poly.var("s")
@@ -65,6 +67,14 @@ def _check_index(tup: UmbraTuple, k: tuple[int, ...]) -> None:
     """Raise eval_power's error unless k fits tup; a valid k reads nothing."""
     if len(k) != tup.dim or min(k) < 0 or sum(k) > tup.order:
         tup.eval_power(k)
+
+
+def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
+    """E[(x + tup)^v] as a read-only map k -> C(v, k) g_{v-k} over every
+    k <= v, zeros included; eval_power checks v's length, sign and order."""
+    v, g = tuple(v), tup.moments
+    tup.eval_power(v)
+    return MappingProxyType({k: as_poly(c * g.get(m, 0)) for k, m, c in mi.shift_plan(v)})
 
 
 def _shift_sums(coeffs: Mapping, tup: UmbraTuple,
@@ -105,9 +115,12 @@ def expectation(coeffs: Mapping[tuple[int, ...], Coefficient], tup: UmbraTuple) 
 class TshPolynomial:
     """Q_v(x, t) = sum_{k <= v} q_k(t) x^k with q_v = 1 and q_k(0) = 0."""
 
-    dim: int
     index: tuple[int, ...]
     coeffs: Mapping[tuple[int, ...], Poly]
+
+    @property
+    def dim(self) -> int:
+        return len(self.index)
 
     def coefficient(self, k: tuple[int, ...]) -> Poly:
         return self.coeffs.get(tuple(k), Poly.const(0))
@@ -125,7 +138,6 @@ class ConditionalPolynomial:
     """Formal expansion sum_j c_j(t, s) * (s . mu)^j; the basis powers of
     the conditioning tuple are never evaluated."""
 
-    dim: int
     terms: Mapping[tuple[int, ...], Poly]
 
     def coefficient(self, j: tuple[int, ...]) -> Poly:
@@ -135,14 +147,12 @@ class ConditionalPolynomial:
 def tsh_polynomial(mu: UmbraTuple, v: tuple[int, ...]) -> TshPolynomial:
     """The basis polynomial Q_v(x, t) = E[(x - t.mu)^v]."""
     v = tuple(v)
-    return TshPolynomial(mu.dim, v, shift_coeffs(mu.dot_t(MINUS_T), v))
+    return TshPolynomial(v, shift_coeffs(mu.dot_t(MINUS_T), v))
 
 
-def conditional_eval(mu: UmbraTuple, v: tuple[int, ...],
-                     t: str = "t", s: str = "s") -> ConditionalPolynomial:
+def conditional_eval(mu: UmbraTuple, v: tuple[int, ...]) -> ConditionalPolynomial:
     """E[(t.mu)^v | s.mu] expanded over the formal basis (s.mu)^j."""
-    return ConditionalPolynomial(mu.dim, shifted({tuple(v): 1},
-                                                 mu.dot_t(Poly.var(t) - Poly.var(s))))
+    return ConditionalPolynomial(shifted({tuple(v): 1}, mu.dot_t(T_MINUS_S)))
 
 
 def verify_harmonicity(mu: UmbraTuple,
@@ -340,7 +350,7 @@ def tsh_from_json(data: Mapping) -> TshPolynomial:
         if c.degree("s"):
             raise ValueError(f"coeffs index {mi.format_index(k)} uses s, "
                              f"the conditioning time of the harmonic check")
-    return TshPolynomial(d, v, coeffs)
+    return TshPolynomial(v, coeffs)
 
 
 def tsh_to_latex(q: TshPolynomial) -> str:

@@ -43,12 +43,13 @@ class SamplerError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run: the process, the path count, the times 0 < s < t, the seed."""
+
     process: ProcessSpec
     paths: int
     s: Fraction
     t: Fraction
     seed: int
-    indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not 0 < self.s < self.t:

@@ -206,9 +206,15 @@ def euler_half_one_step(order: int, dim: int) -> UmbraTuple:
 
 
 def load_custom_moments(path: str | Path) -> UmbraTuple:
-    """Load a moment array from the JSON moment-sequence format."""
-    data = json.loads(Path(path).read_text())
-    return moments_from_json(data)
+    """Load a one-step moment array from the JSON moment-sequence format;
+    a moment in t or s, which every check reads as time, is refused."""
+    mu = moments_from_json(json.loads(Path(path).read_text()))
+    for v, g in mu.moments.items():
+        for x in ("t", "s"):
+            if isinstance(g, Poly) and g.degree(x):
+                raise ValueError(f"moments index {mi.format_index(v)} uses {x}, "
+                                 f"which the checks read as time")
+    return mu
 
 
 def moments_from_json(data: Mapping) -> UmbraTuple:

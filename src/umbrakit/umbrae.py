@@ -8,18 +8,17 @@ Moments may be exact rationals or Poly values in declared parameters.
 A tuple is its gf f, and every derived array is one series operation on
 it: log f, the exp table of log f behind dot_n and dot_t, and
 exp(t (f - 1)) for dot_t_beta.  Each is built once and kept in the
-tuple's one memo, which only this module touches; shift_coeffs reads a
-shift off the moments by its binomial plan and keeps nothing.
+tuple's one memo, which only this module touches.  A shift
+E[P(x + tup)] is read off the moments by harmonic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
-from .polynomials import Coefficient, Poly, as_coefficient, as_poly
+from .polynomials import Coefficient, Poly, as_coefficient
 from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
                      series_compose, series_exp, series_log, series_reversion,
                      series_subst, vector_reversion)
@@ -191,14 +190,6 @@ def time_argument(t: Coefficient | str) -> Coefficient:
     """A time argument as a coefficient: a name is its variable, any
     other value its as_coefficient."""
     return Poly.var(t) if isinstance(t, str) else as_coefficient(t)
-
-
-def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
-    """E[(x + tup)^v] as a read-only map k -> C(v, k) g_{v-k} over every
-    k <= v, zeros included; eval_power checks v's length, sign and order."""
-    v, g = tuple(v), tup.moments
-    tup.eval_power(v)
-    return MappingProxyType({k: as_poly(c * g.get(m, 0)) for k, m, c in mi.shift_plan(v)})
 
 
 # -- composition of univariate umbrae --------------------------------

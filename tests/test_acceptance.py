@@ -234,8 +234,7 @@ def test_criterion_10_monte_carlo(report):
         proc = build(spec)
         polys = [tsh_polynomial(proc.one_step, v)
                  for v in mi.iter_indices(d, 3) if any(v)]
-        cfg = SimConfig(spec, 100_000, Fraction(1, 2), Fraction(1),
-                        20240601, tuple(q.index for q in polys))
+        cfg = SimConfig(spec, 100_000, Fraction(1, 2), Fraction(1), 20240601)
         rep = simulate_and_test(cfg, polys)
         ok &= rep.passed
         runs.append(max(abs(r.zscore) for r in rep.rows))

@@ -529,6 +529,31 @@ def test_custom_moment_file_is_cut_to_the_order(capsys, tmp_path):
     assert moments["order"] == 2 and len(moments["moments"]) == 3
 
 
+@pytest.mark.parametrize("moments, message", [
+    ({"(1)": "t", "(2)": "s + 1", "(3)": "a"}, "moments index (1) uses t"),
+    ({"(1)": "a", "(2)": "a^2 - 2*s", "(3)": "a"}, "moments index (2) uses s"),
+], ids=["t", "s"])
+def test_custom_moment_file_using_t_or_s_exits_3(capsys, tmp_path, moments, message):
+    # a one-step array in t or s was read as time-dependent: every Q_v
+    # failed with certificates such as "conditional": "-s*t"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": 3, "moments": {"(0)": "1", **moments}}))
+    code, out, err = run(capsys, "verify", "--process", f"custom:{path}",
+                         "--order", "3", "--max-order", "3")
+    assert code == 3 and out == ""
+    assert err == f"error: {message}, which the checks read as time\n"
+
+
+def test_custom_moment_file_may_use_a_parameter(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": 2,
+                                "moments": {"(0)": "1", "(1)": "a", "(2)": "a^2 + 1"}}))
+    code, out, err = run(capsys, "verify", "--process", f"custom:{path}",
+                         "--order", "2", "--max-order", "2")
+    assert code == 0 and err == ""
+    assert out == "(1): harmonic=True zero_mean=True PASS\n(2): harmonic=True zero_mean=True PASS\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "mc-verify"])
 def test_negative_order_is_named_before_max_order(capsys, command):
     code, out, err = run(capsys, command, "--process", "poisson", "--order", "-1")

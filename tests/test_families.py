@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
 from umbrakit.families import (_shift_family_tsh_check, bernoulli, bernoulli_gf_oracle,
@@ -15,6 +16,7 @@ from umbrakit.harmonic import poly_to_coeff_map, tsh_polynomial
 from umbrakit.polynomials import Poly
 from umbrakit.processes import (ProcessSpec, bernoulli_neg_one_step, build,
                                 euler_half_one_step)
+from umbrakit.series import TruncatedSeries, series_subst, vector_reversion
 from umbrakit.umbrae import (UmbraTuple, augmentation, comonotone_tuple,
                              singleton, unity)
 
@@ -112,7 +114,7 @@ def test_family_members_are_the_basis_of_their_process(d, order):
     for member, one_step in ((bernoulli, bernoulli_neg_one_step(order, d)),
                              (euler, euler_half_one_step(order, d))):
         for v in mi.iter_indices(d, order):
-            assert member(v, "t", d) == tsh_polynomial(one_step, v).as_polynomial()
+            assert member(v, "t") == tsh_polynomial(one_step, v).as_polynomial()
 
 
 def test_a_shift_family_with_the_wrong_driver_fails():
@@ -186,6 +188,40 @@ def test_levy_sheffer_process_reduction():
     mu = build(ProcessSpec("poisson", 1, N, {"rate": Fraction(1)})).one_step
     pi = levy_sheffer_process_one_step(mu, singleton(N))
     assert pi == mu.inverse_umbra()
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def univariate_pairs(draw):
+    """(mu, nu) at one order N <= 5, each moment rational or linear in a,
+    with a rational g_1(nu) != 0 so that nu has a compositional inverse."""
+    order = draw(st.integers(0, 5))
+    a = Poly.var("a")
+
+    def moment():
+        return draw(RATIONALS) + draw(RATIONALS) * a
+
+    mu = {(k,): moment() for k in range(1, order + 1)}
+    nu = {(k,): moment() for k in range(2, order + 1)}
+    if order:
+        nu[(1,)] = draw(RATIONALS.filter(bool))
+    return (UmbraTuple(1, order, {(0,): 1, **mu}),
+            UmbraTuple(1, order, {(0,): 1, **nu}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(univariate_pairs())
+def test_levy_sheffer_d1_driver_is_the_reversion_substituted_into_mu(pair):
+    # the driver built with the reversion of nu's component series
+    # substituted into mu's gf, and inverted, written out here
+    mu, nu = pair
+    inv = vector_reversion([nu.component_series(0)])
+    one = TruncatedSeries.one(1, nu.order)
+    pi = UmbraTuple.from_series(series_subst(mu.to_series(), [g - one for g in inv]))
+    assert levy_sheffer_process_one_step(mu, nu) == pi.inverse_umbra()
+    assert levy_sheffer_tsh_check(mu, nu, min(mu.order, 3))
 
 
 def test_poly_to_coeff_map():

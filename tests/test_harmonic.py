@@ -6,13 +6,13 @@ import pytest
 
 from umbrakit import multiindex as mi
 from umbrakit.harmonic import (coefficient_recursion_check, conditional_eval,
-                               decompose, expected_value_zero, tsh_from_json,
-                               tsh_polynomial, tsh_to_json, tsh_to_latex,
-                               verify_harmonicity)
+                               decompose, expected_value_zero, shift_coeffs,
+                               tsh_from_json, tsh_polynomial, tsh_to_json,
+                               tsh_to_latex, verify_harmonicity)
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
 from umbrakit.series import OrderMismatchError
-from umbrakit.umbrae import UmbraTuple, shift_coeffs, unity
+from umbrakit.umbrae import UmbraTuple, unity
 
 t, s = Poly.var("t"), Poly.var("s")
 x1 = Poly.var("x1")

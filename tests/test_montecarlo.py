@@ -17,15 +17,15 @@ from umbrakit.processes import ProcessSpec, build
 
 def cfg_for(kind, d=1, paths=MIN_PATHS, seed=7, **params):
     spec = ProcessSpec(kind, d, 4, params)
-    return spec, SimConfig(spec, paths, Fraction(1, 2), Fraction(1), seed, ())
+    return spec, SimConfig(spec, paths, Fraction(1, 2), Fraction(1), seed)
 
 
 def test_config_validation():
     spec = ProcessSpec("brownian", 1, 4, {})
     with pytest.raises(SamplerError):
-        SimConfig(spec, MIN_PATHS, Fraction(1), Fraction(1, 2), 0, ())
+        SimConfig(spec, MIN_PATHS, Fraction(1), Fraction(1, 2), 0)
     with pytest.raises(SamplerError):
-        SimConfig(spec, 100, Fraction(1, 2), Fraction(1), 0, ())
+        SimConfig(spec, 100, Fraction(1, 2), Fraction(1), 0)
 
 
 @pytest.mark.parametrize("paths, seed, flag", [
@@ -35,13 +35,13 @@ def test_config_bounds_paths_and_seed(paths, seed, flag):
     # refused by the constructor alone: no path array is ever allocated
     spec = ProcessSpec("gamma", 1, 4, {})
     with pytest.raises(SamplerError, match=flag):
-        SimConfig(spec, paths, Fraction(1, 2), Fraction(1), seed, ())
+        SimConfig(spec, paths, Fraction(1, 2), Fraction(1), seed)
 
 
 def test_config_accepts_the_bounds():
     spec = ProcessSpec("gamma", 1, 4, {})
-    SimConfig(spec, MAX_PATHS, Fraction(1, 2), Fraction(1), 2 ** 128 - 1, ())
-    SimConfig(spec, MIN_PATHS, Fraction(1, 2), Fraction(1), 0, ())
+    SimConfig(spec, MAX_PATHS, Fraction(1, 2), Fraction(1), 2 ** 128 - 1)
+    SimConfig(spec, MIN_PATHS, Fraction(1, 2), Fraction(1), 0)
 
 
 def test_no_sampler_for_formal_processes():
