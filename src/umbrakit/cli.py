@@ -1,4 +1,4 @@
-"""Command-line front end: generation, verification, export.
+"""Command-line front end; prints to stdout, and an unread option exits 2.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 3 invalid spec or parameters.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import multiindex as mi
@@ -39,32 +40,23 @@ PROCESS_ALIASES = {
 }
 
 def _process_spec(args) -> ProcessSpec:
-    name = args.process
-    if name.startswith("custom:"):
-        return ProcessSpec("custom", args.d, args.order,
-                           {"path": name.split(":", 1)[1]})
-    if name not in PROCESS_ALIASES:
+    name = "brownian" if args.process is None else args.process
+    kind = "custom" if name.startswith("custom:") else PROCESS_ALIASES.get(name)
+    if kind is None:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
-    params = json.loads(args.params) if getattr(args, "params", None) else {}
+    params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
-    return ProcessSpec(PROCESS_ALIASES[name], args.d, args.order, params)
+    if kind == "custom":
+        if "path" in params:
+            raise ValueError("a custom process takes its path from --process custom:PATH")
+        params = {**params, "path": name.split(":", 1)[1]}
+    return ProcessSpec(kind, args.d, 6 if args.order is None else args.order, params)
 
 
-def _check_max_order(args) -> None:
-    if args.max_order > args.order:
-        raise ValueError(f"--max-order {args.max_order} exceeds --order {args.order}")
-
-
-def _emit(payload: dict, args) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(payload: dict) -> None:
+    print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
 
 
 def cmd_partitions(args) -> int:
@@ -77,35 +69,37 @@ def cmd_partitions(args) -> int:
             "length": lam.length(),
             "weight": str(mi.partition_weight(lam, v)),
         })
-    _emit({"v": mi.format_index(v), "count": len(items), "partitions": items}, args)
+    _emit({"v": mi.format_index(v), "count": len(items), "partitions": items})
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
     proc = build(_process_spec(args))
     _emit({"kind": proc.spec.kind,
-           "moments": moments_to_json(proc.time_tuple, params=["t"])}, args)
+           "moments": moments_to_json(proc.time_tuple, params=["t"])})
     return EXIT_OK
 
 
 def cmd_cumulants(args) -> int:
     proc = build(_process_spec(args))
     cum = proc.one_step.cumulant_tuple()
-    _emit({"kind": proc.spec.kind, "cumulants": moments_to_json(cum)}, args)
+    _emit({"kind": proc.spec.kind, "cumulants": moments_to_json(cum)})
     return EXIT_OK
 
 
 def cmd_gen_tsh(args) -> int:
     v = mi.parse_index(args.v)
-    _process_spec(args)   # checks --order as given, before |v| raises it
-    args.order = max(args.order, mi.total(v))
+    # checks --order as given, before |v| raises it
+    args.order = max(_process_spec(args).order, mi.total(v))
     proc = build(_process_spec(args))
     q = tsh_polynomial(proc.one_step, v)
-    _emit({"process": proc.spec.kind, "tsh": tsh_to_json(q)}, args)
+    _emit({"process": proc.spec.kind, "tsh": tsh_to_json(q)})
     return EXIT_OK
 
 
 def cmd_gen_family(args) -> int:
+    if args.family != "hermite" and args.C is not None:
+        make_parser().error(f"gen-family --family {args.family} takes no --C")
     v = mi.parse_index(args.v)
     t = parse_rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
@@ -117,30 +111,35 @@ def cmd_gen_family(args) -> int:
         p = hermite(v, C, t)
     elif args.family == "bernoulli":
         p = bernoulli(v, t)
-    elif args.family == "euler":
-        p = euler(v, t)
     else:
-        raise ValueError(f"unknown family {args.family!r}")
+        p = euler(v, t)
     if args.latex:
         coeffs = poly_to_coeff_map(p, len(v))
         print(tsh_to_latex(TshPolynomial(v, coeffs)))
     else:
         _emit({"family": args.family, "v": mi.format_index(v),
-               "polynomial": str(p)}, args)
+               "polynomial": str(p)})
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    max_order = 4 if args.max_order is None else args.max_order
     if args.family:
+        for flag, value in {"--process": args.process, "--params": args.params,
+                            "--order": args.order, "--tsh": args.tsh}.items():
+            if value is not None:
+                make_parser().error(f"verify --family takes no {flag}")
         mi.check_dimension(args.d)
-        mi.check_order(args.max_order)
+        mi.check_order(max_order)
         ok = {"bernoulli": bernoulli_tsh_check,
-              "euler": euler_tsh_check}[args.family](args.max_order, args.d)
+              "euler": euler_tsh_check}[args.family](max_order, args.d)
         print(f"family {args.family}: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    if args.tsh and args.max_order is not None:
+        make_parser().error("verify --tsh takes no --max-order")
     spec = _process_spec(args)
-    if not args.tsh:
-        _check_max_order(args)
+    if not args.tsh and max_order > spec.order:
+        raise ValueError(f"--max-order {max_order} exceeds --order {spec.order}")
     proc = build(spec)
     if args.tsh:
         with open(args.tsh) as fh:
@@ -155,7 +154,7 @@ def cmd_verify(args) -> int:
             print(json.dumps(cert), file=sys.stderr)
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
     failures = 0
-    indices = (v for v in mi.iter_indices(args.d, args.max_order) if any(v))
+    indices = (v for v in mi.iter_indices(args.d, max_order) if any(v))
     for v, ok, cert, zero in basis_sweep(proc.one_step, indices):
         verdict = "PASS" if (ok and zero) else "FAIL"
         print(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} {verdict}")
@@ -185,7 +184,7 @@ def cmd_decompose(args) -> int:
                          for k, c in result.coefficients.items()},
         "residual": {mi.format_index(k): str(p)
                      for k, p in result.residual.items()},
-    }, args)
+    })
     return EXIT_OK if result.exact else EXIT_VERIFY_FAILED
 
 
@@ -197,7 +196,8 @@ def cmd_mc_verify(args) -> int:
             next(a for a, k in PROCESS_ALIASES.items() if k == kind) for kind in SAMPLERS)
         raise ValueError(f"mc-verify has no sampler for --process {args.process} "
                          f"(choices: {', '.join(sampled)})")
-    _check_max_order(args)
+    if args.max_order > spec.order:
+        raise ValueError(f"--max-order {args.max_order} exceeds --order {spec.order}")
     times = args.times.split(",")
     if len(times) != 2:
         raise ValueError(f"--times {args.times!r} must have the form s,t")
@@ -209,7 +209,7 @@ def cmd_mc_verify(args) -> int:
     polys = [tsh_polynomial(proc.one_step, v) for v in indices]
     report = simulate_and_test(cfg, polys)
     if args.json:
-        _emit(report.to_json(), args)
+        _emit(report.to_json())
     else:
         print(report.table(), file=sys.stderr)
         print(json.dumps({"passed": report.passed}))
@@ -217,7 +217,12 @@ def cmd_mc_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one line, like every other error."""
+    """Reports a usage error in one line, like every other error, and reads
+    any -<digit>... token as a value: no option here starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -233,16 +238,15 @@ def make_parser() -> argparse.ArgumentParser:
                     "Levy processes")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # _process_spec defaults --process and --order, so verify can tell them given
     def common(p):
         p.add_argument("--d", type=int, default=1)
-        p.add_argument("--order", type=int, default=6)
-        p.add_argument("--output")
-        p.add_argument("--process", default="brownian")
+        p.add_argument("--order", type=int)
+        p.add_argument("--process")
         p.add_argument("--params", help="process parameters as JSON")
 
     p = sub.add_parser("partitions", help="enumerate multi-index partitions")
     p.add_argument("--v", required=True)
-    p.add_argument("--output")
     p.set_defaults(fn=cmd_partitions)
 
     p = sub.add_parser("moments", help="moments of X_t as polynomials in t")
@@ -265,12 +269,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="numeric time value (default symbolic t)")
     p.add_argument("--C", help="matrix factor for hermite, JSON")
     p.add_argument("--latex", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(fn=cmd_gen_family)
 
     p = sub.add_parser("verify", help="verify harmonicity and zero expectation")
     common(p)
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=int)
     p.add_argument("--family", choices=["bernoulli", "euler"])
     p.add_argument("--tsh", help="re-verify a gen-tsh JSON file")
     p.set_defaults(fn=cmd_verify)

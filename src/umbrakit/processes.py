@@ -94,10 +94,6 @@ class SymbolicProcess:
     one_step: UmbraTuple          # moments of the unit-time marginal
     time_tuple: UmbraTuple        # moments of X_t as polynomials in t
 
-    @property
-    def time_parameter(self) -> str:
-        return "t"
-
     def at_time(self, t: Fraction | int) -> UmbraTuple:
         return self.time_tuple.specialize({"t": t})
 

@@ -1,11 +1,16 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from umbrakit import cli
 from umbrakit import multiindex as mi
 from umbrakit.cli import _process_spec, main, make_parser
 from umbrakit.polynomials import parse_poly
@@ -39,9 +44,10 @@ def test_gen_tsh_brownian_example(capsys):
 
 def test_gen_tsh_verify_roundtrip(capsys, tmp_path):
     path = tmp_path / "q.json"
-    code, _, _ = run(capsys, "gen-tsh", "--process", "poisson", "--d", "1",
-                     "--v", "(3)", "--output", str(path))
+    code, out, _ = run(capsys, "gen-tsh", "--process", "poisson", "--d", "1",
+                       "--v", "(3)")
     assert code == 0
+    path.write_text(out)
     code, out, _ = run(capsys, "verify", "--process", "poisson", "--d", "1",
                        "--tsh", str(path))
     assert code == 0
@@ -612,3 +618,92 @@ def test_one_parser_serves_every_call(capsys):
     shared = run_all(capsys, fresh=False)
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 3, 0, 0, 0]
     assert shared == run_all(capsys, fresh=True)
+
+
+# Each option a command or its mode does not read: once accepted and
+# ignored with exit 0, now a usage error (2), or for --params with a
+# custom process the error ProcessSpec gives every kind (3).
+REFUSED = [
+    (("verify", "--family", "euler", "--process", "gamma"), 2, "verify --family takes no --process"),
+    (("verify", "--family", "euler", "--params", "{}"), 2, "verify --family takes no --params"),
+    (("verify", "--family", "euler", "--order", "99"), 2, "verify --family takes no --order"),
+    (("verify", "--family", "bernoulli", "--tsh", "{q}"), 2, "verify --family takes no --tsh"),
+    (("verify", "--process", "brownian", "--tsh", "{q}", "--max-order", "3"), 2,
+     "verify --tsh takes no --max-order"),
+    (("gen-family", "--family", "bernoulli", "--v", "(1)", "--C", "[[1]]"), 2,
+     "gen-family --family bernoulli takes no --C"),
+    (("gen-family", "--family", "euler", "--v", "(1)", "--C", "[[1]]"), 2,
+     "gen-family --family euler takes no --C"),
+    *[((cmd, "--process", "custom:{m}", "--order", "2", *rest, "--params", '{"rate": "2"}'), 3,
+       "parameter 'rate' does not apply to custom (takes: path)")
+      for cmd, rest in [("moments", ()), ("cumulants", ()), ("gen-tsh", ("--v", "(1)")),
+                        ("verify", ("--max-order", "2")), ("decompose", ("--poly", "{p}"))]],
+    (("moments", "--process", "custom:{m}", "--order", "2", "--params", '{"path": "{q}"}'), 3,
+     "a custom process takes its path from --process custom:PATH"),
+    *[((*argv, "--output", "{out}"), 2, "unrecognized arguments: --output")
+      for argv in [("partitions", "--v", "(1)"), ("moments",), ("cumulants",),
+                   ("gen-tsh", "--v", "(1)"), ("gen-family", "--family", "euler", "--v", "(1)"),
+                   ("verify", "--max-order", "1"), ("decompose", "--poly", "{p}"),
+                   ("mc-verify", "--max-order", "1", "--paths", "10000")]],
+]
+
+
+@pytest.mark.parametrize("argv,want,message", REFUSED, ids=lambda x: " ".join(x)
+                         if isinstance(x, tuple) else None)
+def test_an_option_the_mode_does_not_read_is_refused(capsys, tmp_path, argv, want, message):
+    files = {"m": tmp_path / "m.json", "p": tmp_path / "p.json", "q": tmp_path / "q.json",
+             "out": tmp_path / "out.json"}
+    files["m"].write_text(json.dumps({"d": 1, "order": 2,
+                                      "moments": {"(0)": "1", "(1)": "a", "(2)": "a^2 + 1"}}))
+    files["p"].write_text(json.dumps({"coeffs": {"(1)": "1"}}))
+    files["q"].write_text(json.dumps({"v": "(2)", "coeffs": {"(2)": "1", "(0)": "-t"}}))
+    for key, path in files.items():
+        argv = [a.replace(f"{{{key}}}", str(path)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (want, "")
+    assert out.err.count("\n") == 1 and message in out.err
+    assert not files["out"].exists()
+
+
+def args_read(fn, seen):
+    """The names n of every args.n that fn and the cli functions it calls read."""
+    seen.add(fn)
+    names = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            names.add(node.attr)
+        callee = getattr(cli, getattr(node, "id", ""), None)
+        if inspect.isfunction(callee) and callee.__module__ == cli.__name__ \
+                and callee not in seen:
+            names |= args_read(callee, seen)
+    return names
+
+
+SUBPARSERS = next(a for a in make_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_every_option_is_read_by_its_command(command):
+    parser = SUBPARSERS[command]
+    declared = {a.dest for a in parser._actions if a.dest != "help"}
+    assert declared <= args_read(parser.get_default("fn"), set())
+
+
+@pytest.mark.parametrize("argv,flag,value,want,message", [
+    (("gen-family", "--family", "bernoulli", "--v", "(2)"), "--t", "-1/3", 0, ""),
+    (("gen-family", "--family", "hermite", "--v", "(1,1)"), "--t", "-2/5", 0, ""),
+    (("ig-check",), "--a", "-1/2", 3, "error: inverse Gaussian parameters must be positive\n"),
+    (("mc-verify", "--max-order", "1", "--paths", "10000"), "--times", "-1/2,1", 3,
+     "error: need 0 < s < t, got s=-1/2, t=1\n"),
+], ids=["bernoulli --t", "hermite --t", "ig-check --a", "mc-verify --times"])
+def test_a_negative_rational_is_a_value(capsys, argv, flag, value, want, message):
+    # argparse took only -\d+ and -\d*.\d+ as values: --t -1/3 exited 2
+    # with "expected one argument", and only --t=-1/3 was read
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out, err) == run(capsys, *argv, f"{flag}={value}")
+    assert (code, err) == (want, message)

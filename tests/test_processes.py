@@ -186,7 +186,6 @@ def test_build_defaults():
     proc = build(ProcessSpec("brownian", 2, 3, {}))
     assert proc.one_step.eval_power((2, 0)) == 1
     assert proc.one_step.eval_power((1, 1)) == 0
-    assert proc.time_parameter == "t"
 
 
 def test_brownian_factor_shape_must_match_dim():
