@@ -45,7 +45,7 @@ def _process_spec(args) -> ProcessSpec:
     if kind is None:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
-    params = json.loads(args.params) if args.params else {}
+    params = json.loads(args.params) if args.params is not None else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
     if kind == "custom":
@@ -53,6 +53,17 @@ def _process_spec(args) -> ProcessSpec:
             raise ValueError("a custom process takes its path from --process custom:PATH")
         params = {**params, "path": name.split(":", 1)[1]}
     return ProcessSpec(kind, args.d, 6 if args.order is None else args.order, params)
+
+
+def _check_max_order(n: int, order: int | None = None) -> None:
+    """Raise unless 0 <= --max-order n <= --order, or the order cap when
+    no process gives an order; --max-order 0 is an empty sweep."""
+    if n < 0:
+        raise ValueError(f"--max-order {n} is negative")
+    if order is None:
+        mi.check_order(n)
+    elif n > order:
+        raise ValueError(f"--max-order {n} exceeds --order {order}")
 
 
 def _emit(payload: dict) -> None:
@@ -103,7 +114,7 @@ def cmd_gen_family(args) -> int:
     v = mi.parse_index(args.v)
     t = parse_rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
-        if args.C:
+        if args.C is not None:
             C = parse_matrix("--C", json.loads(args.C))
         else:
             C = [
@@ -130,18 +141,18 @@ def cmd_verify(args) -> int:
             if value is not None:
                 make_parser().error(f"verify --family takes no {flag}")
         mi.check_dimension(args.d)
-        mi.check_order(max_order)
+        _check_max_order(max_order)
         ok = {"bernoulli": bernoulli_tsh_check,
               "euler": euler_tsh_check}[args.family](max_order, args.d)
         print(f"family {args.family}: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
-    if args.tsh and args.max_order is not None:
+    if args.tsh is not None and args.max_order is not None:
         make_parser().error("verify --tsh takes no --max-order")
     spec = _process_spec(args)
-    if not args.tsh and max_order > spec.order:
-        raise ValueError(f"--max-order {max_order} exceeds --order {spec.order}")
+    if args.tsh is None:
+        _check_max_order(max_order, spec.order)
     proc = build(spec)
-    if args.tsh:
+    if args.tsh is not None:
         with open(args.tsh) as fh:
             data = json.load(fh)
         q = tsh_from_json(data.get("tsh", data) if isinstance(data, dict) else data)
@@ -155,7 +166,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
     failures = 0
     indices = (v for v in mi.iter_indices(args.d, max_order) if any(v))
-    for v, ok, cert, zero in basis_sweep(proc.one_step, indices):
+    for v, ok, cert, zero in basis_sweep(proc.one_step.truncate(max_order), indices):
         verdict = "PASS" if (ok and zero) else "FAIL"
         print(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} {verdict}")
         if not (ok and zero):
@@ -196,8 +207,7 @@ def cmd_mc_verify(args) -> int:
             next(a for a, k in PROCESS_ALIASES.items() if k == kind) for kind in SAMPLERS)
         raise ValueError(f"mc-verify has no sampler for --process {args.process} "
                          f"(choices: {', '.join(sampled)})")
-    if args.max_order > spec.order:
-        raise ValueError(f"--max-order {args.max_order} exceeds --order {spec.order}")
+    _check_max_order(args.max_order, spec.order)
     times = args.times.split(",")
     if len(times) != 2:
         raise ValueError(f"--times {args.times!r} must have the form s,t")

@@ -94,12 +94,12 @@ def hermite_scaling_identity(v: tuple[int, ...],
     sqrt(t) is a declared symbol r with the rewrite r^2 -> t.
     """
     v = tuple(v)
-    direct = hermite(v, C, "t")
+    direct = hermite(v, C, T)
     r = Poly.var("r")
     Cr = [
         [r * Fraction(x) for x in row] for row in C]
     scaled = _shift_family(brownian_one_step(Cr, max(mi.total(v), 1)), v, -1)
-    return direct == scaled.reduce_power("r", 2, Poly.var("t"))
+    return direct == scaled.reduce_power("r", 2, T)
 
 
 def bernoulli_tuple(order: int, d: int) -> UmbraTuple:
@@ -164,14 +164,11 @@ def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...]) -
 
 
 def _collapse_exchangeable(tup: UmbraTuple) -> UmbraTuple | None:
-    """The univariate umbra m with g_v = m_{|v|}, if the array collapses."""
-    probe = {}
-    for v in mi.iter_indices(tup.dim, tup.order):
-        n = mi.total(v)
-        g = tup.eval_power(v)
-        if probe.setdefault(n, g) != g:
-            return None
-    return UmbraTuple(1, tup.order, {(k,): g for k, g in probe.items()})
+    """The marginal m, m_k = g_(k,0,...,0), if tup is its comonotone lift
+    (g_v = m_|v| at every v), else None."""
+    pad = (0,) * (tup.dim - 1)
+    m = UmbraTuple(1, tup.order, {(k,): tup.eval_power((k, *pad)) for k in range(tup.order + 1)})
+    return m if comonotone_tuple(m, tup.dim) == tup else None
 
 
 def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
@@ -212,7 +209,7 @@ def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bo
     its own: harmonic for the driving process and, for k != 0, with zero
     expectation along it."""
     one_step = levy_sheffer_process_one_step(mu, nu)
-    forward = one_step.dot_t("t")
+    forward = one_step.dot_t(T)
     for k in mi.iter_indices(mu.dim, max_order):
         coeffs = poly_to_coeff_map(levy_sheffer(mu, nu, k), mu.dim)
         ok, _ = verify_harmonicity(one_step, coeffs)

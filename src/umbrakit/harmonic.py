@@ -22,9 +22,11 @@ coefficient map and a Poly in x1..xd through from_coeff_map and
 to_coeff_map.
 
 A sweep over the basis shifts no Q_v: t.mu is a semigroup, so
-basis_identity forms two tuple sums through mu.order, and basis_sweep
-reads every verdict, and on a failure the certificate of
-verify_harmonicity, off them.  The per-index verify_harmonicity stays
+basis_identity forms two tuple sums at the tuple's own order, and
+basis_sweep reads every verdict off them; a caller that sweeps through a
+lower order truncates the tuple first.  A Q_v that the identity finds
+not harmonic, which only a faulty array gives, is certified by
+verify_harmonicity itself.  The per-index verify_harmonicity also stays
 for polynomials that are not a basis member, as a --tsh file may be.
 """
 
@@ -181,11 +183,10 @@ def verify_harmonicity(mu: UmbraTuple,
                    "expected": str(expected)}
 
 
-def basis_identity(mu: UmbraTuple, order: int | None = None
-                   ) -> tuple[UmbraTuple, UmbraTuple]:
-    """The tuple sums step = (-t).mu + (t - s).mu and zero = (-t).mu + t.mu,
-    through order (by default mu.order), from which every basis verdict
-    of that order is read.
+def basis_identity(mu: UmbraTuple) -> tuple[UmbraTuple, UmbraTuple]:
+    """The tuple sums step = (-t).mu + (t - s).mu and zero = (-t).mu + t.mu
+    at mu's order, from which every basis verdict of that order is read;
+    a sweep through a lower order is the identity of mu.truncate(order).
 
     Q_v has q_k = C(v, k) g_{v-k}(-t), and C(v, k) C(k, j) = C(v, j)
     C(v - j, k - j) (Vandermonde), so entry j of the shift of Q_v by
@@ -193,8 +194,7 @@ def basis_identity(mu: UmbraTuple, order: int | None = None
     Q_v is harmonic iff step_w = g_w(-s) at every w <= v.  Likewise
     E[Q_v(t.mu, t)] = zero_v, so the mean is zero iff zero_v = 0.
     """
-    n = mu.order if order is None else order
-    back, mid, forward = (mu.dot_t(p).truncate(n) for p in (MINUS_T, T_MINUS_S, T))
+    back, mid, forward = (mu.dot_t(p) for p in (MINUS_T, T_MINUS_S, T))
     return back + mid, back + forward
 
 
@@ -202,31 +202,22 @@ def basis_sweep(mu: UmbraTuple, indices: Iterable[tuple[int, ...]]
                 ) -> Iterator[tuple[tuple[int, ...], bool, dict | None, bool]]:
     """(v, harmonic, certificate, zero mean) of Q_v for each v != 0 in
     indices, as verify_harmonicity(mu, Q_v) and expected_value_zero(mu, v)
-    give them, each read off basis_identity(mu) through the largest |v|.
-    g_w(-s) is read as verify_harmonicity reads p_j(s), g_w(-t) with
-    t -> s.  The certificate names the first j in (|j|, j) order at which
-    step misses at v - j, with "conditional" C(v, j) step_{v-j} and
-    "expected" C(v, j) g_{v-j}(-s).
+    give them, read off basis_identity(mu) at mu's order.  g_w(-s) is read
+    as verify_harmonicity reads p_j(s), g_w(-t) with t -> s.  A Q_v whose
+    plan meets a w where step misses g_w(-s) is not harmonic, and its
+    verdict and certificate are those of verify_harmonicity itself; a
+    valid array never misses, as f^(-t) f^(t-s) = f^(-s).
     """
-    indices = [tuple(v) for v in indices]
-    if not indices:
-        return
-    n = max(0, min(max(map(mi.total, indices)), mu.order))  # a bad v fails in eval_power
-    step, zero = basis_identity(mu, n)
-    back = mu.dot_t(MINUS_T).truncate(n).moments
-    at_s = {w: as_poly(g).subs({"t": S}) for w, g in back.items()}
+    step, zero = basis_identity(mu)
+    at_s = {w: as_poly(g).subs({"t": S}) for w, g in mu.dot_t(MINUS_T).moments.items()}
     misses = {w for w in step.moments.keys() | at_s.keys()
               if step.eval_power(w) != at_s.get(w, 0)}
-    for v in indices:
-        mean_zero = zero.eval_power(v) == 0
-        failing = misses and [(mi.total(j), j, w, b) for j, w, b in mi.shift_plan(v)
-                              if w in misses]
-        if not failing:
-            yield v, True, None, mean_zero
-            continue
-        _, j, w, b = min(failing)
-        yield v, False, {"index": j, "conditional": str(as_poly(b * step.eval_power(w))),
-                         "expected": str(b * at_s.get(w, Poly.const(0)))}, mean_zero
+    for v in map(tuple, indices):
+        mean_zero = zero.eval_power(v) == 0     # a bad v fails here
+        ok, cert = True, None
+        if misses and any(w in misses for _, w, _ in mi.shift_plan(v)):
+            ok, cert = verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
+        yield v, ok, cert, mean_zero
 
 
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
@@ -259,7 +250,7 @@ def coefficient_recursion_check(mu: UmbraTuple, v: tuple[int, ...]) -> Recursion
     """
     v = tuple(v)
     q = tsh_polynomial(mu, v)
-    targets = {k: q.coefficient(k).subs({"t": Poly.var("t") - 1}) for k in mi.sub_indices(v)}
+    targets = {k: q.coefficient(k).subs({"t": T - 1}) for k in mi.sub_indices(v)}
     # the derivation form is the coefficient map of E[Q_v(x + mu, t)], the
     # alternative one the shift of sum_i g_i q_i x^i by the unity umbra;
     # each is one accumulation less the targets, keyed in the targets' order

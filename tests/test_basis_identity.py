@@ -2,10 +2,12 @@
 builds and checks every Q_v on its own.
 
 basis_identity(mu) gives step = (-t).mu + (t - s).mu and zero = (-t).mu
-+ t.mu; basis_sweep reads each verdict and certificate off them.  The
-reference is harmonic_path.per_index_sweep, on the same arrays, true or
-with one moment of dot_t(t - s), dot_t(t) or dot_t(-t) moved: the
-identity is algebra on the three arrays, so it must agree on any of them.
++ t.mu; basis_sweep reads each verdict off them, and takes the
+certificate of a Q_v the identity finds not harmonic from
+verify_harmonicity.  The reference is harmonic_path.per_index_sweep, on
+the same arrays, true or with one moment of dot_t(t - s), dot_t(t) or
+dot_t(-t) moved: the identity is algebra on the three arrays, so it must
+agree on any of them.
 """
 
 from fractions import Fraction
@@ -48,7 +50,7 @@ def arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(arrays())
 def test_the_identity_sweep_matches_the_per_index_sweep(case):
-    # the sweep over |v| <= top reads the identity through order top only
+    # the sweep over |v| <= top reads the identity at the array's full order
     mu, top = case
     indices = [v for v in mi.iter_indices(mu.dim, top) if any(v)]
     got = list(basis_sweep(mu, indices))

@@ -413,28 +413,36 @@ def test_decompose_value_at_0_not_rational_names_the_index(capsys, tmp_path, val
     assert err == f"error: coeffs index (1): {parse_poly(value)} is {at_0} at t = 0, not a rational\n"
 
 
-@pytest.mark.parametrize("process,d,time,w,bump", [
-    ("gamma", 2, None, None, None),
-    ("gamma", 2, "t - s", (1, 0), "t"),
-    ("poisson", 1, "t - s", (2,), "s"),
-    ("ig", 3, "t - s", (0, 1, 1), "1"),
-    ("brownian", 2, "t", (1, 1), "1"),
+@pytest.mark.parametrize("process,d,time,w,bump,order,top", [
+    pytest.param("gamma", 2, None, None, None, 4, 4, id="gamma-2-None-None-None"),
+    pytest.param("gamma", 2, "t - s", (1, 0), "t", 4, 4, id="gamma-2-t - s-w1-t"),
+    pytest.param("poisson", 1, "t - s", (2,), "s", 4, 4, id="poisson-1-t - s-w2-s"),
+    pytest.param("ig", 3, "t - s", (0, 1, 1), "1", 4, 4, id="ig-3-t - s-w3-1"),
+    pytest.param("brownian", 2, "t", (1, 1), "1", 4, 4, id="brownian-2-t-w4-1"),
+    # a sweep below --order runs on the one-step tuple cut to --max-order
+    pytest.param("gamma", 2, None, None, None, 6, 3, id="gamma-2-order6-top3"),
+    pytest.param("ig", 3, None, None, None, 6, 3, id="ig-3-order6-top3"),
+    pytest.param("gamma", 2, "t - s", (1, 0), "t", 6, 3, id="gamma-2-t - s-order6-top3"),
+    pytest.param("ig", 3, "t - s", (0, 1, 1), "1", 6, 3, id="ig-3-t - s-order6-top3"),
+    pytest.param("brownian", 2, "t", (1, 1), "1", 6, 3, id="brownian-2-t-order6-top3"),
+    pytest.param("poisson", 1, "-t", (2,), "s", 6, 3, id="poisson-1--t-order6-top3"),
 ])
-def test_verify_sweep_prints_what_the_per_index_loop_prints(capsys, monkeypatch,
-                                                           process, d, time, w, bump):
+def test_verify_sweep_prints_what_the_per_index_loop_prints(capsys, monkeypatch, process, d,
+                                                           time, w, bump, order, top):
     # the sweep reads its lines off basis_identity; the per-index loop builds
-    # and checks each Q_v, here on the same arrays with one moment moved
+    # and checks each Q_v at the full order, here on the same arrays with
+    # one moment moved
     if time is not None:
         dot_t, time, bump = UmbraTuple.dot_t, parse_poly(time), parse_poly(bump)
         monkeypatch.setattr(UmbraTuple, "dot_t", lambda self, t: (
             ref.moved(dot_t(self, t), w, bump) if time_argument(t) == time
             else dot_t(self, t)))
-    argv = ["verify", "--process", process, "--d", str(d), "--order", "4",
-            "--max-order", "4"]
+    argv = ["verify", "--process", process, "--d", str(d), "--order", str(order),
+            "--max-order", str(top)]
     code, out, err = run(capsys, *argv)
     mu = build(_process_spec(make_parser().parse_args(argv))).one_step
     lines, certs = [], []
-    indices = [v for v in mi.iter_indices(d, 4) if any(v)]
+    indices = [v for v in mi.iter_indices(d, top) if any(v)]
     for v, ok, cert, zero in ref.per_index_sweep(mu, indices):
         lines.append(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} "
                      f"{'PASS' if ok and zero else 'FAIL'}\n")
@@ -707,3 +715,38 @@ def test_a_negative_rational_is_a_value(capsys, argv, flag, value, want, message
     code, out, err = run(capsys, *argv, flag, value)
     assert (code, out, err) == run(capsys, *argv, f"{flag}={value}")
     assert (code, err) == (want, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-order", "-1"),
+    ("verify", "--process", "gamma", "--d", "2", "--max-order", "-1"),
+    ("verify", "--family", "euler", "--max-order", "-1"),
+    ("verify", "--family", "bernoulli", "--d", "2", "--max-order", "-1"),
+    ("mc-verify", "--max-order", "-1", "--paths", "10000"),
+], ids=" ".join)
+def test_a_negative_max_order_exits_3(capsys, argv):
+    # the sweeps exited 0 having checked nothing, mc-verify printing
+    # {"passed": true}, and a family sweep exited 3 naming its ring
+    assert run(capsys, *argv) == (3, "", "error: --max-order -1 is negative\n")
+
+
+@pytest.mark.parametrize("argv,want,message", [
+    (("verify", "--tsh", ""), 3, "error: [Errno 2] No such file or directory: ''\n"),
+    (("verify", "--tsh", "", "--max-order", "2"), 2,
+     "umbrakit: error: verify --tsh takes no --max-order\n"),
+    (("gen-family", "--family", "hermite", "--v", "(1,1)", "--C", ""), 3,
+     "error: Expecting value: line 1 column 1 (char 0)\n"),
+    (("moments", "--params", ""), 3, "error: Expecting value: line 1 column 1 (char 0)\n"),
+    (("verify", "--process", "gamma", "--params", ""), 3,
+     "error: Expecting value: line 1 column 1 (char 0)\n"),
+], ids=["verify --tsh", "verify --tsh --max-order", "gen-family --C", "moments --params",
+        "verify --params"])
+def test_an_empty_option_is_given_not_absent(capsys, argv, want, message):
+    # each was read as absent: the sweep ran, the identity factor was used,
+    # the defaults were taken, and each exited 0
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (want, "", message)

@@ -224,6 +224,29 @@ def test_levy_sheffer_d1_driver_is_the_reversion_substituted_into_mu(pair):
     assert levy_sheffer_tsh_check(mu, nu, min(mu.order, 3))
 
 
+def _exchangeable(m, d):
+    """The d-dimensional moments g_v = m_|v| of a univariate umbra m,
+    written out index by index."""
+    return {v: m.eval_power((mi.total(v),)) for v in mi.iter_indices(d, m.order)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(univariate_pairs(), st.integers(2, 3), st.data())
+def test_levy_sheffer_collapses_exactly_the_exchangeable_comonotone_pairs(pair, d, data):
+    # g_v = m_|v| in both arrays gives the lift of the d = 1 driver, scaled
+    # by 1/d; one moved moment g_w, w != 0, leaves no driving process
+    mu, nu = pair
+    arrays = [_exchangeable(mu, d), _exchangeable(nu, d)]
+    want = comonotone_tuple(levy_sheffer_process_one_step(mu, nu), d).scale(Fraction(1, d))
+    assert levy_sheffer_process_one_step(*(UmbraTuple(d, mu.order, g) for g in arrays)) == want
+    if mu.order:
+        moved = arrays[data.draw(st.integers(0, 1))]
+        w = data.draw(st.sampled_from([v for v in moved if any(v)]))
+        moved[w] += data.draw(RATIONALS.filter(bool))
+        with pytest.raises(ValueError, match="exchangeable-comonotone"):
+            levy_sheffer_process_one_step(*(UmbraTuple(d, mu.order, g) for g in arrays))
+
+
 def test_poly_to_coeff_map():
     p = x1 ** 2 * x2 + 3 * t * x1 - 1
     m = poly_to_coeff_map(p, 2)
