@@ -6,9 +6,10 @@ expansion oracle and a harmonicity check against its driving process.
 
 A Bernoulli or Euler member is E[(x + t.nu)^v] for a driver nu whose
 inverse is the family's process mu, so it is the basis polynomial Q_v
-of mu: its check is the tuple equality nu.dot_t(t) = mu.dot_t(-t) and
-then the verdicts harmonic.basis_sweep reads off the basis identity of
-mu, with no member built.  A Levy-Sheffer member carries x through
+of mu: its check is the tuple equality nu.dot_t(t) = mu.dot_t(-t) at
+d = 1, which the lift z -> z1 + ... + zd carries to every d, and then
+the verdicts harmonic.basis_sweep reads off the basis identity of mu's
+lift, with no member built.  A Levy-Sheffer member carries x through
 x1 + ... + xd and a composition dot-product, so it is no shift of x^k
 by a tuple, and each member is checked on its own with
 verify_harmonicity.  Only the closed forms bernoulli, euler and hermite
@@ -218,23 +219,25 @@ def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bo
     return True
 
 
-def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple) -> bool:
-    """Every member E[(x + t.driver)^v], |v| <= the order, is harmonic for
-    one_step and, for v != 0, has zero expectation along it: the tuple
-    equality makes every member the basis polynomial Q_v of one_step."""
+def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple, d: int) -> bool:
+    """Every member E[(x + t.driver)^v], |v| <= the order, of the d-variate
+    lifts of the univariate tuples is harmonic for the lift of one_step and,
+    for v != 0, has zero mean along it: the tuple equality, decided at d = 1
+    as the lift is a ring homomorphism, makes each member Q_v of the lift."""
     if driver.dot_t(T) != one_step.dot_t(MINUS_T):
         return False
-    indices = (v for v in mi.iter_indices(one_step.dim, one_step.order) if any(v))
-    return all(ok and zero for _, ok, _, zero in basis_sweep(one_step, indices))
+    mu = comonotone_tuple(one_step, d)
+    indices = (v for v in mi.iter_indices(d, mu.order) if any(v))
+    return all(ok and zero for _, ok, _, zero in basis_sweep(mu, indices))
 
 
 def bernoulli_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of B_v^(t) along the negated Bernoulli family."""
-    return _shift_family_tsh_check(bernoulli_neg_one_step(max_order, d),
-                                   bernoulli_tuple(max_order, d))
+    return _shift_family_tsh_check(bernoulli_neg_one_step(max_order, 1),
+                                   bernoulli_tuple(max_order, 1), d)
 
 
 def euler_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of the Euler polynomials along their process."""
-    return _shift_family_tsh_check(euler_half_one_step(max_order, d),
-                                   euler_difference_tuple(max_order, d))
+    return _shift_family_tsh_check(euler_half_one_step(max_order, 1),
+                                   euler_difference_tuple(max_order, 1), d)

@@ -23,11 +23,12 @@ to_coeff_map.
 
 A sweep over the basis shifts no Q_v: t.mu is a semigroup, so
 basis_identity forms two tuple sums at the tuple's own order, and
-basis_sweep reads every verdict off them; a caller that sweeps through a
-lower order truncates the tuple first.  A Q_v that the identity finds
-not harmonic, which only a faulty array gives, is certified by
-verify_harmonicity itself.  The per-index verify_harmonicity also stays
-for polynomials that are not a basis member, as a --tsh file may be.
+basis_sweep finds every Q_v harmonic when the first is (-s).mu, as
+f^(-t) f^(t-s) = f^(-s) makes it for a valid array; for a faulty one,
+verify_harmonicity checks and certifies each Q_v.  A caller that sweeps
+through a lower order truncates the tuple first.  The per-index
+verify_harmonicity also stays for polynomials that are not a basis
+member, as a --tsh file may be.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .umbrae import UmbraTuple, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
 T, S = Poly.var("t"), Poly.var("s")
-MINUS_T, T_MINUS_S = -T, T - S     # the time arguments of the checks, built once
+MINUS_T, MINUS_S, T_MINUS_S = -T, -S, T - S     # the time arguments of the checks, built once
 
 
 # -- coefficient maps: k -> p_k stands for sum_k p_k x^k ---------------
@@ -202,21 +203,17 @@ def basis_sweep(mu: UmbraTuple, indices: Iterable[tuple[int, ...]]
                 ) -> Iterator[tuple[tuple[int, ...], bool, dict | None, bool]]:
     """(v, harmonic, certificate, zero mean) of Q_v for each v != 0 in
     indices, as verify_harmonicity(mu, Q_v) and expected_value_zero(mu, v)
-    give them, read off basis_identity(mu) at mu's order.  g_w(-s) is read
-    as verify_harmonicity reads p_j(s), g_w(-t) with t -> s.  A Q_v whose
-    plan meets a w where step misses g_w(-s) is not harmonic, and its
-    verdict and certificate are those of verify_harmonicity itself; a
-    valid array never misses, as f^(-t) f^(t-s) = f^(-s).
+    give them, read off basis_identity(mu) at mu's order.  When step
+    equals (-s).mu, as f^(-t) f^(t-s) = f^(-s) makes it for a valid
+    array, every Q_v is harmonic; otherwise each verdict and certificate
+    is that of verify_harmonicity itself.
     """
     step, zero = basis_identity(mu)
-    at_s = {w: as_poly(g).subs({"t": S}) for w, g in mu.dot_t(MINUS_T).moments.items()}
-    misses = {w for w in step.moments.keys() | at_s.keys()
-              if step.eval_power(w) != at_s.get(w, 0)}
+    exact = step == mu.dot_t(MINUS_S)
     for v in map(tuple, indices):
         mean_zero = zero.eval_power(v) == 0     # a bad v fails here
-        ok, cert = True, None
-        if misses and any(w in misses for _, w, _ in mi.shift_plan(v)):
-            ok, cert = verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
+        ok, cert = (True, None) if exact else \
+            verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
         yield v, ok, cert, mean_zero
 
 

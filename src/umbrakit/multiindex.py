@@ -37,7 +37,10 @@ def order_cap() -> int:
 
 
 def check_order(n: int) -> None:
-    """Raise OrderOverflowError when a truncation order exceeds the cap."""
+    """Raise ValueError when a truncation order is negative, and
+    OrderOverflowError when it exceeds the cap."""
+    if n < 0:
+        raise ValueError(f"order {n} is negative")
     cap = order_cap()
     if n > cap:
         raise OrderOverflowError(f"order {n} exceeds the cap {cap} (UMBRA_MAX_ORDER)")

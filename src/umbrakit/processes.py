@@ -17,9 +17,8 @@ from . import multiindex as mi
 from .polynomials import (Poly, json_int, parse_coeff_map, parse_matrix,
                           parse_rational)
 from .series import TruncatedSeries, series_exp, series_pow, series_reversion
-from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
-                     euler_umbra, gaussian_delta, gaussian_delta_tuple,
-                     singleton, unity)
+from .umbrae import (UmbraTuple, comonotone_tuple, gaussian_delta,
+                     gaussian_delta_tuple, singleton, unity)
 
 # kind -> {parameter: default}; brownian C defaults to the d x d identity
 # and a custom process has no default path
@@ -68,16 +67,15 @@ class ProcessSpec:
             params[key] = value if key == "path" else \
                 parse_matrix(key, value) if key == "C" else parse_rational(key, value)
         mi.check_dimension(self.dim)
-        if self.order < 0:
-            raise ValueError(f"order {self.order} is negative")
         mi.check_order(self.order)
         if self.kind == "brownian":
             if params["C"] is None:
                 params["C"] = [
                     [Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
             check_square(params["C"], self.dim, f"brownian C for --d {self.dim}")
-        if self.kind == "custom" and params["path"] is None:
-            raise ValueError("a custom process needs a 'path'")
+        if self.kind == "custom" and not params["path"]:
+            raise ValueError("a custom process needs a 'path'" if params["path"] is None
+                             else "the custom moment file path is empty")
         # a new dict: the caller's may be shared between specs
         object.__setattr__(self, "params", params)
 
@@ -184,21 +182,17 @@ def ig_gf_check(a: Fraction, b: Fraction, order: int) -> bool:
 
 
 def bernoulli_neg_one_step(order: int, dim: int) -> UmbraTuple:
-    """One step of the {-t . iota} family: the inverse of the Bernoulli tuple.
-
-    Univariate moments are 1/(k+1), the moments of a uniform(0,1) r.v.
-    """
-    return comonotone_tuple(bernoulli_umbra(order).inverse_umbra(), dim)
+    """One step of the {-t . iota} family, the inverse of the Bernoulli
+    tuple: the comonotone lift of a uniform(0,1) r.v., moments 1/(k+1)."""
+    uniform = {(k,): Fraction(1, k + 1) for k in range(order + 1)}
+    return comonotone_tuple(UmbraTuple(1, order, uniform), dim)
 
 
 def euler_half_one_step(order: int, dim: int) -> UmbraTuple:
-    """One step of the {(1/2)[t . (u - 1 . eta)]} family.
-
-    Univariate moments are 1/2 for every k >= 1: a Bernoulli(1/2) r.v.
-    """
-    eta = euler_umbra(order)
-    one_step = unity(order).tuple_sum(eta.inverse_umbra()).scale(Fraction(1, 2))
-    return comonotone_tuple(one_step, dim)
+    """One step of the {(1/2)[t . (u - 1 . eta)]} family: the comonotone
+    lift of a Bernoulli(1/2) r.v., moments 1 at k = 0 and 1/2 after."""
+    coin = {(k,): Fraction(1, 2) if k else 1 for k in range(order + 1)}
+    return comonotone_tuple(UmbraTuple(1, order, coin), dim)
 
 
 def load_custom_moments(path: str | Path) -> UmbraTuple:
@@ -248,7 +242,8 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
     elif spec.kind == "custom":
         loaded = load_custom_moments(p["path"])
         if loaded.dim != d or loaded.order < order:
-            raise ValueError("custom moment file does not match spec")
+            raise ValueError(f"custom moment file {p['path']} has d = {loaded.dim} and order "
+                             f"{loaded.order}, but d = {d} and order {order} were asked for")
         one_step = UmbraTuple(d, order, loaded.moments)
     else:  # pragma: no cover - guarded by ProcessSpec
         raise UnsupportedProcessError(spec.kind)

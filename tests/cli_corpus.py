@@ -93,7 +93,9 @@ def argvs():
                 [cmd, "--process", "custom:broken.json"],
                 [cmd, "--process", "custom:uses_t.json", "--order", "3"],
                 [cmd, "--process", "custom:not_unital.json", "--order", "2"],
-                [cmd, "--process", "custom:no_order.json", "--order", "0"]]
+                [cmd, "--process", "custom:no_order.json", "--order", "0"],
+                [cmd, "--process", "custom:m1.json", "--d", "2", "--order", "2"],
+                [cmd, "--process", "custom:"]]
     # gen-tsh
     for kind in KINDS:
         for v in ("(1)", "(3)", "(1,1)", "(2,1)", "(1,0,1)"):
@@ -134,6 +136,8 @@ def argvs():
             ["verify", "--process", "gamma", "--params", '{"shape": "2", "scale": "1/3"}'],
             ["verify", "--process", "ig", "--d", "2", "--params", '{"a": "1/2", "b": "2"}'],
             ["verify", "--process", "brownian", "--d", "2", "--params", '{"C": [[1, 1], [0, 1]]}']]
+    for kind in ("gamma", "ig", "bernoulli", "euler"):
+        out.append(["verify", "--process", kind, "--d", "4", "--max-order", "3"])
     for f, d, order in (("m1", 1, 6), ("m2", 2, 4), ("a1", 1, 4), ("a2", 2, 3)):
         for top in (None, "1", "2", "3"):
             argv = ["verify", "--process", f"custom:{f}.json", "--d", str(d), "--order", str(order)]
@@ -146,6 +150,9 @@ def argvs():
             for top in (None, "0", "1", "2", "3"):
                 argv = ["verify", "--family", family, "--d", str(d)]
                 out.append(argv + ([] if top is None else ["--max-order", top]))
+        for d in ("4", "5"):
+            out += [["verify", "--family", family, "--d", d],
+                    ["verify", "--family", family, "--d", d, "--max-order", "4"]]
         out += [["verify", "--family", family, "--max-order", "-1"],
                 ["verify", "--family", family, "--max-order", "25"],
                 ["verify", "--family", family, "--d", "0"],
@@ -168,7 +175,7 @@ def argvs():
     for a, b in (("1", "1"), ("2", "3"), ("1/2", "5"), ("-1/2", "1"), ("0", "1"), ("x", "1")):
         for order in ("0", "4", "8"):
             out.append(["ig-check", "--a", a, "--b", b, "--order", order])
-    out += [["ig-check"], ["ig-check", "--order", "99"]]
+    out += [["ig-check"], ["ig-check", "--order", "99"], ["ig-check", "--order", "-1"]]
     # decompose
     for kind in KINDS:
         out.append(["decompose", "--process", kind, "--poly", "p_x2.json"])

@@ -5,9 +5,9 @@ basis_identity(mu) gives step = (-t).mu + (t - s).mu and zero = (-t).mu
 + t.mu; basis_sweep reads each verdict off them, and takes the
 certificate of a Q_v the identity finds not harmonic from
 verify_harmonicity.  The reference is harmonic_path.per_index_sweep, on
-the same arrays, true or with one moment of dot_t(t - s), dot_t(t) or
-dot_t(-t) moved: the identity is algebra on the three arrays, so it must
-agree on any of them.
+the same arrays, true or with one moment of dot_t(t - s), dot_t(t),
+dot_t(-t) or dot_t(-s) moved: the identity is algebra on these arrays,
+so it must agree on any of them.
 """
 
 from fractions import Fraction
@@ -30,8 +30,8 @@ t, s, a = Poly.var("t"), Poly.var("s"), Poly.var("a")
 @st.composite
 def arrays(draw):
     """An array (d <= 3, N <= 5) of rationals or of Polys in a, as it is
-    or with one moment of dot_t(t - s), dot_t(t) or dot_t(-t) moved by t,
-    s or 1."""
+    or with one moment of dot_t(t - s), dot_t(t), dot_t(-t) or dot_t(-s)
+    moved by t, s or 1."""
     d = draw(st.integers(1, 3))
     order = draw(st.integers(1, 5 if d < 3 else 4))
     parametric = draw(st.booleans())
@@ -40,7 +40,7 @@ def arrays(draw):
         if any(v):
             ms[v] = draw(RATIONALS) + (draw(RATIONALS) * a if parametric else 0)
     mu = UmbraTuple(d, order, ms)
-    time = draw(st.sampled_from((None, t - s, t - s, t, -t)))
+    time = draw(st.sampled_from((None, t - s, t - s, t, -t, -s)))
     if time is not None:
         w = draw(st.sampled_from([v for v in mi.iter_indices(d, order) if any(v)]))
         mu = ref.MovedArray(mu, time, w, draw(st.sampled_from((t, s, Poly.const(1)))))
@@ -55,11 +55,12 @@ def test_the_identity_sweep_matches_the_per_index_sweep(case):
     indices = [v for v in mi.iter_indices(mu.dim, top) if any(v)]
     got = list(basis_sweep(mu, indices))
     assert got == list(ref.per_index_sweep(mu, indices))
-    # a moved moment of dot_t(t - s) at w fails Q_w, one of dot_t(t) its mean
+    # a moved moment of dot_t(t - s) at w fails Q_w, one of dot_t(t) its
+    # mean, and one of dot_t(-s) neither
     if isinstance(mu, ref.MovedArray) and mu.move[0] != -t and mi.total(mu.move[1]) <= top:
         time, w, _ = mu.move
         verdict = {v: (ok, zero) for v, ok, _, zero in got}[w]
-        assert verdict == ((False, True) if time == t - s else (True, False))
+        assert verdict == {t - s: (False, True), t: (True, False), -s: (True, True)}[time]
 
 
 def test_a_sweep_checks_its_indices_as_the_per_index_sweep_does():

@@ -592,6 +592,42 @@ def test_gen_tsh_names_a_negative_order_before_raising_it_to_v(capsys, order):
     assert err == f"error: order {order} is negative\n"
 
 
+@pytest.mark.parametrize("order", ["-1", "-3"])
+def test_ig_check_names_a_negative_order(capsys, order):
+    assert run(capsys, "ig-check", "--order", order) == \
+        (3, "", f"error: order {order} is negative\n")
+
+
+def test_a_custom_file_with_a_negative_order_is_named(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": -1, "moments": {"(0)": "1"}}))
+    assert run(capsys, "moments", "--process", f"custom:{path}", "--order", "0") == \
+        (3, "", "error: order -1 is negative\n")
+
+
+@pytest.mark.parametrize("argv, d, order", [
+    (("moments",), 1, 6),
+    (("cumulants", "--order", "3"), 1, 3),
+    (("verify", "--d", "2", "--order", "2", "--max-order", "2"), 2, 2),
+], ids=["default order", "higher order", "other d"])
+def test_a_custom_file_that_does_not_fit_names_both_shapes(capsys, tmp_path, monkeypatch,
+                                                           argv, d, order):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps({"d": 1, "order": 2,
+                                          "moments": {"(0)": "1", "(1)": "1", "(2)": "3"}}))
+    code, out, err = run(capsys, argv[0], "--process", "custom:m.json", *argv[1:])
+    assert code == 3 and out == ""
+    assert err == (f"error: custom moment file m.json has d = 1 and order 2, "
+                   f"but d = {d} and order {order} were asked for\n")
+
+
+@pytest.mark.parametrize("command", ["moments", "verify", "mc-verify"])
+def test_an_empty_custom_path_is_named(capsys, command):
+    # an empty path names no file, not the working directory
+    assert run(capsys, command, "--process", "custom:") == \
+        (3, "", "error: the custom moment file path is empty\n")
+
+
 REUSE_ARGVS = [
     ["partitions", "--v", "(2,1)"],
     ["mc-verify", "--process", "poisson", "--max-order", "1", "--paths", "10000",

@@ -118,10 +118,19 @@ def test_family_members_are_the_basis_of_their_process(d, order):
 
 
 def test_a_shift_family_with_the_wrong_driver_fails():
-    assert _shift_family_tsh_check(bernoulli_neg_one_step(4, 2), bernoulli_tuple(4, 2))
-    assert not _shift_family_tsh_check(bernoulli_neg_one_step(4, 2),
-                                       euler_difference_tuple(4, 2))
-    assert not _shift_family_tsh_check(euler_half_one_step(3, 1), bernoulli_tuple(3, 1))
+    assert _shift_family_tsh_check(bernoulli_neg_one_step(4, 1), bernoulli_tuple(4, 1), 2)
+    assert not _shift_family_tsh_check(bernoulli_neg_one_step(4, 1),
+                                       euler_difference_tuple(4, 1), 2)
+    assert not _shift_family_tsh_check(euler_half_one_step(3, 1), bernoulli_tuple(3, 1), 3)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_family_laws_are_the_inverses_of_their_drivers(order, d):
+    # the uniform and Bernoulli(1/2) laws are built from their moments, so
+    # nothing makes them the drivers' inverses by construction
+    assert bernoulli_neg_one_step(order, d) == bernoulli_tuple(order, d).inverse_umbra()
+    assert euler_half_one_step(order, d) == euler_difference_tuple(order, d).inverse_umbra()
 
 
 def test_levy_sheffer_examples():

@@ -159,3 +159,11 @@ def test_every_profile_label_names_one_code_object(path):
     labels = list(profile_labels(TREES[path]))
     shared = sorted({label for label in labels if labels.count(label) > 1})
     assert not shared, f"{path.name} has more than one code object at {shared}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_guards_a_module(path):
+    """python -O strips every assert, so each guard in the package is an
+    if that raises."""
+    lines = [node.lineno for node in ast.walk(TREES[path]) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts at lines {lines}"
