@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -101,8 +102,8 @@ def cmd_cumulants(args) -> int:
 def cmd_gen_tsh(args) -> int:
     v = mi.parse_index(args.v)
     # checks --order as given, before |v| raises it
-    args.order = max(_process_spec(args).order, mi.total(v))
-    proc = build(_process_spec(args))
+    spec = _process_spec(args)
+    proc = build(dataclasses.replace(spec, order=max(spec.order, mi.total(v))))
     q = tsh_polynomial(proc.one_step, v)
     _emit({"process": proc.spec.kind, "tsh": tsh_to_json(q)})
     return EXIT_OK
@@ -165,8 +166,7 @@ def cmd_verify(args) -> int:
             print(json.dumps(cert), file=sys.stderr)
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
     failures = 0
-    indices = (v for v in mi.iter_indices(args.d, max_order) if any(v))
-    for v, ok, cert, zero in basis_sweep(proc.one_step.truncate(max_order), indices):
+    for v, ok, cert, zero in basis_sweep(proc.one_step.truncate(max_order)):
         verdict = "PASS" if (ok and zero) else "FAIL"
         print(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} {verdict}")
         if not (ok and zero):

@@ -226,9 +226,7 @@ def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple, d: int) ->
     as the lift is a ring homomorphism, makes each member Q_v of the lift."""
     if driver.dot_t(T) != one_step.dot_t(MINUS_T):
         return False
-    mu = comonotone_tuple(one_step, d)
-    indices = (v for v in mi.iter_indices(d, mu.order) if any(v))
-    return all(ok and zero for _, ok, _, zero in basis_sweep(mu, indices))
+    return all(ok and zero for _, ok, _, zero in basis_sweep(comonotone_tuple(one_step, d)))
 
 
 def bernoulli_tsh_check(max_order: int, d: int = 1) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
@@ -199,22 +199,22 @@ def basis_identity(mu: UmbraTuple) -> tuple[UmbraTuple, UmbraTuple]:
     return back + mid, back + forward
 
 
-def basis_sweep(mu: UmbraTuple, indices: Iterable[tuple[int, ...]]
+def basis_sweep(mu: UmbraTuple
                 ) -> Iterator[tuple[tuple[int, ...], bool, dict | None, bool]]:
-    """(v, harmonic, certificate, zero mean) of Q_v for each v != 0 in
-    indices, as verify_harmonicity(mu, Q_v) and expected_value_zero(mu, v)
-    give them, read off basis_identity(mu) at mu's order.  When step
-    equals (-s).mu, as f^(-t) f^(t-s) = f^(-s) makes it for a valid
-    array, every Q_v is harmonic; otherwise each verdict and certificate
-    is that of verify_harmonicity itself.
+    """(v, harmonic, certificate, zero mean) of Q_v for each v != 0 with
+    |v| <= mu's order, in iter_indices order, as verify_harmonicity(mu,
+    Q_v) and expected_value_zero(mu, v) give them, read off
+    basis_identity(mu).  When step equals (-s).mu, as f^(-t) f^(t-s) =
+    f^(-s) makes it for a valid array, every Q_v is harmonic; otherwise
+    each verdict and certificate is that of verify_harmonicity itself.
     """
     step, zero = basis_identity(mu)
     exact = step == mu.dot_t(MINUS_S)
-    for v in map(tuple, indices):
-        mean_zero = zero.eval_power(v) == 0     # a bad v fails here
-        ok, cert = (True, None) if exact else \
-            verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
-        yield v, ok, cert, mean_zero
+    for v in mi.iter_indices(mu.dim, mu.order):
+        if any(v):
+            ok, cert = (True, None) if exact else \
+                verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
+            yield v, ok, cert, zero.eval_power(v) == 0
 
 
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:

@@ -11,14 +11,15 @@ against all numerators (Knuth, TAOCP vol. 2, 4.5.1), so equal
 polynomials have equal parts and no Fraction is made inside polynomial
 arithmetic.  A sum of products sum n/d a b is one accumulation, _dot,
 with no Poly per product (Monagan and Pearce, J. Symb. Comput. 2011):
-one union of variables, one common denominator, one product loop into
-one dict of numerators, one overflow check and one gcd.  slot_sums
-holds many sums side by side as slots: _common takes the union and the
-denominator of the terms of every slot in one pass, _dot runs its
-product loop once per slot over that shared pair and returns the
-slot's dict with no gcd, and only a nonzero slot becomes a Poly,
-reduced by its own gcd, so sums that all vanish make no Poly and take
-no gcd.  A constant Poly without variables acts as a scalar.
+one union of variables and one common denominator, both from _common,
+one product loop into one dict of numerators, one overflow check and
+one gcd.  slot_sums holds many sums side by side as slots: _common
+takes the union and the denominator of the terms of every slot in one
+pass, _dot runs its product loop once per slot over that shared pair
+and returns the slot's dict with no gcd, and only a nonzero slot
+becomes a Poly, reduced by its own gcd, so sums that all vanish make
+no Poly and take no gcd.  A constant Poly without variables acts as a
+scalar.
 
 Each monomial is keyed by one packed int (Monagan and Pearce, CASC
 2007): over n sorted variables, the exponent of variable i sits in the
@@ -467,28 +468,17 @@ def _dot(terms: Sequence[tuple[Poly, Poly, int, int]],
     """sum of n/d a b over the terms (a, b, n, d), d > 0, in one pass.
 
     After Monagan and Pearce (J. Symb. Comput. 46, 2011): the variable
-    tuples of all terms are united once, every product is scaled onto the
-    one common denominator lcm(a._den b._den d) and added key by key into
-    one dict, and one gcd reduces the sum.  No terms sum to the constant 0.
+    tuples of all terms are united once and their common denominator
+    lcm(a._den b._den d) taken, both by _common, every product is scaled
+    onto that denominator and added key by key into one dict, and one gcd
+    reduces the sum.  No terms sum to the constant 0.
 
     Given common = (vs, den), _common of a larger list of terms, the sum
     is one slot of that list's accumulation: it returns den times the sum
     as a dict of numerators over vs, a cancelled key kept at 0, with no
     gcd and no Poly.
     """
-    if common is not None:
-        vs, den = common
-    elif not terms:
-        return _ZERO
-    else:
-        vs, den = terms[0][0].vars, 1
-        for a, b, _, d in terms:
-            # a scalar's key is 0 over any variables, so () needs no alignment
-            if a.vars and a.vars != vs:
-                vs = _alignment(vs, a.vars)[0]
-            if b.vars and b.vars != vs:
-                vs = _alignment(vs, b.vars)[0]
-            den = math.lcm(den, a._den * b._den * d)
+    vs, den = common or _common(terms)
     out: dict = {}
     get = out.get
     for a, b, n, d in terms:
@@ -510,7 +500,7 @@ def _dot(terms: Sequence[tuple[Poly, Poly, int, int]],
     # overflowed; a cancelled key is still in out, so it is checked too
     if reduce(or_, out, 0) & _guard(len(vs)):
         raise ValueError("polynomial product has an exponent of 2^31 or more")
-    if common is not None:
+    if common:
         return out
     if 0 in out.values():
         out = {e: x for e, x in out.items() if x}
@@ -519,9 +509,10 @@ def _dot(terms: Sequence[tuple[Poly, Poly, int, int]],
 
 def _common(terms: Iterable[tuple[Poly, Poly, int, int]]) -> tuple[tuple[str, ...], int]:
     """The union of the variables of the terms (a, b, n, d) and their
-    common denominator, as _dot takes them for a slot."""
+    common denominator, as _dot takes them for a sum or a slot."""
     vs, den = (), 1
     for a, b, _, d in terms:
+        # a scalar's key is 0 over any variables, so () needs no alignment
         if a.vars and a.vars != vs:
             vs = _alignment(vs, a.vars)[0] if vs else a.vars
         if b.vars and b.vars != vs:

@@ -2,7 +2,9 @@
 
 A process is the family {t . mu} for a one-step tuple mu; we store the
 one-step joint moments exactly and the time-parameterized moments as
-polynomials in t.
+polynomials in t.  KINDS lists every kind once, with its parameter
+defaults and its one-step constructor: ProcessSpec checks a spec
+against it, and build is one lookup in it.
 """
 
 from __future__ import annotations
@@ -20,19 +22,6 @@ from .series import TruncatedSeries, series_exp, series_pow, series_reversion
 from .umbrae import (UmbraTuple, comonotone_tuple, gaussian_delta,
                      gaussian_delta_tuple, singleton, unity)
 
-# kind -> {parameter: default}; brownian C defaults to the d x d identity
-# and a custom process has no default path
-PARAMS = {
-    "brownian": {"C": None},
-    "poisson": {"rate": Fraction(1)},
-    "gamma": {"shape": Fraction(1), "scale": Fraction(1)},
-    "inverse_gaussian": {"a": Fraction(1), "b": Fraction(1)},
-    "bernoulli_neg": {},
-    "euler_half": {},
-    "custom": {"path": None},
-}
-
-
 class UnsupportedProcessError(ValueError):
     """Requested process has no computable moment representation."""
 
@@ -41,9 +30,9 @@ class UnsupportedProcessError(ValueError):
 class ProcessSpec:
     """A process kind, its dimension and order, and its parameters.
 
-    params takes only the names PARAMS lists for the kind, as rationals
+    params takes only the names KINDS lists for the kind, as rationals
     (a matrix for C, a file path for a custom process); the stored dict
-    is a copy with the defaults filled in.
+    is a copy with KINDS' defaults filled in.
     """
 
     kind: str
@@ -56,9 +45,9 @@ class ProcessSpec:
             raise UnsupportedProcessError(
                 "m-stable processes have divergent moment generating "
                 "functions; no moment-level construction exists")
-        if self.kind not in PARAMS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}")
-        takes = PARAMS[self.kind]
+        takes = KINDS[self.kind][0]
         params = dict(takes)
         for key, value in self.params.items():
             if key not in takes:
@@ -224,27 +213,34 @@ def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:
     }
 
 
+def custom_one_step(path: str | Path, order: int, dim: int) -> UmbraTuple:
+    """The moment file at path cut at order; it must be d = dim and reach
+    that order."""
+    loaded = load_custom_moments(path)
+    if loaded.dim != dim or loaded.order < order:
+        raise ValueError(f"custom moment file {path} has d = {loaded.dim} and order "
+                         f"{loaded.order}, but d = {dim} and order {order} were asked for")
+    return UmbraTuple(dim, order, loaded.moments)
+
+
+# kind -> ({parameter: default}, one step from (params, order, d)); brownian
+# C defaults to the d x d identity and a custom process has no default path
+KINDS = {
+    "brownian": ({"C": None}, lambda p, order, d: brownian_one_step(p["C"], order)),
+    "poisson": ({"rate": Fraction(1)}, lambda p, order, d: comonotone_tuple(
+        poisson_one_step(p["rate"], order), d)),
+    "gamma": ({"shape": Fraction(1), "scale": Fraction(1)}, lambda p, order, d:
+              comonotone_tuple(gamma_one_step(p["shape"], p["scale"], order), d)),
+    "inverse_gaussian": ({"a": Fraction(1), "b": Fraction(1)}, lambda p, order, d:
+                         comonotone_tuple(inverse_gaussian_one_step(p["a"], p["b"], order), d)),
+    "bernoulli_neg": ({}, lambda p, order, d: bernoulli_neg_one_step(order, d)),
+    "euler_half": ({}, lambda p, order, d: euler_half_one_step(order, d)),
+    "custom": ({"path": None}, lambda p, order, d: custom_one_step(p["path"], order, d)),
+}
+
+
 def build(spec: ProcessSpec) -> SymbolicProcess:
-    """Construct the symbolic process for a validated spec."""
-    d, order, p = spec.dim, spec.order, spec.params
-    if spec.kind == "brownian":
-        one_step = brownian_one_step(p["C"], order)
-    elif spec.kind == "poisson":
-        one_step = comonotone_tuple(poisson_one_step(p["rate"], order), d)
-    elif spec.kind == "gamma":
-        one_step = comonotone_tuple(gamma_one_step(p["shape"], p["scale"], order), d)
-    elif spec.kind == "inverse_gaussian":
-        one_step = comonotone_tuple(inverse_gaussian_one_step(p["a"], p["b"], order), d)
-    elif spec.kind == "bernoulli_neg":
-        one_step = bernoulli_neg_one_step(order, d)
-    elif spec.kind == "euler_half":
-        one_step = euler_half_one_step(order, d)
-    elif spec.kind == "custom":
-        loaded = load_custom_moments(p["path"])
-        if loaded.dim != d or loaded.order < order:
-            raise ValueError(f"custom moment file {p['path']} has d = {loaded.dim} and order "
-                             f"{loaded.order}, but d = {d} and order {order} were asked for")
-        one_step = UmbraTuple(d, order, loaded.moments)
-    else:  # pragma: no cover - guarded by ProcessSpec
-        raise UnsupportedProcessError(spec.kind)
+    """Construct the symbolic process for a validated spec: its kind's
+    one-step constructor in KINDS, and the time tuple t.mu."""
+    one_step = KINDS[spec.kind][1](spec.params, spec.order, spec.dim)
     return SymbolicProcess(spec, one_step, one_step.dot_t("t"))

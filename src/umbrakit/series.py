@@ -17,9 +17,9 @@ from_coeff_map (weight v!), and .coeffs is a read-only view of it, built
 with to_coeff_map on first read.
 
 The Euler operator E = sum_i z_i d/dz_i multiplies the degree-n part by
-n, so exp, log, reciprocal and f**(p/q) are recurrences on the parts with
-int weights (Knuth, TAOCP vol. 2, 4.7), each about one truncated product,
-and f**e for a Poly e is exp(e log f).
+n, so exp, log and f**(p/q) are recurrences on the parts with int
+weights (Knuth, TAOCP vol. 2, 4.7), each about one truncated product;
+the reciprocal is f**-1, and f**e for a Poly e is exp(e log f).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class TruncatedSeries:
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
-            raise ValueError("negative power; use reciprocal")
+            raise ValueError("negative power; use series_pow(f, -1)")
         out = TruncatedSeries.one(self.dim, self.order)
         base = self
         while n:
@@ -214,16 +214,6 @@ def series_log(f: TruncatedSeries) -> TruncatedSeries:
     return _from_parts(f.dim, f.order, h)
 
 
-def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a series with constant term 1.
-
-    This is f**-1, for which the weight of series_pow is -n.
-    """
-    if f.constant_term() != 1:
-        raise ValueError("reciprocal needs constant term 1")
-    return _recurrence(f, lambda n, k: -n)
-
-
 def series_pow(f: TruncatedSeries, e: Coefficient) -> TruncatedSeries:
     """f**e for a series with constant term 1 and any rational or Poly e.
 
@@ -231,6 +221,7 @@ def series_pow(f: TruncatedSeries, e: Coefficient) -> TruncatedSeries:
     is, and exp's weight k is an int, so each pair costs one product.  A
     rational e = p/q gives J.C.P. Miller's recurrence: g = f**e solves
     f E g = e (E f) g, so q n g_n = sum_{k=1..n} ((p + q) k - q n) f_k g_{n-k}.
+    The reciprocal is e = -1, where the weight is -n over n.
     """
     if f.constant_term() != 1:
         raise ValueError("series_pow needs constant term 1")

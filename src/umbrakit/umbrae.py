@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import Coefficient, Poly, as_coefficient
-from .series import (TruncatedSeries, exp_at, exp_table, reciprocal,
-                     series_compose, series_exp, series_log, series_reversion,
+from .series import (TruncatedSeries, exp_at, exp_table, series_compose,
+                     series_exp, series_log, series_pow, series_reversion,
                      series_subst, vector_reversion)
 
 
@@ -171,8 +171,8 @@ class UmbraTuple:
         return self._derived(("beta", p), build)
 
     def inverse_umbra(self) -> "UmbraTuple":
-        """The -1 dot-product: gf is the reciprocal series."""
-        return UmbraTuple.from_series(reciprocal(self.to_series()))
+        """The -1 dot-product: gf is the reciprocal series, f**-1."""
+        return UmbraTuple.from_series(series_pow(self.to_series(), -1))
 
     def cumulant_tuple(self) -> "UmbraTuple":
         """Tuple whose moments are the joint cumulants: gf 1 + log f."""
@@ -281,7 +281,7 @@ def bernoulli_umbra(order: int) -> UmbraTuple:
     """Moments are the Bernoulli numbers: gf z / (e^z - 1)."""
     # (e^z - 1)/z  =  sum z^k / (k+1)!,  then take the reciprocal
     f = TruncatedSeries(1, order, {(k,): Fraction(1, k + 1) for k in range(order + 1)})
-    return UmbraTuple.from_series(reciprocal(f))
+    return UmbraTuple.from_series(series_pow(f, -1))
 
 
 def euler_umbra(order: int) -> UmbraTuple:
@@ -289,7 +289,7 @@ def euler_umbra(order: int) -> UmbraTuple:
     # 2 e^z / (e^{2z} + 1) = sech z = 1 / cosh z
     cosh = TruncatedSeries(1, order,
                            {(k,): 1 for k in range(0, order + 1, 2)})
-    return UmbraTuple.from_series(reciprocal(cosh))
+    return UmbraTuple.from_series(series_pow(cosh, -1))
 
 
 def comonotone_tuple(univariate: UmbraTuple, dim: int) -> UmbraTuple:

@@ -12,7 +12,6 @@ so it must agree on any of them.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
@@ -44,34 +43,22 @@ def arrays(draw):
     if time is not None:
         w = draw(st.sampled_from([v for v in mi.iter_indices(d, order) if any(v)]))
         mu = ref.MovedArray(mu, time, w, draw(st.sampled_from((t, s, Poly.const(1)))))
-    return mu, draw(st.integers(1, order))
+    return mu
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrays())
-def test_the_identity_sweep_matches_the_per_index_sweep(case):
-    # the sweep over |v| <= top reads the identity at the array's full order
-    mu, top = case
-    indices = [v for v in mi.iter_indices(mu.dim, top) if any(v)]
-    got = list(basis_sweep(mu, indices))
+def test_the_identity_sweep_matches_the_per_index_sweep(mu):
+    # the sweep covers every v != 0 with |v| <= the array's order
+    indices = [v for v in mi.iter_indices(mu.dim, mu.order) if any(v)]
+    got = list(basis_sweep(mu))
     assert got == list(ref.per_index_sweep(mu, indices))
     # a moved moment of dot_t(t - s) at w fails Q_w, one of dot_t(t) its
     # mean, and one of dot_t(-s) neither
-    if isinstance(mu, ref.MovedArray) and mu.move[0] != -t and mi.total(mu.move[1]) <= top:
+    if isinstance(mu, ref.MovedArray) and mu.move[0] != -t:
         time, w, _ = mu.move
         verdict = {v: (ok, zero) for v, ok, _, zero in got}[w]
         assert verdict == {t - s: (False, True), t: (True, False), -s: (True, True)}[time]
-
-
-def test_a_sweep_checks_its_indices_as_the_per_index_sweep_does():
-    mu = build(ProcessSpec("gamma", 2, 3, {})).one_step
-    assert list(basis_sweep(mu, [])) == []
-    for bad in ([(1, 0), (2, 2)], [(-1, 0)], [(1,)]):
-        with pytest.raises(ValueError) as got:
-            list(basis_sweep(mu, bad))
-        with pytest.raises(ValueError) as want:
-            list(ref.per_index_sweep(mu, bad))
-        assert str(got.value) == str(want.value)
 
 
 def test_the_identity_holds_for_every_process():

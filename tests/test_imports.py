@@ -130,9 +130,31 @@ def test_only_the_shift_plan_expands_binomials():
     """Every shift is a weighted sum over one binomial plan: in the
     package, only multiindex.shift_plan calls multi_binomial, so nothing
     else expands (x + y)^k or builds a term per (k, j) pair of its own."""
-    callers = {(path.name, fn.name) for path, tree in TREES.items() for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and "multi_binomial" in called_names(fn)}
+    callers = callers_of("multi_binomial")
     assert callers == {("multiindex.py", "shift_plan")}, f"{sorted(callers)} call multi_binomial"
+
+
+def callers_of(name):
+    """The (module, function) pairs in the package whose body calls name."""
+    return {(path.name, fn.name) for path, tree in TREES.items() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and name in called_names(fn)}
+
+
+def test_only_exp_and_pow_run_the_degree_recurrence():
+    """The reciprocal is series_pow(f, -1), whose weight at p = -1, q = 1
+    is -n over n, so no third function passes _recurrence those terms."""
+    assert callers_of("_recurrence") == {("series.py", "series_exp"),
+                                         ("series.py", "series_pow")}
+
+
+def test_a_sum_takes_its_ring_from_common():
+    """A single sum and a slot of slot_sums unite their variables and
+    denominators by one rule: _dot reaches the union through _common and
+    aligns no variable tuples of its own."""
+    dot = next(fn for fn in TREES[PACKAGE / "polynomials.py"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_dot")
+    assert "_common" in called_names(dot)
+    assert "_alignment" not in called_names(dot)
 
 
 CODE_NAMES = {ast.Lambda: "<lambda>", ast.ListComp: "<listcomp>", ast.SetComp: "<setcomp>",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from umbrakit import processes
 from umbrakit.multiindex import OrderOverflowError
 from umbrakit.polynomials import Poly
 from umbrakit.processes import (ProcessSpec, UnsupportedProcessError,
@@ -13,6 +14,7 @@ from umbrakit.processes import (ProcessSpec, UnsupportedProcessError,
                                 inverse_gaussian_one_step,
                                 load_custom_moments, moments_from_json,
                                 moments_to_json, poisson_one_step)
+from umbrakit.umbrae import UmbraTuple, comonotone_tuple
 
 from oracles import touchard
 
@@ -45,6 +47,29 @@ def test_spec_owns_parameter_names_and_defaults():
         ProcessSpec("brownian", 2, 2, {"C": [[1]]})
     assert build(ProcessSpec("inverse_gaussian", 1, 4, {"b": 2})).one_step == \
         build(ProcessSpec("inverse_gaussian", 1, 4, {"a": 1, "b": 2})).one_step
+
+
+def test_a_row_added_to_kinds_is_a_process(monkeypatch):
+    # a point mass at m: its defaults come from the row, its one step from
+    # the row's constructor, and no other table names it
+    made = []
+
+    def point_mass(p, order, d):
+        made.append(comonotone_tuple(
+            UmbraTuple(1, order, {(k,): p["m"] ** k for k in range(order + 1)}), d))
+        return made[-1]
+
+    monkeypatch.setitem(processes.KINDS, "point", ({"m": Fraction(2)}, point_mass))
+    assert ProcessSpec("point", 2, 3).params == {"m": 2}
+    spec = ProcessSpec("point", 2, 3, {"m": "1/2"})
+    assert spec.params == {"m": Fraction(1, 2)}
+    with pytest.raises(ValueError, match=r"^parameter 'rate' does not apply to point "
+                                         r"\(takes: m\)$"):
+        ProcessSpec("point", 1, 3, {"rate": 1})
+    proc = build(spec)
+    assert proc.one_step is made[-1]
+    assert proc.one_step.eval_power((2, 1)) == Fraction(1, 8)
+    assert proc.time_tuple == proc.one_step.dot_t("t")
 
 
 def test_equal_specs_hash_equal_and_key_a_dict():

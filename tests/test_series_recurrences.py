@@ -1,9 +1,9 @@
 """The graded series kernel against the product-loop reference.
 
-exp, log, reciprocal and pow run degree recurrences, products and
-substitution work on homogeneous parts, and reversion is solved degree
-by degree.  All of it is exact, so it must agree with tests/series_path.py
-to the last rational.
+exp, log and pow, the reciprocal being pow at -1, run degree
+recurrences, products and substitution work on homogeneous parts, and
+reversion is solved degree by degree.  All of it is exact, so it must
+agree with tests/series_path.py to the last rational.
 """
 
 import random
@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from umbrakit import multiindex as mi
 from umbrakit.polynomials import Poly, as_poly, parse_poly
 from umbrakit.processes import ig_quadratic
-from umbrakit.series import (TruncatedSeries, _z_vars, reciprocal, series_exp,
-                             series_log, series_pow, series_reversion,
-                             series_subst, vector_reversion)
+from umbrakit.series import (TruncatedSeries, _z_vars, series_exp, series_log,
+                             series_pow, series_reversion, series_subst,
+                             vector_reversion)
 
 import series_path as sp
 from oracles import lagrange_reversion
@@ -64,7 +64,7 @@ def test_exp_matches_product_loop(data):
 def test_log_and_reciprocal_match_product_loop(data):
     f = data.draw(series(constant=1, coefficients=data.draw(coefficient_kinds)))
     assert series_log(f) == sp.log(f)
-    assert reciprocal(f) == sp.reciprocal(f)
+    assert series_pow(f, -1) == sp.reciprocal(f)
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,7 +75,7 @@ def test_pow_matches_exp_of_log(data, e):
     assert series_pow(f, e) == sp.pow(f, e)
 
 
-# The two checks below use products and reciprocal only, never exp or log.
+# The two checks below use products and f**-1 only, never exp or log.
 linear_in_a = st.builds(lambda x, y: x + y * Poly.var("a"), rationals, rationals)
 
 
@@ -100,7 +100,7 @@ def test_rational_pow_to_the_denominator_is_an_integer_power(data, p, q):
     assert g ** q * f ** max(-p, 0) == f ** max(p, 0)
     assert series_pow(f, 0) == TruncatedSeries.one(f.dim, f.order)
     assert series_pow(f, 1) == f
-    assert series_pow(f, -1) == reciprocal(f)
+    assert series_pow(f, -1) == sp.reciprocal(f)
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,7 +167,7 @@ def test_mixed_rings_exp_log_reciprocal(data):
     f1 = data.draw(series(ring, constant=1, coefficients=mixed_coefficients()))
     assert series_exp(f0) == sp.exp(f0)
     assert series_log(f1) == sp.log(f1)
-    assert reciprocal(f1) == sp.reciprocal(f1)
+    assert series_pow(f1, -1) == sp.reciprocal(f1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,10 +201,9 @@ def test_bad_constant_terms_keep_their_errors():
         series_exp(f)
     with pytest.raises(ValueError, match="series_log needs constant term 1"):
         series_log(f)
-    with pytest.raises(ValueError, match="reciprocal needs constant term 1"):
-        reciprocal(f)
-    with pytest.raises(ValueError, match="series_pow needs constant term 1"):
-        series_pow(f, t)
+    for e in (t, -1):
+        with pytest.raises(ValueError, match="series_pow needs constant term 1"):
+            series_pow(f, e)
 
 
 def random_univariate(rnd, order):
