@@ -19,7 +19,7 @@ from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
 from .harmonic import (TshPolynomial, basis_sweep, decompose, poly_to_coeff_map,
                        tsh_from_json, tsh_polynomial, tsh_to_json, tsh_to_latex,
                        verify_harmonicity)
-from .polynomials import parse_coeff_map, parse_matrix, parse_rational
+from .polynomials import parse_coeff_map, parse_matrix, parse_rational, read_json
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
 
 SCHEMA_VERSION = "1"
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SPEC = 3
+ERROR_WIDTH = 500   # characters; a longer error line is cut to end in "…"
 
 PROCESS_ALIASES = {
     "brownian": "brownian",
@@ -46,7 +47,7 @@ def _process_spec(args) -> ProcessSpec:
     if kind is None:
         raise ValueError(f"unknown process {name!r} "
                          f"(choices: {', '.join(PROCESS_ALIASES)})")
-    params = json.loads(args.params) if args.params is not None else {}
+    params = read_json("--params", args.params) if args.params is not None else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
     if kind == "custom":
@@ -116,7 +117,7 @@ def cmd_gen_family(args) -> int:
     t = parse_rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
         if args.C is not None:
-            C = parse_matrix("--C", json.loads(args.C))
+            C = parse_matrix("--C", read_json("--C", args.C))
         else:
             C = [
                 [1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
@@ -154,8 +155,7 @@ def cmd_verify(args) -> int:
         _check_max_order(max_order, spec.order)
     proc = build(spec)
     if args.tsh is not None:
-        with open(args.tsh) as fh:
-            data = json.load(fh)
+        data = read_json(args.tsh)
         q = tsh_from_json(data.get("tsh", data) if isinstance(data, dict) else data)
         if q.dim != proc.one_step.dim:
             raise ValueError(f"the --tsh file has d = {q.dim}, but the process "
@@ -186,9 +186,7 @@ def cmd_ig_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     proc = build(_process_spec(args))
-    with open(args.poly) as fh:
-        data = json.load(fh)
-    result = decompose(parse_coeff_map(data, "coeffs"), proc.one_step)
+    result = decompose(parse_coeff_map(read_json(args.poly), "coeffs"), proc.one_step)
     _emit({
         "exact": result.exact,
         "coefficients": {mi.format_index(k): str(c)
@@ -317,7 +315,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line = f"error: {exc}"
+        print(line if len(line) <= ERROR_WIDTH else line[:ERROR_WIDTH - 1] + "…", file=sys.stderr)
         return EXIT_SPEC
 
 

@@ -198,9 +198,7 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
         raise ValueError(
             "no driving process exists for d > 1 unless both moment arrays "
             "are exchangeable-comonotone (joint moments depend only on |v|)")
-    one_d = levy_sheffer_process_one_step(m, n)
-    d = mu.dim
-    return comonotone_tuple(one_d, d).scale(Fraction(1, d))
+    return comonotone_tuple(levy_sheffer_process_one_step(m, n), mu.dim).scale(Fraction(1, mu.dim))
 
 
 def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bool:

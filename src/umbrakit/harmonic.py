@@ -22,13 +22,15 @@ coefficient map and a Poly in x1..xd through from_coeff_map and
 to_coeff_map.
 
 A sweep over the basis shifts no Q_v: t.mu is a semigroup, so
-basis_identity forms two tuple sums at the tuple's own order, and
-basis_sweep finds every Q_v harmonic when the first is (-s).mu, as
-f^(-t) f^(t-s) = f^(-s) makes it for a valid array; for a faulty one,
-verify_harmonicity checks and certifies each Q_v.  A caller that sweeps
-through a lower order truncates the tuple first.  The per-index
-verify_harmonicity also stays for polynomials that are not a basis
-member, as a --tsh file may be.
+basis_identity forms two tuple sums at the tuple's own order, both
+kept on the tuple by UmbraTuple.dot_sum.  basis_sweep finds every Q_v
+harmonic when the first is (-s).mu, as f^(-t) f^(t-s) = f^(-s) makes
+it for a valid array; for a faulty one, verify_harmonicity checks and
+certifies each Q_v.  Entry v of the second, (-t).mu + t.mu, is the
+zero mean that the sweep and expected_value_zero both read.  A caller
+that sweeps through a lower order truncates the tuple first.  The
+per-index verify_harmonicity also stays for polynomials that are not a
+basis member, as a --tsh file may be.
 """
 
 from __future__ import annotations
@@ -195,8 +197,7 @@ def basis_identity(mu: UmbraTuple) -> tuple[UmbraTuple, UmbraTuple]:
     Q_v is harmonic iff step_w = g_w(-s) at every w <= v.  Likewise
     E[Q_v(t.mu, t)] = zero_v, so the mean is zero iff zero_v = 0.
     """
-    back, mid, forward = (mu.dot_t(p) for p in (MINUS_T, T_MINUS_S, T))
-    return back + mid, back + forward
+    return mu.dot_sum(MINUS_T, T_MINUS_S), mu.dot_sum(MINUS_T, T)
 
 
 def basis_sweep(mu: UmbraTuple
@@ -218,15 +219,13 @@ def basis_sweep(mu: UmbraTuple
 
 
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
-    """Cor.-style check: E[Q_v(t.mu, t)] = sum_{k <= v} C(v, k) g_{v-k}(-t)
-    g_k(t) is the zero polynomial, summed as one accumulation."""
+    """Cor.-style check: E[Q_v(t.mu, t)] = zero_v of basis_identity(mu) is
+    the zero polynomial; mu keeps zero, so its indices share one product."""
     v = tuple(v)
     if not any(v):
         raise ValueError("v = 0 is excluded: Q_0 = 1 has expectation 1")
     mu.eval_power(v)
-    g, h = mu.dot_t(MINUS_T).moments, mu.dot_t(T).moments
-    return sum_of_products((g[m], h[k], b) for k, m, b in mi.shift_plan(v)
-                           if m in g and k in h).is_zero()
+    return mu.dot_sum(MINUS_T, T).eval_power(v) == 0
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,7 @@ def multi_binomial(v: tuple[int, ...], k: tuple[int, ...]) -> int:
     """Product of entrywise binomial coefficients; 0 when k is not <= v."""
     if len(k) != len(v):
         raise ValueError("dimension mismatch")
-    if not leq(k, v):
-        return 0
-    out = 1
-    for a, b in zip(v, k):
-        out *= math.comb(a, b)
-    return out
+    return math.prod(map(math.comb, v, k)) if leq(k, v) else 0
 
 
 @lru_cache(maxsize=None)
@@ -154,16 +149,11 @@ class MultiIndexPartition:
         return tuple(v)
 
     def multiplicity_factorial(self) -> int:
-        out = 1
-        for r in self.multiplicities:
-            out *= math.factorial(r)
-        return out
+        return math.prod(map(math.factorial, self.multiplicities))
 
     def column_factorial(self) -> int:
-        out = 1
-        for col, r in zip(self.columns, self.multiplicities):
-            out *= mi_factorial(col) ** r
-        return out
+        return math.prod(mi_factorial(col) ** r
+                         for col, r in zip(self.columns, self.multiplicities))
 
 
 def partitions(v: tuple[int, ...]) -> Iterator[MultiIndexPartition]:
@@ -180,10 +170,7 @@ def partitions(v: tuple[int, ...]) -> Iterator[MultiIndexPartition]:
         return
 
     def candidates(remaining: tuple[int, ...]) -> list[tuple[int, ...]]:
-        cols = [c for c in product(*(range(e + 1) for e in remaining))
-                if any(c)]
-        cols.sort(reverse=True)
-        return cols
+        return sorted(filter(any, product(*(range(e + 1) for e in remaining))), reverse=True)
 
     def descend(remaining: tuple[int, ...], bound: tuple[int, ...] | None,
                 acc: list[tuple[tuple[int, ...], int]]) -> Iterator[MultiIndexPartition]:

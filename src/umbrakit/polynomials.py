@@ -40,6 +40,7 @@ reduce_power) speaks exponent tuples.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -711,6 +712,18 @@ def parse_coeff_map(data, key: str) -> dict[tuple[int, ...], Fraction | Poly]:
             raise ValueError(f"{key} entry {k}: {c!r} has a zero denominator") from None
         out[parse_index(k)] = as_coefficient(p)
     return out
+
+
+def read_json(source, text: str | None = None):
+    """The JSON value of text, or of the file at path source if text is None;
+    nesting too deep to decode is a one-line ValueError naming source."""
+    try:
+        if text is None:
+            with open(source) as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"the JSON of {source} is nested too deeply to read") from None
 
 
 def json_int(data: Mapping, key: str, default: int | None = None) -> int:

@@ -9,7 +9,6 @@ against it, and build is one lookup in it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import (Poly, json_int, parse_coeff_map, parse_matrix,
-                          parse_rational)
+                          parse_rational, read_json)
 from .series import TruncatedSeries, series_exp, series_pow, series_reversion
 from .umbrae import (UmbraTuple, comonotone_tuple, gaussian_delta,
                      gaussian_delta_tuple, singleton, unity)
@@ -187,7 +186,7 @@ def euler_half_one_step(order: int, dim: int) -> UmbraTuple:
 def load_custom_moments(path: str | Path) -> UmbraTuple:
     """Load a one-step moment array from the JSON moment-sequence format;
     a moment in t or s, which every check reads as time, is refused."""
-    mu = moments_from_json(json.loads(Path(path).read_text()))
+    mu = moments_from_json(read_json(path))
     for v, g in mu.moments.items():
         for x in ("t", "s"):
             if isinstance(g, Poly) and g.degree(x):

@@ -6,9 +6,9 @@ construction, so uncorrelated copies need no explicit representation.
 Moments may be exact rationals or Poly values in declared parameters.
 
 A tuple is its gf f, and every derived array is one series operation on
-it: log f, the exp table of log f behind dot_n and dot_t, and
-exp(t (f - 1)) for dot_t_beta.  Each is built once and kept in the
-tuple's one memo, which only this module touches.  A shift
+it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
+for dot_t_beta and f^p f^q for dot_sum.  Each is built once and kept in
+the tuple's one memo, which only this module touches.  A shift
 E[P(x + tup)] is read off the moments by harmonic.
 """
 
@@ -131,8 +131,8 @@ class UmbraTuple:
     def _derived(self, key, build):
         """The array that build() derives from the gf, built once per tuple
         and kept under key: "log" (log f), "exp" (the exp_table of log f),
-        ("pow", p) and ("beta", p) (dot-product tuples).  Callers share it
-        and must not mutate it."""
+        ("pow", p), ("beta", p) and ("sum", p, q) (dot-product tuples and
+        their sums).  Callers share it and must not mutate it."""
         out = self._memo.get(key)
         if out is None:
             out = self._memo[key] = build()
@@ -161,6 +161,11 @@ class UmbraTuple:
         """Dot-product with a parameter: gf f^t = exp(t log f), so the
         moments are polynomials in t."""
         return self._pow(time_argument(t))
+
+    def dot_sum(self, p: Coefficient | str, q: Coefficient | str) -> "UmbraTuple":
+        """The tuple sum p.mu + q.mu, gf f^p f^q, formed once per (p, q)."""
+        p, q = time_argument(p), time_argument(q)
+        return self._derived(("sum", p, q), lambda: self.dot_t(p) + self.dot_t(q))
 
     def dot_t_beta(self, t: Coefficient | str) -> "UmbraTuple":
         """Composition-style dot-product: gf exp(t (f - 1)), one series_exp."""

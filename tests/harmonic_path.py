@@ -15,12 +15,17 @@ verify_harmonicity is the package's former check, index by index: it
 compares entry j of that shift by (t - s).mu with p_j(s) for every j in
 increasing (|j|, j) order and certifies the first difference.
 
+expected_value_zero is the package's former zero-mean check, kept
+verbatim: it sums E[Q_v(t.mu, t)] = sum_{k <= v} C(v, k) g_{v-k}(-t)
+g_k(t) over the shift plan of v from the moments of dot_t(-t) and
+dot_t(t), where the package reads entry v of their tuple sum.
+
 per_index_sweep is the former basis sweep of the verify command: it
 builds each Q_v and checks it with the package's verify_harmonicity and
-expected_value_zero, where the package now reads every verdict off one
-series identity.  MovedArray is a test-local copy of a tuple whose
-dot_t at one time argument has one moment moved, so both sweeps can be
-compared on arrays that fail.
+the expected_value_zero above, where the package now reads every
+verdict off one series identity.  MovedArray is a test-local copy of a
+tuple whose dot_t at one time argument has one moment moved, so both
+sweeps can be compared on arrays that fail.
 """
 
 from fractions import Fraction
@@ -28,9 +33,9 @@ from itertools import product
 
 from umbrakit import harmonic
 from umbrakit import multiindex as mi
-from umbrakit.harmonic import (Decomposition, poly_to_coeff_map, to_poly,
+from umbrakit.harmonic import (MINUS_T, T, Decomposition, poly_to_coeff_map, to_poly,
                                tsh_polynomial, x_names)
-from umbrakit.polynomials import Poly, as_poly
+from umbrakit.polynomials import Poly, as_poly, sum_of_products
 from umbrakit.umbrae import UmbraTuple, time_argument
 
 
@@ -94,12 +99,24 @@ def verify_harmonicity(mu, coeffs):
     return True, None
 
 
+def expected_value_zero(mu, v):
+    """Cor.-style check: E[Q_v(t.mu, t)] = sum_{k <= v} C(v, k) g_{v-k}(-t)
+    g_k(t) is the zero polynomial, summed as one accumulation."""
+    v = tuple(v)
+    if not any(v):
+        raise ValueError("v = 0 is excluded: Q_0 = 1 has expectation 1")
+    mu.eval_power(v)
+    g, h = mu.dot_t(MINUS_T).moments, mu.dot_t(T).moments
+    return sum_of_products((g[m], h[k], b) for k, m, b in mi.shift_plan(v)
+                           if m in g and k in h).is_zero()
+
+
 def per_index_sweep(mu, indices):
     """(v, harmonic, certificate, zero mean) of each Q_v, v != 0, one
     index at a time."""
     for v in indices:
         ok, cert = harmonic.verify_harmonicity(mu, tsh_polynomial(mu, v).coeffs)
-        yield v, ok, cert, harmonic.expected_value_zero(mu, v)
+        yield v, ok, cert, expected_value_zero(mu, v)
 
 
 def moved(tup, w, bump):

@@ -7,7 +7,9 @@ certificate of a Q_v the identity finds not harmonic from
 verify_harmonicity.  The reference is harmonic_path.per_index_sweep, on
 the same arrays, true or with one moment of dot_t(t - s), dot_t(t),
 dot_t(-t) or dot_t(-s) moved: the identity is algebra on these arrays,
-so it must agree on any of them.
+so it must agree on any of them.  expected_value_zero reads entry v of
+zero, the tuple sum the sweep reads, and is checked on the same arrays
+against harmonic_path.expected_value_zero, the former per-index sum.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from umbrakit import multiindex as mi
-from umbrakit.harmonic import basis_identity, basis_sweep
+from umbrakit.harmonic import basis_identity, basis_sweep, expected_value_zero
 from umbrakit.polynomials import Poly
 from umbrakit.processes import ProcessSpec, build
 from umbrakit.umbrae import UmbraTuple, augmentation
@@ -69,3 +71,32 @@ def test_the_identity_holds_for_every_process():
             step, zero = basis_identity(mu)
             assert step == mu.dot_t(-s)
             assert zero == augmentation(order, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays())
+def test_the_zero_mean_verdict_matches_the_per_index_sum(mu):
+    for v in mi.iter_indices(mu.dim, mu.order):
+        if any(v):
+            assert expected_value_zero(mu, v) is ref.expected_value_zero(mu, v)
+
+
+class SumSpy(UmbraTuple):
+    """A tuple that records every tuple sum it hands out."""
+
+    def __init__(self, mu):
+        self._adopt(mu.to_series())
+        self.handed = []
+
+    def dot_sum(self, p, q):
+        self.handed.append(super().dot_sum(p, q))
+        return self.handed[-1]
+
+
+def test_expected_value_zero_reads_the_zero_sum_of_the_identity():
+    mu = SumSpy(build(ProcessSpec("gamma", 2, 4, {})).one_step)
+    assert expected_value_zero(mu, (1, 2)) and expected_value_zero(mu, (3, 0))
+    zero = basis_identity(mu)[1]
+    # both calls read the one product the identity hands out, not a copy
+    assert mu.handed[0] is mu.handed[1] is zero
+    assert zero == augmentation(4, 2)

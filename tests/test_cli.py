@@ -786,3 +786,32 @@ def test_an_empty_option_is_given_not_absent(capsys, argv, want, message):
         code = exc.code
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (want, "", message)
+
+
+DEEP = '{"a": ' * 1000 + "1" + "}" * 1000      # JSON nested 1000 deep
+
+
+@pytest.mark.parametrize("argv,source", [
+    (("verify", "--process", "gamma", "--params", DEEP), "--params"),
+    (("gen-family", "--family", "hermite", "--v", "(1)", "--C", DEEP), "--C"),
+    (("verify", "--tsh", "deep.json"), "deep.json"),
+    (("decompose", "--poly", "deep.json"), "deep.json"),
+    (("moments", "--process", "custom:deep.json"), "deep.json"),
+], ids=["--params", "--C", "--tsh", "--poly", "custom"])
+def test_json_nested_too_deeply_exits_3(capsys, tmp_path, monkeypatch, argv, source):
+    # the decoder's RecursionError escaped main with a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text(DEEP)
+    assert run(capsys, *argv) == \
+        (3, "", f"error: the JSON of {source} is nested too deeply to read\n")
+
+
+def test_a_long_error_line_is_cut(capsys, tmp_path):
+    # a moment of 3000 nested parentheses was echoed whole, 12,045 characters
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": 1, "order": 1,
+                                "moments": {"(0)": "1", "(1)": "(" * 3000 + "1" + ")" * 3000}}))
+    code, out, err = run(capsys, "moments", "--process", f"custom:{path}", "--order", "1")
+    assert (code, out) == (3, "")
+    assert err.endswith("…\n") and len(err) == cli.ERROR_WIDTH + 1
+    assert err.startswith("error: ") and err.count("\n") == 1
