@@ -1,7 +1,7 @@
 """Command-line front end; prints to stdout, and an unread option exits 2.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 invalid spec or parameters.
+Exit codes: 0 all checks pass, 1 verification failure (a failed anchor
+of verify included), 2 usage error, 3 invalid spec or parameters.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import sys
 from . import multiindex as mi
 from .families import (bernoulli, bernoulli_tsh_check, euler, euler_tsh_check,
                        hermite)
-from .harmonic import (TshPolynomial, basis_sweep, decompose, poly_to_coeff_map,
-                       tsh_from_json, tsh_polynomial, tsh_to_json, tsh_to_latex,
-                       verify_harmonicity)
+from .harmonic import (AnchorError, TshPolynomial, basis_sweep, check_anchor, decompose,
+                       poly_to_coeff_map, tsh_from_json, tsh_polynomial, tsh_to_json,
+                       tsh_to_latex, verify_harmonicity)
 from .polynomials import parse_coeff_map, parse_matrix, parse_rational, read_json
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
 
@@ -160,13 +160,16 @@ def cmd_verify(args) -> int:
         if q.dim != proc.one_step.dim:
             raise ValueError(f"the --tsh file has d = {q.dim}, but the process "
                              f"has --d {proc.one_step.dim}")
+        check_anchor(proc.one_step, "one_step")
         ok, cert = verify_harmonicity(proc.one_step, q.coeffs)
         print(f"{mi.format_index(q.index)}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             print(json.dumps(cert), file=sys.stderr)
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    mu = proc.one_step.truncate(max_order)
+    check_anchor(mu, "one_step")
     failures = 0
-    for v, ok, cert, zero in basis_sweep(proc.one_step.truncate(max_order)):
+    for v, ok, cert, zero in basis_sweep(mu):
         verdict = "PASS" if (ok and zero) else "FAIL"
         print(f"{mi.format_index(v)}: harmonic={ok} zero_mean={zero} {verdict}")
         if not (ok and zero):
@@ -314,6 +317,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except AnchorError as exc:
+        print(json.dumps(exc.certificate), file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (ValueError, KeyError, OSError) as exc:
         line = f"error: {exc}"
         print(line if len(line) <= ERROR_WIDTH else line[:ERROR_WIDTH - 1] + "…", file=sys.stderr)

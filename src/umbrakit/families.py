@@ -22,8 +22,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import multiindex as mi
-from .harmonic import (MINUS_T, T, basis_sweep, expectation, poly_to_coeff_map,
-                       shift_coeffs, to_poly, verify_harmonicity, x_names)
+from .harmonic import (MINUS_T, T, basis_sweep, check_anchor, expectation,
+                       poly_to_coeff_map, shift_coeffs, to_poly, verify_harmonicity,
+                       x_names)
 from .polynomials import Coefficient, Poly, as_poly
 from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
                         euler_half_one_step)
@@ -166,7 +167,9 @@ def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...]) -
 
 def _collapse_exchangeable(tup: UmbraTuple) -> UmbraTuple | None:
     """The marginal m, m_k = g_(k,0,...,0), if tup is its comonotone lift
-    (g_v = m_|v| at every v), else None."""
+    (g_v = m_|v| at every v), else None; a lift's marginal is its base."""
+    if tup.base is not None:
+        return tup.base
     pad = (0,) * (tup.dim - 1)
     m = UmbraTuple(1, tup.order, {(k,): tup.eval_power((k, *pad)) for k in range(tup.order + 1)})
     return m if comonotone_tuple(m, tup.dim) == tup else None
@@ -221,7 +224,11 @@ def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple, d: int) ->
     """Every member E[(x + t.driver)^v], |v| <= the order, of the d-variate
     lifts of the univariate tuples is harmonic for the lift of one_step and,
     for v != 0, has zero mean along it: the tuple equality, decided at d = 1
-    as the lift is a ring homomorphism, makes each member Q_v of the lift."""
+    as the lift is a ring homomorphism, makes each member Q_v of the lift.
+    Both tuples are anchored first: harmonic.AnchorError unless each one's
+    dot_t(1) is itself."""
+    check_anchor(one_step, "one_step")
+    check_anchor(driver, "driver")
     if driver.dot_t(T) != one_step.dot_t(MINUS_T):
         return False
     return all(ok and zero for _, ok, _, zero in basis_sweep(comonotone_tuple(one_step, d)))

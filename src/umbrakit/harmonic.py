@@ -31,6 +31,12 @@ zero mean that the sweep and expected_value_zero both read.  A caller
 that sweeps through a lower order truncates the tuple first.  The
 per-index verify_harmonicity also stays for polynomials that are not a
 basis member, as a --tsh file may be.
+
+Those checks read dot_t(p) = sum_k p^k T_k off the tuple's exp table,
+and the exponent law they decide holds for the exp table of any series.
+check_anchor ties the table to the tuple: with dot_t(1) = f and the law,
+dot_t(n) = f^n for every n >= 0, and as each coefficient of either side
+is a polynomial in p of degree at most |v|, dot_t(p) = f^p.
 """
 
 from __future__ import annotations
@@ -184,6 +190,28 @@ def verify_harmonicity(mu: UmbraTuple,
     expected = right.get(j, Poly.const(0))
     return False, {"index": j, "conditional": str(diff[j] + expected),
                    "expected": str(expected)}
+
+
+class AnchorError(Exception):
+    """A tuple's dot_t(1) is not the tuple, so no verdict read off its exp
+    table is a proof about it; certificate names the anchor and its first
+    differing index with both moments."""
+
+    def __init__(self, certificate: dict):
+        super().__init__(certificate)
+        self.certificate = certificate
+
+
+def check_anchor(mu: UmbraTuple, name: str) -> None:
+    """Raise AnchorError unless 1.mu = mu, where name is what mu is called
+    in the certificate; the first differing index is in (|v|, v) order."""
+    one = mu.dot_t(1)
+    if one == mu:
+        return
+    v = next(v for v in mi.iter_indices(mu.dim, mu.order)
+             if one.eval_power(v) != mu.eval_power(v))
+    raise AnchorError({"anchor": f"dot_t(1) == {name}", "index": v,
+                       "dot_t(1)": str(one.eval_power(v)), name: str(mu.eval_power(v))})
 
 
 def basis_identity(mu: UmbraTuple) -> tuple[UmbraTuple, UmbraTuple]:

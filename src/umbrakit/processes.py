@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -203,12 +204,14 @@ def moments_from_json(data: Mapping) -> UmbraTuple:
 
 
 def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:
+    """The moment file of mu; each distinct moment is formatted once, as a
+    comonotone lift repeats one moment at every v of a total degree."""
+    fmt = cache(str)
     return {
         "d": mu.dim,
         "order": mu.order,
         "params": list(params),
-        "moments": {mi.format_index(v): str(mu.eval_power(v))
-                    for v in mu.indices()},
+        "moments": {mi.format_index(v): fmt(mu.eval_power(v)) for v in mu.indices()},
     }
 
 

@@ -10,16 +10,26 @@ it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
 for dot_t_beta and f^p f^q for dot_sum.  Each is built once and kept in
 the tuple's one memo, which only this module touches.  A shift
 E[P(x + tup)] is read off the moments by harmonic.
+
+A comonotone tuple (mu, ..., mu) keeps the univariate mu as its base:
+its gf is F(z_1 + ... + z_d) for mu's gf F, and z -> z_1 + ... + z_d is
+a ring homomorphism of truncated series that commutes with log, exp and
+truncation and loses nothing (the coefficient at z_1^n is F's at z^n).
+So dot_t, dot_n, the tuple sum of two such tuples and truncate compute
+on the bases and keep a base, the moments g_v = m_|v| and == are read
+off the base, and the d-variate gf is formed from it only when
+to_series is first read, then kept.  Every other op reads to_series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import Coefficient, Poly, as_coefficient
-from .series import (TruncatedSeries, exp_at, exp_table, series_compose,
+from .series import (_NAUGHT, TruncatedSeries, exp_at, exp_table, series_compose,
                      series_exp, series_log, series_pow, series_reversion,
                      series_subst, vector_reversion)
 
@@ -28,6 +38,7 @@ class UmbraTuple:
     """A d-tuple of umbral monomials given by its joint moment array."""
 
     __slots__ = ("dim", "order", "_series", "_memo")
+    base = None     # the univariate umbra of a comonotone lift, see _Comonotone
 
     def __init__(self, dim: int, order: int,
                  moments: Mapping[tuple[int, ...], Coefficient]):
@@ -56,12 +67,12 @@ class UmbraTuple:
         return mi.iter_indices(self.dim, self.order)
 
     def _check(self, other: "UmbraTuple") -> None:
-        self._series._check_ring(other._series)
+        self.to_series()._check_ring(other.to_series())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UmbraTuple):
             return NotImplemented
-        return self._series == other._series
+        return self.to_series() == other.to_series()
 
     def __repr__(self) -> str:
         shown = {v: c for v, c in sorted(self.moments.items(),
@@ -96,21 +107,21 @@ class UmbraTuple:
     def specialize(self, mapping: Mapping[str, Fraction | int]) -> "UmbraTuple":
         """Substitute parameter values into Poly moments; the moment array
         takes each result in the canonical form of as_coefficient."""
-        return UmbraTuple.from_series(self._series.map_coeffs(
+        return UmbraTuple.from_series(self.to_series().map_coeffs(
             lambda c: c.subs(mapping) if isinstance(c, Poly) else c))
 
     # -- auxiliary-umbra constructions --------------------------------
 
     def tuple_sum(self, other: "UmbraTuple") -> "UmbraTuple":
         """Sum of uncorrelated tuples: gf f g."""
-        return UmbraTuple.from_series(self._series * other._series)
+        return UmbraTuple.from_series(self.to_series() * other.to_series())
 
     __add__ = tuple_sum
 
     def disjoint_sum(self, other: "UmbraTuple") -> "UmbraTuple":
         """Moments add for v != 0: gf f + g - 1."""
         one = TruncatedSeries.one(self.dim, self.order)
-        return UmbraTuple.from_series(self._series + other._series - one)
+        return UmbraTuple.from_series(self.to_series() + other.to_series() - one)
 
     def scale(self, c: Coefficient) -> "UmbraTuple":
         """Scalar rescaling: g_v -> c^{|v|} g_v."""
@@ -140,7 +151,7 @@ class UmbraTuple:
 
     def _log_series(self) -> TruncatedSeries:
         """log f, for the exp table and cumulant_tuple."""
-        return self._derived("log", lambda: series_log(self._series))
+        return self._derived("log", lambda: series_log(self.to_series()))
 
     def _pow(self, p: Coefficient) -> "UmbraTuple":
         """The tuple with gf f^p = exp(p log f), summed by exp_at on the
@@ -171,7 +182,7 @@ class UmbraTuple:
         """Composition-style dot-product: gf exp(t (f - 1)), one series_exp."""
         p = time_argument(t)
         def build():
-            h = self._series - TruncatedSeries.one(self.dim, self.order)
+            h = self.to_series() - TruncatedSeries.one(self.dim, self.order)
             return UmbraTuple.from_series(series_exp(h.scale(p)))
         return self._derived(("beta", p), build)
 
@@ -302,12 +313,64 @@ def comonotone_tuple(univariate: UmbraTuple, dim: int) -> UmbraTuple:
 
     Components share support, so joint moments collapse to single-umbra
     moments of the total degree: g_v = m_{|v|}.  For dim 1 this is the
-    umbra itself.  The gf is the univariate one at z_1 + ... + z_d.
+    umbra itself.  The gf is the univariate one at z_1 + ... + z_d; for
+    dim > 1 the tuple keeps the umbra as its base and forms that gf only
+    when to_series is first read.
     """
     if univariate.dim != 1:
         raise ValueError("need a univariate umbra")
-    if dim == 1:
-        return univariate
-    z_sum = TruncatedSeries(dim, univariate.order,
-                            dict.fromkeys(mi.iter_indices_of_total(dim, 1), 1))
-    return UmbraTuple.from_series(series_subst(univariate.to_series(), [z_sum]))
+    return univariate if dim == 1 else _Comonotone(univariate, dim)
+
+
+class _Comonotone(UmbraTuple):
+    """The comonotone lift of its univariate base to dim > 1: the ops the
+    lift z -> z_1 + ... + z_d commutes with run on the base, and the
+    d-variate gf is formed on first read of to_series."""
+
+    __slots__ = ("base", "_moments")
+
+    def __init__(self, base: UmbraTuple, dim: int):
+        self.dim, self.order = dim, base.order
+        self.base, self._series, self._moments, self._memo = base, None, None, {}
+
+    @property
+    def moments(self) -> Mapping[tuple[int, ...], Coefficient]:
+        """g_v = m_|v| at every v, a read-only view built on first read."""
+        if self._moments is None:
+            m = self.base.moments
+            self._moments = MappingProxyType({v: m[(n,)] for n in range(self.order + 1)
+                                              if (n,) in m
+                                              for v in mi.iter_indices_of_total(self.dim, n)})
+        return self._moments
+
+    def eval_power(self, v: tuple[int, ...]) -> Coefficient:
+        n = sum(v)
+        if len(v) != self.dim or min(v) < 0 or n > self.order:
+            TruncatedSeries.zero(self.dim, self.order).get(v)   # raises get's error for v
+        return self.base.moments.get((n,), _NAUGHT)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UmbraTuple) and other.base is not None:
+            return self.dim == other.dim and self.base == other.base
+        return super().__eq__(other)
+
+    def to_series(self) -> TruncatedSeries:
+        if self._series is None:
+            z_sum = TruncatedSeries(self.dim, self.order,
+                                    dict.fromkeys(mi.iter_indices_of_total(self.dim, 1), 1))
+            self._series = series_subst(self.base.to_series(), [z_sum])
+        return self._series
+
+    def truncate(self, order: int) -> UmbraTuple:
+        base = self.base.truncate(order)
+        return self if base is self.base else _Comonotone(base, self.dim)
+
+    def tuple_sum(self, other: UmbraTuple) -> UmbraTuple:
+        if other.base is not None and (other.dim, other.order) == (self.dim, self.order):
+            return _Comonotone(self.base.tuple_sum(other.base), self.dim)
+        return super().tuple_sum(other)
+
+    __add__ = tuple_sum
+
+    def _pow(self, p: Coefficient) -> UmbraTuple:
+        return self._derived(("pow", p), lambda: _Comonotone(self.base._pow(p), self.dim))

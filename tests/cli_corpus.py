@@ -3,10 +3,10 @@
 Runs every argv below through umbrakit.cli.main in this process and
 prints one line per argv: the sha256 of its exit code, stdout and
 stderr, two spaces, and the argv.  The corpus covers all nine
-subcommands, custom moment files (rational and in a parameter a), and
-the refused and error cases.  The input files are written into a
-temporary working directory and named relatively, so no digest depends
-on where the checkout is.  pytest does not collect this file.
+subcommands, custom moment files (rational and in a parameter a), the
+refused and error cases, and the comonotone kinds up to d = 6.  The
+input files are written into a temporary working directory and named
+relatively, so no digest depends on where the checkout is.  pytest does not collect this file.
 
 To check that a change keeps every output, run it once against each
 tree and compare:
@@ -203,6 +203,20 @@ def argvs():
             ["mc-verify", "--times", "-1/2,1", "--paths", "10000"],
             ["mc-verify", "--max-order", "2", "--paths", "10000", "--seed", "7",
              "--times", "1/3,2"]]
+    # the comonotone kinds at d = 2..6: verify, moments and gen-tsh
+    for kind in KINDS[1:]:
+        for d in range(2, 7):
+            for order, top in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (6, 5), (6, 6)):
+                out.append(["verify", "--process", kind, "--d", str(d), "--order", str(order),
+                            "--max-order", str(top)])
+            for order in ("2", "4", "6"):
+                out.append(["moments", "--process", kind, "--d", str(d), "--order", order])
+            for v in ((1,), (0, 2), (1, 1), (2, 0, 1)):
+                v = "(" + ",".join(map(str, v + (0,) * (d - len(v)))) + ")"
+                out.append(["gen-tsh", "--process", kind, "--d", str(d), "--order", "2", "--v", v])
+    for family in ("bernoulli", "euler"):
+        for top in ("3", "4"):
+            out.append(["verify", "--family", family, "--d", "6", "--max-order", top])
     # usage errors
     out += [[], ["nonsense"], ["partitions"], ["verify", "--output", "f.json"],
             ["moments", "--d", "x"], ["gen-family", "--v", "(1)"]]

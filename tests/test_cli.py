@@ -815,3 +815,31 @@ def test_a_long_error_line_is_cut(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err.endswith("…\n") and len(err) == cli.ERROR_WIDTH + 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ANCHORED = {
+    "sweep": (("verify", "--process", "gamma", "--d", "2", "--order", "6", "--max-order", "6"),
+              {"anchor": "dot_t(1) == one_step", "index": [0, 1], "dot_t(1)": "2",
+               "one_step": "1"}),
+    "tsh": (("verify", "--process", "brownian", "--tsh", "q.json"),
+            {"anchor": "dot_t(1) == one_step", "index": [2], "dot_t(1)": "2", "one_step": "1"}),
+    "family": (("verify", "--family", "euler", "--d", "2", "--max-order", "3"),
+               {"anchor": "dot_t(1) == one_step", "index": [1], "dot_t(1)": "1",
+                "one_step": "1/2"}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ANCHORED))
+def test_a_wrong_log_fails_the_anchor(capsys, tmp_path, monkeypatch, mode):
+    # with log f doubled every dot_t(p) is f^(2p), which keeps the exponent
+    # law that the checks decide, so verify passed in every mode; the anchor
+    # dot_t(1) == one_step is what fails
+    from umbrakit import umbrae
+    log = umbrae.series_log
+    monkeypatch.setattr(umbrae, "series_log", lambda f: log(f).scale(2))
+    monkeypatch.chdir(tmp_path)
+    # Q_(2) of the doubled log, which is harmonic for the doubled process
+    code, out, _ = run(capsys, "gen-tsh", "--process", "brownian", "--v", "(2)")
+    Path("q.json").write_text(out)
+    argv, cert = ANCHORED[mode]
+    assert run(capsys, *argv) == (1, "", json.dumps(cert) + "\n")
