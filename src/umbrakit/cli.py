@@ -68,6 +68,13 @@ def _check_max_order(n: int, order: int | None = None) -> None:
         raise ValueError(f"--max-order {n} exceeds --order {order}")
 
 
+def _error_line(text: str) -> str:
+    """text as one stderr line: each break str.splitlines sees escaped as
+    repr writes it, and a line longer than ERROR_WIDTH cut to end in "…"."""
+    line = text.translate({ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+    return (line if len(line) <= ERROR_WIDTH else line[:ERROR_WIDTH - 1] + "…") + "\n"
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
 
@@ -236,7 +243,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, _error_line(f"{self.prog}: error: {message}"))
 
 
 @functools.cache
@@ -321,8 +328,7 @@ def main(argv=None) -> int:
         print(json.dumps(exc.certificate), file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (ValueError, KeyError, OSError) as exc:
-        line = f"error: {exc}"
-        print(line if len(line) <= ERROR_WIDTH else line[:ERROR_WIDTH - 1] + "…", file=sys.stderr)
+        sys.stderr.write(_error_line(f"error: {exc}"))
         return EXIT_SPEC
 
 

@@ -167,9 +167,7 @@ def levy_sheffer_gf_oracle(mu: UmbraTuple, nu: UmbraTuple, k: tuple[int, ...]) -
 
 def _collapse_exchangeable(tup: UmbraTuple) -> UmbraTuple | None:
     """The marginal m, m_k = g_(k,0,...,0), if tup is its comonotone lift
-    (g_v = m_|v| at every v), else None; a lift's marginal is its base."""
-    if tup.base is not None:
-        return tup.base
+    (g_v = m_|v| at every v), else None."""
     pad = (0,) * (tup.dim - 1)
     m = UmbraTuple(1, tup.order, {(k,): tup.eval_power((k, *pad)) for k in range(tup.order + 1)})
     return m if comonotone_tuple(m, tup.dim) == tup else None
@@ -187,11 +185,12 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
     driving process exists only when both moment arrays are exchangeable
     and comonotone (joint moments depend on |v| alone).  Everything then
     collapses to the univariate pair, and the one step is the comonotone
-    lift of the univariate driver rescaled by 1/d so that the component
-    sum carries the full drift.  Outside that class no Levy process makes
-    the family harmonic: already for f(nu, z) = (1+z1)(1+z2) and
-    f(mu, z) = exp(z1+z2) the members V_(0,2) and V_(1,1) differ by
-    x1 + x2, so their expectations cannot both vanish.
+    lift of the univariate driver rescaled by 1/d, so that the component
+    sum carries the full drift; the lift commutes with z -> z/d, so the
+    one step keeps that driver as its base.  Outside that class no Levy
+    process makes the family harmonic: already for f(nu, z) =
+    (1+z1)(1+z2) and f(mu, z) = exp(z1+z2) the members V_(0,2) and
+    V_(1,1) differ by x1 + x2, so their expectations cannot both vanish.
     """
     if mu.dim == 1:
         return dot_beta_tuple(mu, compositional_inverse(nu)).inverse_umbra()
@@ -201,7 +200,7 @@ def levy_sheffer_process_one_step(mu: UmbraTuple, nu: UmbraTuple) -> UmbraTuple:
         raise ValueError(
             "no driving process exists for d > 1 unless both moment arrays "
             "are exchangeable-comonotone (joint moments depend only on |v|)")
-    return comonotone_tuple(levy_sheffer_process_one_step(m, n), mu.dim).scale(Fraction(1, mu.dim))
+    return comonotone_tuple(levy_sheffer_process_one_step(m, n).scale(Fraction(1, mu.dim)), mu.dim)
 
 
 def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bool:

@@ -17,9 +17,10 @@ a failure names the first nonzero slot in (|j|, j) order, with both
 sides read back from that slot's sum.  The coefficient recursion is
 the shift of Q_v by mu less the shifted-time coefficients, and since
 Q_k(x, 0) = x^k, decompose reads c_k = p_k(0) and sums its residual one
-slot per index.  to_poly and poly_to_coeff_map convert between a
-coefficient map and a Poly in x1..xd through from_coeff_map and
-to_coeff_map.
+slot per index.  Every index a check reads, whatever its coefficient,
+first passes series.index_in against the tuple's (d, N).  to_poly and
+poly_to_coeff_map convert between a coefficient map and a Poly in
+x1..xd through from_coeff_map and to_coeff_map.
 
 A sweep over the basis shifts no Q_v: t.mu is a semigroup, so
 basis_identity forms two tuple sums at the tuple's own order, both
@@ -49,6 +50,7 @@ from typing import Iterator, Mapping
 from . import multiindex as mi
 from .polynomials import (Coefficient, Poly, as_poly, from_coeff_map, json_int,
                           parse_coeff_map, slot_sums, sum_of_products, to_coeff_map)
+from .series import index_in
 from .umbrae import UmbraTuple, unity
 
 CoeffMap = dict[tuple[int, ...], Poly]
@@ -74,17 +76,10 @@ def poly_to_coeff_map(p: Poly, d: int) -> CoeffMap:
     return out or {(0,) * d: Poly.const(0)}
 
 
-def _check_index(tup: UmbraTuple, k: tuple[int, ...]) -> None:
-    """Raise eval_power's error unless k fits tup; a valid k reads nothing."""
-    if len(k) != tup.dim or min(k) < 0 or sum(k) > tup.order:
-        tup.eval_power(k)
-
-
 def shift_coeffs(tup: UmbraTuple, v: tuple[int, ...]) -> Mapping[tuple[int, ...], Poly]:
     """E[(x + tup)^v] as a read-only map k -> C(v, k) g_{v-k} over every
-    k <= v, zeros included; eval_power checks v's length, sign and order."""
-    v, g = tuple(v), tup.moments
-    tup.eval_power(v)
+    k <= v, zeros included; index_in checks v's length, sign and order."""
+    v, g = index_in(v, tup.dim, tup.order), tup.moments
     return MappingProxyType({k: as_poly(c * g.get(m, 0)) for k, m, c in mi.shift_plan(v)})
 
 
@@ -98,7 +93,7 @@ def _shift_sums(coeffs: Mapping, tup: UmbraTuple,
     terms = {j: [(c, 1, sign)] for j, c in extra.items()}
     g = tup.moments
     for k, p_k in coeffs.items():
-        _check_index(tup, k)
+        index_in(k, tup.dim, tup.order)
         if p_k == 0:
             continue
         for j, m, b in mi.shift_plan(k):
@@ -249,10 +244,9 @@ def basis_sweep(mu: UmbraTuple
 def expected_value_zero(mu: UmbraTuple, v: tuple[int, ...]) -> bool:
     """Cor.-style check: E[Q_v(t.mu, t)] = zero_v of basis_identity(mu) is
     the zero polynomial; mu keeps zero, so its indices share one product."""
-    v = tuple(v)
     if not any(v):
         raise ValueError("v = 0 is excluded: Q_0 = 1 has expectation 1")
-    mu.eval_power(v)
+    index_in(v, mu.dim, mu.order)
     return mu.dot_sum(MINUS_T, T).eval_power(v) == 0
 
 
@@ -310,7 +304,7 @@ def decompose(coeffs: Mapping[tuple[int, ...], Coefficient],
     p: CoeffMap = {tuple(k): as_poly(c) for k, c in coeffs.items()}
     _check_dimension(p, mu.dim)
     for k in p:
-        _check_index(mu, k)
+        index_in(k, mu.dim, mu.order)
     at_0 = {k: p[k].coefficient("t", 0)
             for k in sorted(p, key=lambda k: (mi.total(k), k), reverse=True)}
     for k, c in at_0.items():

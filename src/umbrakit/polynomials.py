@@ -242,15 +242,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _binary_power(self, n, _ONE)
 
     def __eq__(self, other) -> bool:
         if type(other) is not Poly:
@@ -410,6 +402,19 @@ def _reduced(vs: tuple[str, ...], nums: dict, den: int) -> Poly:
 
 _ZERO = _make((), {}, 1)
 _ONE = _make((), {0: 1}, 1)
+
+
+def _binary_power(base, n: int, one):
+    """base ** n, n >= 0, by square-and-multiply from one: a product per set
+    bit of n, a squaring per bit after the lowest and none after the highest."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _scalar_parts(c) -> tuple[int, int]:

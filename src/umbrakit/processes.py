@@ -4,7 +4,9 @@ A process is the family {t . mu} for a one-step tuple mu; we store the
 one-step joint moments exactly and the time-parameterized moments as
 polynomials in t.  KINDS lists every kind once, with its parameter
 defaults and its one-step constructor: ProcessSpec checks a spec
-against it, and build is one lookup in it.
+against it, and build is one lookup in it.  Poisson is rate.beta.u,
+Brownian 1.beta.(delta C^T) and inverse Gaussian 1.beta over the
+compositional inverse of a quadratic: each one dot_t_beta.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Mapping, Sequence
 from . import multiindex as mi
 from .polynomials import (Poly, json_int, parse_coeff_map, parse_matrix,
                           parse_rational, read_json)
-from .series import TruncatedSeries, series_exp, series_pow, series_reversion
-from .umbrae import (UmbraTuple, comonotone_tuple, gaussian_delta,
-                     gaussian_delta_tuple, singleton, unity)
+from .series import TruncatedSeries, series_exp, series_pow
+from .umbrae import (UmbraTuple, comonotone_tuple, compositional_inverse,
+                     gaussian_delta, gaussian_delta_tuple, singleton, unity)
 
 class UnsupportedProcessError(ValueError):
     """Requested process has no computable moment representation."""
@@ -93,19 +95,15 @@ def check_square(C: Sequence[Sequence], d: int, what: str) -> None:
 
 
 def brownian_one_step(C: Sequence[Sequence[Fraction]], order: int) -> UmbraTuple:
-    """Unit-time nonstandard Brownian marginal: gf exp(z Sigma z^T / 2)."""
-    d = len(C)
-    delta = gaussian_delta_tuple(order, d).linear_map(C)
-    one = TruncatedSeries.one(d, order)
-    return UmbraTuple.from_series(series_exp(delta.to_series() - one))
+    """Unit-time nonstandard Brownian marginal 1.beta.(delta C^T), gf exp(z Sigma z^T / 2)."""
+    return gaussian_delta_tuple(order, len(C)).linear_map(C).dot_t_beta(1)
 
 
 def poisson_one_step(rate: Fraction, order: int) -> UmbraTuple:
-    """gf exp(rate (e^z - 1))."""
+    """rate.beta.u: gf exp(rate (e^z - 1))."""
     if rate <= 0:
         raise ValueError("poisson rate must be positive")
-    ez1 = unity(order).to_series() - TruncatedSeries.one(1, order)
-    return UmbraTuple.from_series(series_exp(ez1.scale(rate)))
+    return unity(order).dot_t_beta(rate)
 
 
 def gamma_one_step(shape: Fraction, scale: Fraction, order: int) -> UmbraTuple:
@@ -116,7 +114,7 @@ def gamma_one_step(shape: Fraction, scale: Fraction, order: int) -> UmbraTuple:
     """
     if shape <= 0 or scale <= 0:
         raise ValueError("gamma shape and scale must be positive")
-    base = TruncatedSeries(1, order, {(0,): 1, (1,): -scale} if order >= 1 else {(0,): 1})
+    base = TruncatedSeries(1, order, {(0,): 1, (1,): -scale})
     return UmbraTuple.from_series(series_pow(base, Fraction(-shape)))
 
 
@@ -140,11 +138,8 @@ def ig_quadratic(a: Fraction, b: Fraction, order: int) -> UmbraTuple:
 
 
 def inverse_gaussian_one_step(a: Fraction, b: Fraction, order: int) -> UmbraTuple:
-    """Unit-time IG(a, b) marginal via series reversion of the quadratic."""
-    quad = ig_quadratic(a, b, order)
-    fbar = series_reversion(quad.to_series())
-    one = TruncatedSeries.one(1, order)
-    return UmbraTuple.from_series(series_exp(fbar - one))
+    """Unit-time IG(a, b) marginal: 1.beta over the compositional inverse of ig_quadratic."""
+    return compositional_inverse(ig_quadratic(a, b, order)).dot_t_beta(1)
 
 
 def inverse_gaussian_closed_form(a: Fraction, b: Fraction, order: int) -> TruncatedSeries:
@@ -222,7 +217,7 @@ def custom_one_step(path: str | Path, order: int, dim: int) -> UmbraTuple:
     if loaded.dim != dim or loaded.order < order:
         raise ValueError(f"custom moment file {path} has d = {loaded.dim} and order "
                          f"{loaded.order}, but d = {dim} and order {order} were asked for")
-    return UmbraTuple(dim, order, loaded.moments)
+    return loaded.truncate(order)
 
 
 # kind -> ({parameter: default}, one step from (params, order, d)); brownian

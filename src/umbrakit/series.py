@@ -30,8 +30,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .multiindex import mi_factorial, total
-from .polynomials import (Coefficient, Poly, _dot, _scale, _sum, as_coefficient,
-                          as_poly, from_coeff_map, to_coeff_map)
+from .polynomials import (Coefficient, Poly, _binary_power, _dot, _scale, _sum,
+                          as_coefficient, as_poly, from_coeff_map, to_coeff_map)
 
 
 _NAUGHT = Fraction(0)   # the coefficient off the support, shared: a Fraction is immutable
@@ -53,16 +53,13 @@ class TruncatedSeries:
             raise ValueError(f"bad ring parameters d={dim}, N={order}")
         by_degree: list[dict] = [{} for _ in range(order + 1)]
         for v, c in (coeffs or {}).items():
-            v = tuple(v)
-            if len(v) != dim:
-                raise ValueError(f"index {v} has wrong dimension (d={dim})")
-            if min(v) < 0:
-                raise ValueError(f"index {v} has a negative entry")
-            n = total(v)
-            if n <= order:
-                c = as_coefficient(c)
-                _check_params(c, dim)
-                by_degree[n][v] = c
+            try:
+                v = index_in(v, dim, order)
+            except OrderMismatchError:
+                continue    # a coefficient above the order is cut
+            c = as_coefficient(c)
+            _check_params(c, dim)
+            by_degree[total(v)][v] = c
         zs = _z_vars(dim)
         self.dim, self.order, self._view = dim, order, None
         self._parts = [from_coeff_map(cs, zs, mi_factorial) if cs else _empty(dim)
@@ -73,10 +70,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, dim: int, order: int) -> "TruncatedSeries":
         return _from_parts(dim, order, [_unit(dim)] + [_empty(dim)] * order)
-
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "TruncatedSeries":
-        return _from_parts(dim, order, [_empty(dim)] * (order + 1))
 
     @classmethod
     def variable(cls, dim: int, order: int, i: int) -> "TruncatedSeries":
@@ -95,15 +88,7 @@ class TruncatedSeries:
         return self._view
 
     def get(self, v: tuple[int, ...]) -> Coefficient:
-        if type(v) is not tuple:
-            v = tuple(v)
-        if len(v) != self.dim:
-            raise ValueError(f"index {v} has wrong dimension (d={self.dim})")
-        if min(v) < 0:
-            raise ValueError(f"index {v} has a negative entry")
-        if sum(v) > self.order:
-            raise OrderMismatchError(f"|{v}| exceeds truncation order {self.order}")
-        return self.coeffs.get(v, _NAUGHT)
+        return self.coeffs.get(index_in(v, self.dim, self.order), _NAUGHT)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """The same series in the ring of a lower order: its parts up to order."""
@@ -178,15 +163,21 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative power; use series_pow(f, -1)")
-        out = TruncatedSeries.one(self.dim, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _binary_power(self, n, TruncatedSeries.one(self.dim, self.order))
+
+
+def index_in(v: Sequence[int], dim: int, order: int) -> tuple[int, ...]:
+    """v as a tuple if it indexes the ring (dim, order): dim entries, none
+    negative (else ValueError), total at most order (else OrderMismatchError)."""
+    if type(v) is not tuple:
+        v = tuple(v)
+    if len(v) != dim:
+        raise ValueError(f"index {v} has wrong dimension (d={dim})")
+    if min(v) < 0:
+        raise ValueError(f"index {v} has a negative entry")
+    if sum(v) > order:
+        raise OrderMismatchError(f"|{v}| exceeds truncation order {order}")
+    return v
 
 
 def series_exp(f: TruncatedSeries) -> TruncatedSeries:

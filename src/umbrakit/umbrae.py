@@ -9,7 +9,9 @@ A tuple is its gf f, and every derived array is one series operation on
 it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
 for dot_t_beta and f^p f^q for dot_sum.  Each is built once and kept in
 the tuple's one memo, which only this module touches.  A shift
-E[P(x + tup)] is read off the moments by harmonic.
+E[P(x + tup)] is read off the moments by harmonic.  dot_t_beta is the
+one exp(f - 1), as Bell is 1.beta.u and from_cumulants 1.beta over the
+cumulants, and inverse_umbra the one reciprocal.
 
 A comonotone tuple (mu, ..., mu) keeps the univariate mu as its base:
 its gf is F(z_1 + ... + z_d) for mu's gf F, and z -> z_1 + ... + z_d is
@@ -29,9 +31,9 @@ from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import Coefficient, Poly, as_coefficient
-from .series import (_NAUGHT, TruncatedSeries, exp_at, exp_table, series_compose,
-                     series_exp, series_log, series_pow, series_reversion,
-                     series_subst, vector_reversion)
+from .series import (_NAUGHT, TruncatedSeries, exp_at, exp_table, index_in,
+                     series_compose, series_exp, series_log, series_pow,
+                     series_reversion, series_subst, vector_reversion)
 
 
 class UmbraTuple:
@@ -60,8 +62,8 @@ class UmbraTuple:
         return self._series.coeffs
 
     def eval_power(self, v: tuple[int, ...]) -> Coefficient:
-        """E[mu^v] = g_v; a hard error beyond the truncation order."""
-        return self._series.get(v)
+        """E[mu^v] = g_v; index_in's error for an index outside (dim, order)."""
+        return self.moments.get(index_in(v, self.dim, self.order), _NAUGHT)
 
     def indices(self):
         return mi.iter_indices(self.dim, self.order)
@@ -195,11 +197,10 @@ class UmbraTuple:
         one = TruncatedSeries.one(self.dim, self.order)
         return UmbraTuple.from_series(one + self._log_series())
 
-    @classmethod
-    def from_cumulants(cls, c: "UmbraTuple") -> "UmbraTuple":
-        """Inverse of cumulant_tuple: gf exp(f_c - 1)."""
-        one = TruncatedSeries.one(c.dim, c.order)
-        return cls.from_series(series_exp(c.to_series() - one))
+    @staticmethod
+    def from_cumulants(c: "UmbraTuple") -> "UmbraTuple":
+        """Inverse of cumulant_tuple: 1.beta.c, gf exp(f_c - 1)."""
+        return c.dot_t_beta(1)
 
 
 def time_argument(t: Coefficient | str) -> Coefficient:
@@ -274,9 +275,8 @@ def singleton_component(order: int, dim: int, i: int) -> UmbraTuple:
 
 
 def bell(order: int) -> UmbraTuple:
-    """Moments are the Bell numbers: gf exp(e^z - 1)."""
-    ez1 = unity(order).to_series() - TruncatedSeries.one(1, order)
-    return UmbraTuple.from_series(series_exp(ez1))
+    """Moments are the Bell numbers: 1.beta.u, gf exp(e^z - 1)."""
+    return unity(order).dot_t_beta(1)
 
 
 def gaussian_delta(order: int) -> UmbraTuple:
@@ -294,18 +294,16 @@ def gaussian_delta_tuple(order: int, dim: int) -> UmbraTuple:
 
 
 def bernoulli_umbra(order: int) -> UmbraTuple:
-    """Moments are the Bernoulli numbers: gf z / (e^z - 1)."""
-    # (e^z - 1)/z  =  sum z^k / (k+1)!,  then take the reciprocal
-    f = TruncatedSeries(1, order, {(k,): Fraction(1, k + 1) for k in range(order + 1)})
-    return UmbraTuple.from_series(series_pow(f, -1))
+    """Moments are the Bernoulli numbers: gf z / (e^z - 1), the inverse
+    of the uniform(0,1) law, whose gf (e^z - 1)/z has moments 1/(k+1)."""
+    uniform = {(k,): Fraction(1, k + 1) for k in range(order + 1)}
+    return UmbraTuple(1, order, uniform).inverse_umbra()
 
 
 def euler_umbra(order: int) -> UmbraTuple:
-    """Moments are the Euler (secant) numbers: gf 2 e^z / (e^{2z} + 1)."""
-    # 2 e^z / (e^{2z} + 1) = sech z = 1 / cosh z
-    cosh = TruncatedSeries(1, order,
-                           {(k,): 1 for k in range(0, order + 1, 2)})
-    return UmbraTuple.from_series(series_pow(cosh, -1))
+    """Moments are the Euler (secant) numbers: gf 2 e^z / (e^{2z} + 1)
+    = 1 / cosh z, the inverse of the tuple with moments 1 at even k."""
+    return UmbraTuple(1, order, {(k,): 1 for k in range(0, order + 1, 2)}).inverse_umbra()
 
 
 def comonotone_tuple(univariate: UmbraTuple, dim: int) -> UmbraTuple:
@@ -342,12 +340,6 @@ class _Comonotone(UmbraTuple):
                                               if (n,) in m
                                               for v in mi.iter_indices_of_total(self.dim, n)})
         return self._moments
-
-    def eval_power(self, v: tuple[int, ...]) -> Coefficient:
-        n = sum(v)
-        if len(v) != self.dim or min(v) < 0 or n > self.order:
-            TruncatedSeries.zero(self.dim, self.order).get(v)   # raises get's error for v
-        return self.base.moments.get((n,), _NAUGHT)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UmbraTuple) and other.base is not None:

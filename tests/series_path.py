@@ -39,7 +39,7 @@ def exp(f):
 
 def log(f):
     g = f - TruncatedSeries.one(f.dim, f.order)
-    out = TruncatedSeries.zero(f.dim, f.order)
+    out = TruncatedSeries(f.dim, f.order)
     power = TruncatedSeries.one(f.dim, f.order)
     for k in range(1, f.order + 1):
         power = mul(power, g)
@@ -68,7 +68,7 @@ def subst(f, inners):
         for _ in range(f.order):
             ps.append(mul(ps[-1], h))
         pows.append(ps)
-    out = TruncatedSeries.zero(tgt.dim, tgt.order)
+    out = TruncatedSeries(tgt.dim, tgt.order)
     for v, c in f.ordinary().items():
         term = TruncatedSeries.one(tgt.dim, tgt.order).scale(c)
         for i, k in enumerate(v):

@@ -817,6 +817,18 @@ def test_a_long_error_line_is_cut(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, shown", [("a\nb", "a\\nb"), ("a\rb", "a\\rb"),
+                                          ("a\u2028b", "a\\u2028b")])
+def test_a_line_break_in_an_argument_stays_on_one_line(capsys, value, shown):
+    # argparse echoes an unrecognized argument as given, so a line break in
+    # it split the usage error over two lines
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--bogus", value])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err == f"umbrakit: error: unrecognized arguments: --bogus {shown}\n"
+
+
 ANCHORED = {
     "sweep": (("verify", "--process", "gamma", "--d", "2", "--order", "6", "--max-order", "6"),
               {"anchor": "dot_t(1) == one_step", "index": [0, 1], "dot_t(1)": "2",

@@ -15,9 +15,9 @@ from umbrakit.families import (_shift_family_tsh_check, bernoulli, bernoulli_gf_
 from umbrakit.harmonic import poly_to_coeff_map, tsh_polynomial
 from umbrakit.polynomials import Poly
 from umbrakit.processes import (ProcessSpec, bernoulli_neg_one_step, build,
-                                euler_half_one_step)
+                                euler_half_one_step, poisson_one_step)
 from umbrakit.series import TruncatedSeries, series_subst, vector_reversion
-from umbrakit.umbrae import (UmbraTuple, augmentation, comonotone_tuple,
+from umbrakit.umbrae import (UmbraTuple, augmentation, bell, comonotone_tuple,
                              singleton, unity)
 
 t = Poly.var("t")
@@ -197,6 +197,17 @@ def test_levy_sheffer_process_reduction():
     mu = build(ProcessSpec("poisson", 1, N, {"rate": Fraction(1)})).one_step
     pi = levy_sheffer_process_one_step(mu, singleton(N))
     assert pi == mu.inverse_umbra()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_levy_sheffer_one_step_keeps_its_comonotone_base(d):
+    # the lift commutes with z -> z/d, so scaling the d = 1 driver before
+    # the lift gives the array of scaling the lift, and keeps a base
+    N = 4
+    m, n = poisson_one_step(Fraction(1), N), bell(N)
+    got = levy_sheffer_process_one_step(comonotone_tuple(m, d), comonotone_tuple(n, d))
+    assert got.base is not None
+    assert got == comonotone_tuple(levy_sheffer_process_one_step(m, n), d).scale(Fraction(1, d))
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)

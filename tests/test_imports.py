@@ -147,6 +147,43 @@ def test_only_exp_and_pow_run_the_degree_recurrence():
                                          ("series.py", "series_pow")}
 
 
+def outer_callers_of(name):
+    """The (module, function) pairs in the package, a method named
+    Class.method, whose body, nested functions included, calls name."""
+    out = set()
+    for path, tree in TREES.items():
+        for node in tree.body:
+            fns = [(node.name, node)] if isinstance(node, ast.FunctionDef) else \
+                [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                 if isinstance(fn, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+            out.update((path.name, qual) for qual, fn in fns if name in called_names(fn))
+    return out
+
+
+def test_every_exponential_is_a_beta_dot_product():
+    """exp(f - 1) is 1.beta over f, so the package's exponentials (Bell,
+    Poisson, Brownian, inverse Gaussian, from_cumulants) are dot_t_beta
+    calls; series_pow takes exp(e log f) for a Poly e, and the gf oracles
+    expand exp on their own, as independent references."""
+    assert outer_callers_of("series_exp") == {
+        ("umbrae.py", "UmbraTuple.dot_t_beta"), ("series.py", "series_pow"),
+        ("families.py", "hermite_gf_oracle"), ("families.py", "_classical_gf_oracle"),
+        ("families.py", "levy_sheffer_gf_oracle"),
+        ("processes.py", "inverse_gaussian_closed_form")}
+
+
+@pytest.mark.parametrize("text", ["has wrong dimension", "exceeds truncation order"])
+def test_one_function_checks_an_index(text):
+    """Whether an index fits a ring (d, N) is decided in series.index_in,
+    which the series constructor and get, eval_power and every harmonic
+    check call: no other function raises its errors."""
+    owners = {(path.name, fn.name) for path, tree in TREES.items() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and text in n.value for n in ast.walk(fn))}
+    assert owners == {("series.py", "index_in")}
+
+
 def test_a_sum_takes_its_ring_from_common():
     """A single sum and a slot of slot_sums unite their variables and
     denominators by one rule: _dot reaches the union through _common and

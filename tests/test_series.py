@@ -37,11 +37,11 @@ def test_exp_log_examples():
     bell = series_exp(ez1)
     assert [bell.get((k,)) for k in range(5)] == [1, 1, 2, 5, 15]
     assert series_log(u_series(N)) == TruncatedSeries.variable(1, N, 0)
-    assert series_exp(TruncatedSeries.zero(1, N)) == TruncatedSeries.one(1, N)
+    assert series_exp(TruncatedSeries(1, N)) == TruncatedSeries.one(1, N)
     with pytest.raises(ValueError):
         series_exp(u_series(N))
     with pytest.raises(ValueError):
-        series_log(TruncatedSeries.zero(1, N))
+        series_log(TruncatedSeries(1, N))
 
 
 def test_compose_examples():
