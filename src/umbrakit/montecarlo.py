@@ -16,7 +16,17 @@ rounds differently), split a reduction into chunks (numpy sums pairwise
 over the whole array), or keep a power table across polynomials (it
 costs more peak memory than it saves time).
 
-Each path costs about 8·(2d + 6) bytes of float arrays, so ``MAX_PATHS``
+Sample layout.  A sample X is a read-only (paths, d) view in which each
+coordinate x[:, i] is one contiguous column: numpy works on a strided
+column about 3× slower.  The brownian product is computed in the shape it
+always had and copied column-major.  The d coordinates of a comonotone
+kind (poisson, gamma, IG) are one drawn column, viewed d times at stride
+0, so X_t = X_s + increment is one addition per drawn column, and the
+martingale tests of coordinates that share a column are computed once.
+The layout moves where a value lands and changes no operand or order.
+
+Each path costs about 8·(2d + 6) bytes of float arrays (8·8 for a
+comonotone kind), so ``MAX_PATHS``
 (10^7 paths, about 0.8 GB at d = 2) is refused before any is allocated.
 """
 
@@ -69,18 +79,25 @@ def _brownian(p: dict, d: int, dt: float, paths: int,
     C = np.array([
         [float(x) for x in row] for row in p["C"]])
     z = rng.standard_normal((paths, d))
-    return np.sqrt(dt) * z @ C.T
+    # sqrt(dt)·z @ C.T in the shapes it has always had (a BLAS kernel may
+    # sum differently at another shape), then copied column-major; z is
+    # scaled in place and dropped first, so two arrays live at a time
+    x = np.multiply(np.sqrt(dt), z, out=z) @ C.T
+    del z
+    return np.asfortranarray(x)
 
 
 def _comonotone(draw):
-    """A sampler tiling one univariate draw over all d coordinates."""
+    """A sampler of one univariate draw, shape (paths, 1), that all d
+    coordinates read."""
     def sample(p: dict, d: int, dt: float, paths: int,
                rng: np.random.Generator) -> np.ndarray:
-        return np.tile(draw(p, dt, paths, rng)[:, None], (1, d))
+        return draw(p, dt, paths, rng)[:, None]
     return sample
 
 
-# process kind -> sampler(params, d, dt, paths, rng)
+# process kind -> sampler(params, d, dt, paths, rng), which returns the
+# drawn columns: (paths, d) column-major, or (paths, 1) for a comonotone kind
 SAMPLERS = {
     "brownian": _brownian,
     "poisson": _comonotone(lambda p, dt, paths, rng: rng.poisson(
@@ -93,21 +110,34 @@ SAMPLERS = {
 }
 
 
-def sample_increment(spec: ProcessSpec, dt: float, paths: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. increments of length dt, shape (paths, d)."""
+def _draw(spec: ProcessSpec, dt: float, paths: int,
+          rng: np.random.Generator) -> np.ndarray:
     if spec.kind not in SAMPLERS:
         raise SamplerError(f"no sampler for process kind {spec.kind!r}")
     return SAMPLERS[spec.kind](spec.params, spec.dim, dt, paths, rng)
 
 
+def _coordinates(cols: np.ndarray, d: int) -> np.ndarray:
+    """The (paths, d) samples as a read-only view of the drawn columns: a
+    single column is every coordinate (stride 0 across them)."""
+    return np.broadcast_to(cols, (cols.shape[0], d))
+
+
+def sample_increment(spec: ProcessSpec, dt: float, paths: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. increments of length dt, shape (paths, d), read-only; each
+    x[:, i] is contiguous."""
+    return _coordinates(_draw(spec, dt, paths, rng), spec.dim)
+
+
 def sample_marginals(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(X_s, X_t) with stationary independent increments, fixed seed."""
+    """(X_s, X_t) with stationary independent increments, fixed seed, laid
+    out as sample_increment's; X_t = X_s + increment once per drawn column."""
     rng = _rng(cfg.seed)
-    xs = sample_increment(cfg.process, float(cfg.s), cfg.paths, rng)
-    xt = sample_increment(cfg.process, float(cfg.t - cfg.s), cfg.paths, rng)
+    xs = _draw(cfg.process, float(cfg.s), cfg.paths, rng)
+    xt = _draw(cfg.process, float(cfg.t - cfg.s), cfg.paths, rng)
     xt += xs
-    return xs, xt
+    return _coordinates(xs, cfg.process.dim), _coordinates(xt, cfg.process.dim)
 
 
 def _power(col: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
@@ -225,26 +255,33 @@ def simulate_and_test(cfg: SimConfig, polys: list[TshPolynomial]) -> SimReport:
 
     The martingale increment Q(X_t, t) − Q(X_s, s) is tested against
     φ_w = X_s^w for |w| <= 2: φ_0 = 1 and φ_{e_i} = x_i need no array, and
-    x_i·x_j (also for i = j, where it is x_i ** 2) is one product.
+    x_i·x_j (also for i = j, where it is x_i ** 2) is one product.  A test
+    is keyed by the memory of the columns it multiplies, so the tests of
+    comonotone coordinates, which share one column, are computed once.
     """
     xs, xt = sample_marginals(cfg)
     d = cfg.process.dim
     yt, ys, prod, phi, *scratch = (np.empty(cfg.paths) for _ in range(6))
-    tests = [(f"martingale:{mi.format_index(w)}",
-              [xs[:, i] for i, k in enumerate(w) for _ in range(k)])
-             for w in mi.iter_indices(d, 2)]
+    tests = []
+    for w in mi.iter_indices(d, 2):
+        cols = [xs[:, i] for i, k in enumerate(w) for _ in range(k)]
+        tests.append((f"martingale:{mi.format_index(w)}", cols,
+                      tuple(col.ctypes.data for col in cols)))
     rows: list[TestRow] = []
     for q in polys:
         _poly_evaluator(to_poly(q.specialize_time(cfg.t)), d)(xt, yt, scratch)
         _poly_evaluator(to_poly(q.specialize_time(cfg.s)), d)(xs, ys, scratch)
         rows.append(TestRow(q.index, "zero_mean", *_zscore(yt, prod)))
         diff = np.subtract(yt, ys, out=yt)
-        for kind, cols in tests:
-            if not cols:
-                samples = diff
-            elif len(cols) == 1:
-                samples = np.multiply(diff, cols[0], out=prod)
-            else:
-                samples = np.multiply(diff, np.multiply(*cols, out=phi), out=prod)
-            rows.append(TestRow(q.index, kind, *_zscore(samples, prod)))
+        stats = {}
+        for kind, cols, key in tests:
+            if key not in stats:
+                if not cols:
+                    samples = diff
+                elif len(cols) == 1:
+                    samples = np.multiply(diff, cols[0], out=prod)
+                else:
+                    samples = np.multiply(diff, np.multiply(*cols, out=phi), out=prod)
+                stats[key] = _zscore(samples, prod)
+            rows.append(TestRow(q.index, kind, *stats[key]))
     return SimReport(cfg, tuple(rows))

@@ -199,14 +199,22 @@ def moments_from_json(data: Mapping) -> UmbraTuple:
 
 
 def moments_to_json(mu: UmbraTuple, params: Sequence[str] = ()) -> dict:
-    """The moment file of mu; each distinct moment is formatted once, as a
-    comonotone lift repeats one moment at every v of a total degree."""
-    fmt = cache(str)
+    """The moment file of mu; each distinct moment is formatted once.  A
+    comonotone lift repeats its base's m_n at every v of total degree n,
+    so its moments are read off the base, with no index looked up."""
+    if mu.base is None:
+        g, fmt = mu.moments, cache(str)
+        texts = ((v, fmt(g.get(v, 0))) for v in mu.indices())
+    else:
+        m = mu.base.moments
+        texts = ((v, text) for n in range(mu.order + 1)
+                 for text in [str(m.get((n,), 0))]
+                 for v in mi.iter_indices_of_total(mu.dim, n))
     return {
         "d": mu.dim,
         "order": mu.order,
         "params": list(params),
-        "moments": {mi.format_index(v): fmt(mu.eval_power(v)) for v in mu.indices()},
+        "moments": {mi.format_index(v): text for v, text in texts},
     }
 
 

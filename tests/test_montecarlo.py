@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_poly_evaluator():
     assert np.allclose(ev(x), [6.0, -4.0])
     with pytest.raises(SamplerError):
         _poly_evaluator(Poly.var("t"), 1)
+    # one x laid out C-ordered, F-ordered and, with equal columns, as one
+    # column shared at stride 0 (a comonotone sample): the same bytes
+    q = 3 * Poly.var("x1") ** 3 * Poly.var("x2") - Poly.var("x2") ** 2 / 7 + 5
+    ev = _poly_evaluator(q, 2)
+    col = heavy_tailed(10_001, 5)
+    for x in (heavy_tailed(20_002, 6).reshape(-1, 2), np.tile(col[:, None], (1, 2))):
+        want = ev(np.ascontiguousarray(x)).tobytes()
+        assert ev(np.asfortranarray(x)).tobytes() == want
+    assert ev(np.broadcast_to(col[:, None], (col.shape[0], 2))).tobytes() == want
 
 
 def test_equal_polys_evaluate_to_equal_floats():
@@ -137,6 +147,55 @@ def test_increment_shapes_and_comonotone_tiling():
     inc = sample_increment(spec, 0.5, 50, rng)
     assert inc.shape == (50, 3)
     assert np.array_equal(inc[:, 0], inc[:, 1])
+
+
+LAYOUT_SPECS = [
+    ProcessSpec("brownian", 1, 4, {"C": [[Fraction(2, 3)]]}),
+    ProcessSpec("brownian", 2, 4, {}),
+    # two terms in every row, so the sum order of the matmul shows
+    pytest.param(ProcessSpec("brownian", 2, 4, {"C": [[2, Fraction(1, 3)],
+                                                     [Fraction(-1, 7), Fraction(5, 3)]]}),
+                 id="brownian-2-dense"),
+    *(ProcessSpec(kind, d, 4, params) for d in (1, 2) for kind, params in [
+        ("gamma", {"shape": Fraction(3, 2), "scale": Fraction(2)}),
+        ("poisson", {"rate": Fraction(3)}),
+        ("inverse_gaussian", {"a": Fraction(2), "b": Fraction(3)})]),
+]
+
+
+def tiled_increment(spec, dt, paths, rng):
+    """The increment as a C-ordered (paths, d) array: the matmul into a fresh
+    array for brownian, one draw tiled over d columns otherwise."""
+    p, d = spec.params, spec.dim
+    if spec.kind == "brownian":
+        C = np.array([[float(x) for x in row] for row in p["C"]])
+        return np.sqrt(dt) * rng.standard_normal((paths, d)) @ C.T
+    draw = {"gamma": lambda: rng.gamma(float(p["shape"]) * dt, float(p["scale"]), size=paths),
+            "poisson": lambda: rng.poisson(float(p["rate"]) * dt, size=paths).astype(float),
+            "inverse_gaussian": lambda: rng.wald(float(p["a"]) * dt,
+                                                 float(p["b"]) * dt * dt, size=paths)}
+    return np.tile(draw[spec.kind]()[:, None], (1, d))
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: f"{s.kind}-{s.dim}")
+def test_samples_are_contiguous_columns_with_the_tiled_bytes(spec):
+    # the reference: C-ordered arrays, tiled draws, X_t added over all d columns
+    cfg = SimConfig(spec, MIN_PATHS, Fraction(1, 2), Fraction(1), 11)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    want_s = tiled_increment(spec, 0.5, MIN_PATHS, rng)
+    want_t = tiled_increment(spec, 0.5, MIN_PATHS, rng)
+    want_t += want_s
+    inc = sample_increment(spec, 0.5, MIN_PATHS, np.random.Generator(np.random.Philox(key=11)))
+    samples = [(inc, want_s), *zip(sample_marginals(cfg), (want_s, want_t))]
+    for x, want in samples:
+        assert x.shape == want.shape and not x.flags.writeable
+        assert np.ascontiguousarray(x).tobytes() == want.tobytes()
+        for i in range(spec.dim):
+            assert x[:, i].flags.c_contiguous
+            if spec.kind != "brownian":     # comonotone: one column, shared
+                assert np.shares_memory(x[:, i], x[:, 0])
+    xs, xt = samples[1][0], samples[2][0]
+    assert not np.shares_memory(xs, xt)
 
 
 def test_brownian_zscores_small_run():
@@ -267,3 +326,16 @@ def test_mc_verify_names_a_bad_paths_or_seed_before_the_build(capsys, monkeypatc
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith(f"error: {flag} {value} ")
+
+
+# Every argv recorded in perfbench/mc_digests.json (16 seeds x 4
+# processes at 10^5 paths), against its canonical digest.  The file is
+# only read here.
+MC_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "mc_digests.json").read_text())
+
+
+@pytest.mark.parametrize("argv", MC_DIGESTS)
+def test_mc_verify_matches_every_recorded_digest(capsys, argv):
+    assert main(argv.split()) == 0
+    assert canonical_digest(capsys.readouterr().out) == MC_DIGESTS[argv]
