@@ -9,7 +9,10 @@ inverse is the family's process mu, so it is the basis polynomial Q_v
 of mu: its check is the tuple equality nu.dot_t(t) = mu.dot_t(-t) at
 d = 1, which the lift z -> z1 + ... + zd carries to every d, and then
 the verdicts harmonic.basis_sweep reads off the basis identity of mu's
-lift, with no member built.  A Levy-Sheffer member carries x through
+lift, with no member built.  That lift is the bernoulli_neg or
+euler_half process of processes.build, so the checks share its memo
+with every other check of the process, and ProcessSpec's order and
+dimension caps apply to them.  A Levy-Sheffer member carries x through
 x1 + ... + xd and a composition dot-product, so it is no shift of x^k
 by a tuple, and each member is checked on its own with
 verify_harmonicity.  Only the closed forms bernoulli, euler and hermite
@@ -26,8 +29,7 @@ from .harmonic import (MINUS_T, T, basis_sweep, check_anchor, expectation,
                        poly_to_coeff_map, shift_coeffs, to_poly, verify_harmonicity,
                        x_names)
 from .polynomials import Coefficient, Poly, as_poly
-from .processes import (bernoulli_neg_one_step, brownian_one_step, check_square,
-                        euler_half_one_step)
+from .processes import ProcessSpec, brownian_one_step, build, check_square
 from .series import TruncatedSeries, series_exp, series_pow
 from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
                      compositional_inverse, dot_beta_tuple, euler_umbra,
@@ -219,27 +221,29 @@ def levy_sheffer_tsh_check(mu: UmbraTuple, nu: UmbraTuple, max_order: int) -> bo
     return True
 
 
-def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple, d: int) -> bool:
+def _shift_family_tsh_check(one_step: UmbraTuple, driver: UmbraTuple) -> bool:
     """Every member E[(x + t.driver)^v], |v| <= the order, of the d-variate
-    lifts of the univariate tuples is harmonic for the lift of one_step and,
-    for v != 0, has zero mean along it: the tuple equality, decided at d = 1
-    as the lift is a ring homomorphism, makes each member Q_v of the lift.
-    Both tuples are anchored first: harmonic.AnchorError unless each one's
+    lift of the univariate driver is harmonic for one_step, the lift of a
+    univariate tuple, and, for v != 0, has zero mean along it: the tuple
+    equality, decided on the d = 1 base as the lift is a ring
+    homomorphism, makes each member Q_v of the lift.  Both univariate
+    tuples are anchored first: harmonic.AnchorError unless each one's
     dot_t(1) is itself."""
-    check_anchor(one_step, "one_step")
+    base = one_step if one_step.base is None else one_step.base
+    check_anchor(base, "one_step")
     check_anchor(driver, "driver")
-    if driver.dot_t(T) != one_step.dot_t(MINUS_T):
+    if driver.dot_t(T) != base.dot_t(MINUS_T):
         return False
-    return all(ok and zero for _, ok, _, zero in basis_sweep(comonotone_tuple(one_step, d)))
+    return all(ok and zero for _, ok, _, zero in basis_sweep(one_step))
 
 
 def bernoulli_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of B_v^(t) along the negated Bernoulli family."""
-    return _shift_family_tsh_check(bernoulli_neg_one_step(max_order, 1),
-                                   bernoulli_tuple(max_order, 1), d)
+    return _shift_family_tsh_check(build(ProcessSpec("bernoulli_neg", d, max_order)).one_step,
+                                   bernoulli_tuple(max_order, 1))
 
 
 def euler_tsh_check(max_order: int, d: int = 1) -> bool:
     """Harmonicity and zero mean of the Euler polynomials along their process."""
-    return _shift_family_tsh_check(euler_half_one_step(max_order, 1),
-                                   euler_difference_tuple(max_order, 1), d)
+    return _shift_family_tsh_check(build(ProcessSpec("euler_half", d, max_order)).one_step,
+                                   euler_difference_tuple(max_order, 1))

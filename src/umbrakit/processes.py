@@ -7,6 +7,13 @@ defaults and its one-step constructor: ProcessSpec checks a spec
 against it, and build is one lookup in it.  Poisson is rate.beta.u,
 Brownian 1.beta.(delta C^T) and inverse Gaussian 1.beta over the
 compositional inverse of a quadratic: each one dot_t_beta.
+
+build keeps what it builds: equal specs get the same SymbolicProcess
+from one LRU of BUILD_MEMO_SIZE processes keyed by spec.frozen(), so
+the time-parameterized moments of a process, held in its tuples' memo,
+are computed once per interpreter.  A returned process is shared and
+must not be mutated.  A custom process is read from a file that can
+change, so build makes it anew on every call.
 """
 
 from __future__ import annotations
@@ -70,11 +77,15 @@ class ProcessSpec:
         # a new dict: the caller's may be shared between specs
         object.__setattr__(self, "params", params)
 
-    def __hash__(self) -> int:
-        # params holds a dict and C a list of lists; hash a frozen copy
-        frozen = tuple(sorted((key, tuple(map(tuple, value)) if key == "C" else value)
+    def frozen(self) -> tuple:
+        """The spec as a hashable value: params holds a dict and C a list
+        of lists, so they enter as sorted pairs and a tuple of rows."""
+        params = tuple(sorted((key, tuple(map(tuple, value)) if key == "C" else value)
                               for key, value in self.params.items()))
-        return hash((self.kind, self.dim, self.order, frozen))
+        return self.kind, self.dim, self.order, params
+
+    def __hash__(self) -> int:
+        return hash(self.frozen())
 
 
 @dataclass(frozen=True)
@@ -244,8 +255,37 @@ KINDS = {
 }
 
 
+# The most processes build keeps.  A sweep over processes cycles through
+# its specs (the benchmark's tsh_verify through 19), and an LRU smaller
+# than a cyclic working set evicts each spec just before it comes round
+# again, so it never hits.
+BUILD_MEMO_SIZE = 32
+# hash(spec.frozen()) -> (spec.frozen(), process), least recently used first;
+# keyed by the hash so that a build hashes its spec's Fractions once
+_built: dict[int, tuple[tuple, SymbolicProcess]] = {}
+
+
 def build(spec: ProcessSpec) -> SymbolicProcess:
-    """Construct the symbolic process for a validated spec: its kind's
-    one-step constructor in KINDS, and the time tuple t.mu."""
+    """The symbolic process for a validated spec: its kind's one-step
+    constructor in KINDS, and the time tuple t.mu.
+
+    Equal specs get the same process, from an LRU of BUILD_MEMO_SIZE keyed
+    by spec.frozen(), and so share the memo of its tuples: the caller must
+    not mutate what it gets.  A custom process is read from a file that
+    can change, so it is built anew on every call."""
+    if spec.kind == "custom":
+        return _construct(spec)
+    key = spec.frozen()
+    h = hash(key)
+    entry = _built.pop(h, None)
+    if entry is None or entry[0] != key:
+        entry = key, _construct(spec)
+        if len(_built) == BUILD_MEMO_SIZE:
+            del _built[next(iter(_built))]
+    _built[h] = entry
+    return entry[1]
+
+
+def _construct(spec: ProcessSpec) -> SymbolicProcess:
     one_step = KINDS[spec.kind][1](spec.params, spec.order, spec.dim)
     return SymbolicProcess(spec, one_step, one_step.dot_t("t"))

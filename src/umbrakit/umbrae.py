@@ -8,7 +8,9 @@ Moments may be exact rationals or Poly values in declared parameters.
 A tuple is its gf f, and every derived array is one series operation on
 it: log f, the exp table of log f behind dot_n and dot_t, exp(t (f - 1))
 for dot_t_beta and f^p f^q for dot_sum.  Each is built once and kept in
-the tuple's one memo, which only this module touches.  A shift
+the tuple's one memo, which only this module touches.  The memo lives
+as long as the tuple: processes.build keeps the processes it builds, so
+a process's memo lasts while build's LRU holds the process.  A shift
 E[P(x + tup)] is read off the moments by harmonic.  dot_t_beta is the
 one exp(f - 1), as Bell is 1.beta.u and from_cumulants 1.beta over the
 cumulants, and inverse_umbra the one reciprocal.

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from umbrakit import cli
+from umbrakit import cli, processes
 from umbrakit import multiindex as mi
 from umbrakit.cli import _process_spec, main, make_parser
 from umbrakit.polynomials import parse_poly
@@ -18,6 +18,16 @@ from umbrakit.processes import build
 from umbrakit.umbrae import UmbraTuple, time_argument
 
 import harmonic_path as ref
+
+
+@pytest.fixture
+def fresh_builds():
+    """Empty build's memo before and after a test that patches kernel
+    code: the test must build under its patch, and no later test may
+    read a process built under it."""
+    processes._built.clear()
+    yield
+    processes._built.clear()
 
 
 def run(capsys, *argv):
@@ -427,8 +437,9 @@ def test_decompose_value_at_0_not_rational_names_the_index(capsys, tmp_path, val
     pytest.param("brownian", 2, "t", (1, 1), "1", 6, 3, id="brownian-2-t-order6-top3"),
     pytest.param("poisson", 1, "-t", (2,), "s", 6, 3, id="poisson-1--t-order6-top3"),
 ])
-def test_verify_sweep_prints_what_the_per_index_loop_prints(capsys, monkeypatch, process, d,
-                                                           time, w, bump, order, top):
+def test_verify_sweep_prints_what_the_per_index_loop_prints(capsys, monkeypatch, fresh_builds,
+                                                           process, d, time, w, bump, order,
+                                                           top):
     # the sweep reads its lines off basis_identity; the per-index loop builds
     # and checks each Q_v at the full order, here on the same arrays with
     # one moment moved
@@ -842,7 +853,7 @@ ANCHORED = {
 
 
 @pytest.mark.parametrize("mode", sorted(ANCHORED))
-def test_a_wrong_log_fails_the_anchor(capsys, tmp_path, monkeypatch, mode):
+def test_a_wrong_log_fails_the_anchor(capsys, tmp_path, monkeypatch, fresh_builds, mode):
     # with log f doubled every dot_t(p) is f^(2p), which keeps the exponent
     # law that the checks decide, so verify passed in every mode; the anchor
     # dot_t(1) == one_step is what fails

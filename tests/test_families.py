@@ -117,11 +117,23 @@ def test_family_members_are_the_basis_of_their_process(d, order):
             assert member(v, "t") == tsh_polynomial(one_step, v).as_polynomial()
 
 
+def test_the_family_checks_keep_the_process_caps(monkeypatch):
+    # the checks take their process from build, so ProcessSpec refuses
+    # what verify --family refuses
+    monkeypatch.setenv("UMBRA_MAX_ORDER", "3")
+    for check in (bernoulli_tsh_check, euler_tsh_check):
+        with pytest.raises(mi.OrderOverflowError,
+                           match=r"^order 4 exceeds the cap 3 \(UMBRA_MAX_ORDER\)$"):
+            check(4)
+        with pytest.raises(ValueError, match=r"^dimension 9 outside \[1, 8\]$"):
+            check(2, 9)
+
+
 def test_a_shift_family_with_the_wrong_driver_fails():
-    assert _shift_family_tsh_check(bernoulli_neg_one_step(4, 1), bernoulli_tuple(4, 1), 2)
-    assert not _shift_family_tsh_check(bernoulli_neg_one_step(4, 1),
-                                       euler_difference_tuple(4, 1), 2)
-    assert not _shift_family_tsh_check(euler_half_one_step(3, 1), bernoulli_tuple(3, 1), 3)
+    assert _shift_family_tsh_check(bernoulli_neg_one_step(4, 2), bernoulli_tuple(4, 1))
+    assert not _shift_family_tsh_check(bernoulli_neg_one_step(4, 2),
+                                       euler_difference_tuple(4, 1))
+    assert not _shift_family_tsh_check(euler_half_one_step(3, 3), bernoulli_tuple(3, 1))
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 8])

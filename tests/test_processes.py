@@ -217,3 +217,39 @@ def test_brownian_factor_shape_must_match_dim():
     for C in ([[1]], [[1, 0]], [[1, 0], [0]], []):
         with pytest.raises(ValueError, match=r"brownian C for --d 2 has shape"):
             build(ProcessSpec("brownian", 2, 2, {"C": C}))
+
+
+# each kind but custom with every parameter given, as strings
+GIVEN = {"brownian": {"C": [["1", "0"], ["1/2", "2"]]}, "poisson": {"rate": "3/2"},
+         "gamma": {"shape": "2", "scale": "1/3"}, "inverse_gaussian": {"a": "1", "b": "2"},
+         "bernoulli_neg": {}, "euler_half": {}}
+
+
+def test_equal_specs_build_one_process():
+    assert sorted(GIVEN) == sorted(set(processes.KINDS) - {"custom"})
+    for kind, given in GIVEN.items():
+        exact = {key: [[Fraction(x) for x in row] for row in value] if key == "C"
+                 else Fraction(value) for key, value in given.items()}
+        a, b = ProcessSpec(kind, 2, 3, given), ProcessSpec(kind, 2, 3, exact)
+        assert build(a) is build(b)
+        # the time moments a check reads are computed once per process
+        assert build(a).one_step.dot_t(-t) is build(b).one_step.dot_t(-t)
+
+
+def test_a_custom_process_reads_its_file_at_every_build(tmp_path):
+    path = tmp_path / "m.json"
+    spec = ProcessSpec("custom", 1, 2, {"path": str(path)})
+    for m2 in ("2", "5"):
+        path.write_text(json.dumps({"d": 1, "order": 2,
+                                    "moments": {"(0)": "1", "(1)": "1", "(2)": m2}}))
+        assert build(spec).one_step.eval_power((2,)) == int(m2)
+
+
+def test_build_keeps_the_most_recent_specs():
+    specs = [ProcessSpec("poisson", 1, 1, {"rate": k})
+             for k in range(1, processes.BUILD_MEMO_SIZE + 2)]
+    first = build(specs[0])
+    kept = [build(spec) for spec in specs[1:]]
+    assert build(specs[-1]) is kept[-1]
+    rebuilt = build(specs[0])
+    assert rebuilt is not first and rebuilt.one_step == first.one_step
