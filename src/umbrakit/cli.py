@@ -21,6 +21,7 @@ from .harmonic import (AnchorError, TshPolynomial, basis_sweep, check_anchor, de
                        tsh_to_latex, verify_harmonicity)
 from .polynomials import parse_coeff_map, parse_matrix, parse_rational, read_json
 from .processes import ProcessSpec, build, ig_gf_check, moments_to_json
+from .umbrae import identity_matrix
 
 SCHEMA_VERSION = "1"
 
@@ -123,11 +124,8 @@ def cmd_gen_family(args) -> int:
     v = mi.parse_index(args.v)
     t = parse_rational("t", args.t) if args.t is not None else "t"
     if args.family == "hermite":
-        if args.C is not None:
-            C = parse_matrix("--C", read_json("--C", args.C))
-        else:
-            C = [
-                [1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
+        C = parse_matrix("--C", read_json("--C", args.C)) if args.C is not None \
+            else identity_matrix(len(v))
         p = hermite(v, C, t)
     elif args.family == "bernoulli":
         p = bernoulli(v, t)

@@ -29,9 +29,9 @@ from .harmonic import (MINUS_T, T, basis_sweep, check_anchor, expectation,
                        poly_to_coeff_map, shift_coeffs, to_poly, verify_harmonicity,
                        x_names)
 from .polynomials import Coefficient, Poly, as_poly
-from .processes import ProcessSpec, brownian_one_step, build, check_square
+from .processes import ProcessSpec, brownian_one_step, build
 from .series import TruncatedSeries, series_exp, series_pow
-from .umbrae import (UmbraTuple, bernoulli_umbra, comonotone_tuple,
+from .umbrae import (UmbraTuple, bernoulli_umbra, check_square, comonotone_tuple,
                      compositional_inverse, dot_beta_tuple, euler_umbra,
                      time_argument, unity)
 

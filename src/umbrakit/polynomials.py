@@ -751,12 +751,14 @@ def parse_rational(key: str, value) -> Fraction:
         raise ValueError(f"parameter {key}: {value!r} is not a rational number") from None
 
 
-def parse_matrix(key: str, value) -> list[list[Fraction]]:
-    """value, a list of rows of rationals, as lists of Fractions."""
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+def parse_matrix(key: str, value) -> tuple[tuple[Fraction, ...], ...]:
+    """value, a list (or tuple) of rows of rationals, as a tuple of tuples
+    of Fractions."""
+    rows = (list, tuple)
+    if not isinstance(value, rows) or not all(isinstance(row, rows) for row in value):
         raise ValueError(f"parameter {key}: {value!r} is not a list of rows")
-    return [
-        [parse_rational(key, x) for x in row] for row in value]
+    return tuple([
+        tuple([parse_rational(key, x) for x in row]) for row in value])
 
 
 def as_poly(value: Coefficient) -> Poly:

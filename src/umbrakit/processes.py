@@ -9,27 +9,30 @@ Brownian 1.beta.(delta C^T) and inverse Gaussian 1.beta over the
 compositional inverse of a quadratic: each one dot_t_beta.
 
 build keeps what it builds: equal specs get the same SymbolicProcess
-from one LRU of BUILD_MEMO_SIZE processes keyed by spec.frozen(), so
-the time-parameterized moments of a process, held in its tuples' memo,
-are computed once per interpreter.  A returned process is shared and
-must not be mutated.  A custom process is read from a file that can
-change, so build makes it anew on every call.
+from an LRU of BUILD_MEMO_SIZE processes keyed by the spec itself,
+which is immutable, so the time-parameterized moments of a process,
+held in its tuples' memo, are computed once per interpreter.  A
+returned process is shared and must not be mutated.  A custom process
+is read from a file that can change, so build makes it anew on every
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import multiindex as mi
 from .polynomials import (Poly, json_int, parse_coeff_map, parse_matrix,
                           parse_rational, read_json)
 from .series import TruncatedSeries, series_exp, series_pow
-from .umbrae import (UmbraTuple, comonotone_tuple, compositional_inverse,
-                     gaussian_delta, gaussian_delta_tuple, singleton, unity)
+from .umbrae import (UmbraTuple, check_square, comonotone_tuple,
+                     compositional_inverse, gaussian_delta, gaussian_delta_tuple,
+                     identity_matrix, singleton, unity)
 
 class UnsupportedProcessError(ValueError):
     """Requested process has no computable moment representation."""
@@ -40,14 +43,16 @@ class ProcessSpec:
     """A process kind, its dimension and order, and its parameters.
 
     params takes only the names KINDS lists for the kind, as rationals
-    (a matrix for C, a file path for a custom process); the stored dict
-    is a copy with KINDS' defaults filled in.
+    (a matrix for C, a file path for a custom process).  A spec is a
+    value: it stores the parsed params, with KINDS' defaults filled in,
+    as a read-only mapping and C as a tuple of rows, so it can key
+    build's memo by itself, which is immutable.
     """
 
     kind: str
     dim: int
     order: int
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind == "m_stable":
@@ -68,24 +73,16 @@ class ProcessSpec:
         mi.check_order(self.order)
         if self.kind == "brownian":
             if params["C"] is None:
-                params["C"] = [
-                    [Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
+                params["C"] = identity_matrix(self.dim)
             check_square(params["C"], self.dim, f"brownian C for --d {self.dim}")
         if self.kind == "custom" and not params["path"]:
             raise ValueError("a custom process needs a 'path'" if params["path"] is None
                              else "the custom moment file path is empty")
-        # a new dict: the caller's may be shared between specs
-        object.__setattr__(self, "params", params)
-
-    def frozen(self) -> tuple:
-        """The spec as a hashable value: params holds a dict and C a list
-        of lists, so they enter as sorted pairs and a tuple of rows."""
-        params = tuple(sorted((key, tuple(map(tuple, value)) if key == "C" else value)
-                              for key, value in self.params.items()))
-        return self.kind, self.dim, self.order, params
+        # a new mapping: the caller's dict may be shared between specs
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def __hash__(self) -> int:
-        return hash(self.frozen())
+        return hash((self.kind, self.dim, self.order, frozenset(self.params.items())))
 
 
 @dataclass(frozen=True)
@@ -96,13 +93,6 @@ class SymbolicProcess:
 
     def at_time(self, t: Fraction | int) -> UmbraTuple:
         return self.time_tuple.specialize({"t": t})
-
-
-def check_square(C: Sequence[Sequence], d: int, what: str) -> None:
-    """Raise ValueError unless the matrix C is d x d."""
-    if len(C) != d or any(len(row) != d for row in C):
-        cols = "/".join(str(n) for n in sorted({len(row) for row in C})) or "0"
-        raise ValueError(f"{what} has shape {len(C)}x{cols}, need {d}x{d}")
 
 
 def brownian_one_step(C: Sequence[Sequence[Fraction]], order: int) -> UmbraTuple:
@@ -260,9 +250,6 @@ KINDS = {
 # than a cyclic working set evicts each spec just before it comes round
 # again, so it never hits.
 BUILD_MEMO_SIZE = 32
-# hash(spec.frozen()) -> (spec.frozen(), process), least recently used first;
-# keyed by the hash so that a build hashes its spec's Fractions once
-_built: dict[int, tuple[tuple, SymbolicProcess]] = {}
 
 
 def build(spec: ProcessSpec) -> SymbolicProcess:
@@ -270,22 +257,15 @@ def build(spec: ProcessSpec) -> SymbolicProcess:
     constructor in KINDS, and the time tuple t.mu.
 
     Equal specs get the same process, from an LRU of BUILD_MEMO_SIZE keyed
-    by spec.frozen(), and so share the memo of its tuples: the caller must
-    not mutate what it gets.  A custom process is read from a file that
-    can change, so it is built anew on every call."""
-    if spec.kind == "custom":
-        return _construct(spec)
-    key = spec.frozen()
-    h = hash(key)
-    entry = _built.pop(h, None)
-    if entry is None or entry[0] != key:
-        entry = key, _construct(spec)
-        if len(_built) == BUILD_MEMO_SIZE:
-            del _built[next(iter(_built))]
-    _built[h] = entry
-    return entry[1]
+    by the spec itself, which is immutable, and so share the memo of its
+    tuples: the caller must not mutate what it gets.  A custom process is
+    read from a file that can change, so it is built anew on every call."""
+    return _construct(spec) if spec.kind == "custom" else _built(spec)
 
 
 def _construct(spec: ProcessSpec) -> SymbolicProcess:
     one_step = KINDS[spec.kind][1](spec.params, spec.order, spec.dim)
     return SymbolicProcess(spec, one_step, one_step.dot_t("t"))
+
+
+_built = lru_cache(maxsize=BUILD_MEMO_SIZE)(_construct)

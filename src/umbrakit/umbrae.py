@@ -28,6 +28,7 @@ to_series is first read, then kept.  Every other op reads to_series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -136,8 +137,7 @@ class UmbraTuple:
     def linear_map(self, matrix: Sequence[Sequence[Coefficient]]) -> "UmbraTuple":
         """Tuple transformed by a matrix: f(nu C^T, z) = f(nu, z C)."""
         d = self.dim
-        if len(matrix) != d or any(len(row) != d for row in matrix):
-            raise ValueError(f"matrix must be {d}x{d}")
+        check_square(matrix, d, "matrix")
         units = [tuple(int(r == i) for r in range(d)) for i in range(d)]
         inners = [TruncatedSeries(d, self.order, {units[i]: matrix[i][j] for i in range(d)})
                   for j in range(d)]
@@ -209,6 +209,20 @@ def time_argument(t: Coefficient | str) -> Coefficient:
     """A time argument as a coefficient: a name is its variable, any
     other value its as_coefficient."""
     return Poly.var(t) if isinstance(t, str) else as_coefficient(t)
+
+
+@cache
+def identity_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The d x d identity as a tuple of rows of Fractions, made once per d."""
+    return tuple([
+        tuple([Fraction(int(i == j)) for j in range(d)]) for i in range(d)])
+
+
+def check_square(C: Sequence[Sequence], d: int, what: str) -> None:
+    """Raise ValueError unless the matrix C is d x d."""
+    if len(C) != d or any(len(row) != d for row in C):
+        cols = "/".join(str(n) for n in sorted({len(row) for row in C})) or "0"
+        raise ValueError(f"{what} has shape {len(C)}x{cols}, need {d}x{d}")
 
 
 # -- composition of univariate umbrae --------------------------------

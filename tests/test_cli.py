@@ -25,9 +25,9 @@ def fresh_builds():
     """Empty build's memo before and after a test that patches kernel
     code: the test must build under its patch, and no later test may
     read a process built under it."""
-    processes._built.clear()
+    processes._built.cache_clear()
     yield
-    processes._built.clear()
+    processes._built.cache_clear()
 
 
 def run(capsys, *argv):
@@ -50,6 +50,17 @@ def test_gen_tsh_brownian_example(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["tsh"]["coeffs"] == {"(0)": "-t", "(1)": "0", "(2)": "1"}
+
+
+def test_gen_tsh_raises_a_given_c_to_the_order_of_v(capsys):
+    # --order 1 is below |v| = 2, so the spec is rebuilt at order 2 from its
+    # stored C; the output is that of the spec asked for at order 2
+    argv = ["gen-tsh", "--process", "brownian", "--d", "2",
+            "--params", '{"C": [[1,0],[1,1]]}', "--v", "(1,1)"]
+    outs = [run(capsys, *argv, "--order", order) for order in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    # the covariance of x1 and x2 under C C^T is 1, not the identity's 0
+    assert json.loads(outs[0][1])["tsh"]["coeffs"]["(0,0)"] == "-t"
 
 
 def test_gen_tsh_verify_roundtrip(capsys, tmp_path):

@@ -42,7 +42,7 @@ def test_spec_owns_parameter_names_and_defaults():
     spec = ProcessSpec("gamma", 1, 3, given)
     assert spec.params == {"shape": 2, "scale": 1}
     assert given == {"shape": "2"}
-    assert ProcessSpec("brownian", 2, 2).params == {"C": [[1, 0], [0, 1]]}
+    assert ProcessSpec("brownian", 2, 2).params == {"C": ((1, 0), (0, 1))}
     with pytest.raises(ValueError, match="has shape 1x1, need 2x2"):
         ProcessSpec("brownian", 2, 2, {"C": [[1]]})
     assert build(ProcessSpec("inverse_gaussian", 1, 4, {"b": 2})).one_step == \
@@ -84,7 +84,7 @@ def test_equal_specs_hash_equal_and_key_a_dict():
     skewed = ProcessSpec("brownian", 2, 3, {"C": [[1, 0], [1, 1]]})
     assert len({pairs[1][0], pairs[1][1], skewed}) == 2
     # reads through params still see the parsed values
-    assert pairs[1][1].params["C"][1] == [0, 1]
+    assert pairs[1][1].params["C"][1] == (0, 1)
 
 
 def test_spec_dimension_cap():
@@ -234,6 +234,17 @@ def test_equal_specs_build_one_process():
         assert build(a) is build(b)
         # the time moments a check reads are computed once per process
         assert build(a).one_step.dot_t(-t) is build(b).one_step.dot_t(-t)
+
+
+def test_a_built_spec_cannot_be_changed():
+    a = ProcessSpec("brownian", 2, 4)
+    p = build(a)
+    with pytest.raises(TypeError):
+        a.params["C"] = ((2, 0), (0, 2))
+    with pytest.raises(TypeError):
+        a.params["C"][0][0] = 2
+    assert build(ProcessSpec("brownian", 2, 4)) is p
+    assert p.spec.params["C"] == ((1, 0), (0, 1))
 
 
 def test_a_custom_process_reads_its_file_at_every_build(tmp_path):

@@ -93,6 +93,11 @@ def test_scale_and_linear_map():
     assert mapped.eval_power((3, 0)) == 0
 
 
+def test_linear_map_takes_only_a_square_matrix():
+    with pytest.raises(ValueError, match="has shape 2x1, need 2x2"):
+        gaussian_delta_tuple(2, 2).linear_map([[Fraction(1)], [Fraction(2)]])
+
+
 def test_dot_n_examples():
     N = 4
     mu = rand_tuple(random.Random(2), 1, N)
